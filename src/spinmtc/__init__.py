@@ -10,13 +10,12 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .exactnum import Cyclotomic, CycMatrix, Rational, root_of_unity, zeta
+from .exactnum import Cyclotomic, CycMatrix, root_of_unity, zeta
 
 __all__ = [
     "__version__",
     "Cyclotomic",
     "CycMatrix",
-    "Rational",
     "root_of_unity",
     "zeta",
 ]

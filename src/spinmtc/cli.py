@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -303,9 +302,7 @@ def _scan_row(spec: MinimalModelSpec) -> dict:
 def _cmd_minimal_scan(args: argparse.Namespace) -> int:
     if args.max_pq < 4:
         raise CliError(2, "--max-pq must be at least 4")
-    specs = list(valid_pairs(args.max_pq))
-    with ThreadPoolExecutor() as pool:
-        models = list(pool.map(_scan_row, specs))
+    models = list(map(_scan_row, valid_pairs(args.max_pq)))
     obj = {"max_pq": args.max_pq, "count": len(models), "models": models}
     rows = [["p", "q", "c", "NS", "R", "split"]]
     for m in models:

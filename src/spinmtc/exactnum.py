@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
-    "Rational",
     "Cyclotomic",
     "CycMatrix",
     "ExactNumError",
@@ -26,10 +25,7 @@ __all__ = [
     "zeta",
     "root_of_unity",
     "embed_numeric",
-    "matrix_rank_det",
 ]
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
@@ -338,9 +334,10 @@ class Cyclotomic:
         return cls(conductor, raw)
 
 
-def _reduce_coeffs(n: int, raw: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def _reduce_coeffs(n: int, raw: Mapping[int, Fraction | int]) -> dict[int, Fraction | int]:
+    """Power-basis coefficients mod Phi_n; int inputs give int outputs."""
     deg = phi_degree(n)
-    dense = [Fraction(0)] * deg
+    dense: list[Fraction | int] = [0] * deg
     rows = None
     for e, coef in raw.items():
         if not coef:
@@ -447,6 +444,53 @@ def embed_numeric(value: Cyclotomic, digits: int = 15) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# packed integer products (Kronecker substitution)
+
+
+def _integer_coefficients(
+    entries: Sequence[Sequence[Cyclotomic]], n: int
+) -> tuple[list[list[dict[int, int]]], int, int]:
+    """Entries at conductor n as sparse integer power-basis coefficients.
+
+    Returns (coefficients, den, max_abs): every entry equals its integer
+    coefficients divided by the one common denominator ``den``.
+    """
+    grid = [[x.rebased(n)._coeffs for x in row] for row in entries]
+    den = math.lcm(1, *(c.denominator for row in grid for coeffs in row for c in coeffs.values()))
+    ints = [
+        [{e: c.numerator * (den // c.denominator) for e, c in coeffs.items()} for coeffs in row]
+        for row in grid
+    ]
+    max_abs = max((abs(v) for row in ints for coeffs in row for v in coeffs.values()), default=0)
+    return ints, den, max_abs
+
+
+def _pack(coeffs: Mapping[int, int], width: int) -> int:
+    """The polynomial with these coefficients evaluated at 2^width."""
+    return sum(c << (width * e) for e, c in coeffs.items())
+
+
+def _unpack(value: int, width: int) -> dict[int, int]:
+    """The nonzero signed base-2^width digits of value, by position.
+
+    Exact when every digit lies strictly between -2^(width-1) and 2^(width-1).
+    """
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = {}
+    k = 0
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            out[k] = d
+        value = (value - d) >> width
+        k += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
 
 
 class CycMatrix:
@@ -519,21 +563,39 @@ class CycMatrix:
         return CycMatrix([[-x for x in row] for row in self.entries], shape=(self.rows, self.cols))
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
+        """Exact product by Kronecker substitution over Python ints.
+
+        Both operands are rebased to N = lcm of their conductors, and each is
+        scaled by one common denominator to integer power-basis coefficients
+        (phi(N) per entry).  Every entry becomes one int: its coefficients
+        evaluated at 2^w.  One output entry, as a polynomial of degree
+        < 2 phi(N) - 1 before reduction, has coefficients bounded by
+
+            |c| <= cols * phi(N) * max|a| * max|b|
+
+        (at most ``cols`` products of entries, each summing at most phi(N)
+        coefficient products).  With w = bit_length(bound) + 1 every slot,
+        sign bit included, fits its w bits, so the packed dot product of a row
+        and a column is exact and unpacks to the true coefficients.  Those are
+        folded mod x^N - 1 and reduced mod Phi_N once per entry.
+        """
         if self.cols != other.rows:
             raise ExactNumError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = Cyclotomic.from_rational(0)
+        n = math.lcm(self.conductor, other.conductor)
+        deg = phi_degree(n)
+        a_ints, a_den, a_max = _integer_coefficients(self.entries, n)
+        b_ints, b_den, b_max = _integer_coefficients(other.entries, n)
+        width = (self.cols * deg * a_max * b_max).bit_length() + 1
+        a_rows = [[_pack(c, width) for c in row] for row in a_ints]
+        b_cols = [[_pack(row[j], width) for row in b_ints] for j in range(other.cols)]
+        den = a_den * b_den
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        for a_row in a_rows:
+            out_row = []
+            for b_col in b_cols:
+                coeffs = _reduce_coeffs(n, _unpack(sum(map(int.__mul__, a_row, b_col)), width))
+                out_row.append(Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True))
+            out.append(out_row)
         return CycMatrix(out, shape=(self.rows, other.cols))
 
     def scaled(self, factor: Scalar) -> "CycMatrix":
@@ -616,7 +678,3 @@ class CycMatrix:
         body = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
         return f"CycMatrix({self.rows}x{self.cols}: {body})"
 
-
-def matrix_rank_det(matrix: CycMatrix) -> tuple[int, Cyclotomic | None]:
-    """Exact (rank, det) of a cyclotomic matrix; det is None when non-square."""
-    return matrix.rank_det()

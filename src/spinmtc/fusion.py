@@ -16,8 +16,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .exactnum import (
     Cyclotomic,
     CycMatrix,
@@ -100,19 +98,22 @@ class FusionData:
         return len(self.labels)
 
     @cached_property
-    def _tensor(self) -> np.ndarray:
-        """Multiplicities as an int64 array indexed by label positions."""
-        n = self.rank
-        t = np.zeros((n, n, n), dtype=np.int64)
+    def _rules(self) -> dict[str, dict[str, dict[str, int]]]:
+        """Nonzero multiplicities among known labels, as ``_rules[i][j][k]``."""
         idx = self._index
+        rules: dict[str, dict[str, dict[str, int]]] = {}
         for (i, j, k), v in self.fusion.items():
-            if i in idx and j in idx and k in idx:
-                t[idx[i], idx[j], idx[k]] = v
-        return t
+            if v and i in idx and j in idx and k in idx:
+                rules.setdefault(i, {}).setdefault(j, {})[k] = v
+        return rules
 
-    def fusion_matrix(self, label: str) -> np.ndarray:
+    def fusion_matrix(self, label: str) -> tuple[tuple[int, ...], ...]:
         """Matrix of left fusion by ``label``: rows j, cols k."""
-        return self._tensor[self.index(label)]
+        self.index(label)  # unknown labels are format errors
+        left = self._rules.get(label, {})
+        return tuple(
+            tuple(left.get(j, {}).get(k, 0) for k in self.labels) for j in self.labels
+        )
 
     def theta(self, label: str) -> Cyclotomic:
         return root_of_unity(self.twist[label])
@@ -173,42 +174,50 @@ def validate(data: FusionData) -> list[Violation]:
     if out:
         return out
 
-    t = data._tensor
-    n = data.rank
-    iu = data.index(data.unit)
+    rules = data._rules
+    pos = data._index
+    unit = data.unit
+    empty: dict[str, int] = {}
+
+    def first(witnesses: list[tuple[str, ...]]) -> tuple[str, ...]:
+        # the least witness in row-major label order
+        return min(witnesses, key=lambda w: tuple(pos[x] for x in w))
+
+    def mismatches(got: Mapping[str, int], want: Mapping[str, int]) -> list[str]:
+        return [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
 
     # unit constraint: fusing with the unit is the identity permutation
-    eye = np.eye(n, dtype=np.int64)
-    if not np.array_equal(t[iu], eye):
-        j, k = map(int, np.argwhere(t[iu] != eye)[0])
-        out.append(Violation("unit_axiom", (labels[j], labels[k]),
-                             f"N(unit,{labels[j]} -> {labels[k]}) != delta"))
-    if not np.array_equal(t[:, iu, :], eye):
-        i, k = map(int, np.argwhere(t[:, iu, :] != eye)[0])
-        out.append(Violation("unit_axiom", (labels[i], labels[k]),
-                             f"N({labels[i]},unit -> {labels[k]}) != delta"))
+    bad = [(j, k) for j in labels for k in mismatches(rules.get(unit, empty).get(j, empty), {j: 1})]
+    if bad:
+        j, k = first(bad)
+        out.append(Violation("unit_axiom", (j, k), f"N(unit,{j} -> {k}) != delta"))
+    bad = [(i, k) for i in labels for k in mismatches(rules.get(i, empty).get(unit, empty), {i: 1})]
+    if bad:
+        i, k = first(bad)
+        out.append(Violation("unit_axiom", (i, k), f"N({i},unit -> {k}) != delta"))
 
     # duality: multiplicity of the unit in i x j is delta_{j, dual(i)}
-    dual_perm = np.array([data.index(data.dual[lab]) for lab in labels])
-    duality = np.zeros((n, n), dtype=np.int64)
-    duality[np.arange(n), dual_perm] = 1
-    if not np.array_equal(t[:, :, iu], duality):
-        i, j = map(int, np.argwhere(t[:, :, iu] != duality)[0])
-        out.append(Violation("duality", (labels[i], labels[j]),
-                             f"N({labels[i]},{labels[j]} -> unit) != delta(dual)"))
+    bad = []
+    for i in labels:
+        got = {j: ch[unit] for j, ch in rules.get(i, empty).items() if unit in ch}
+        bad += [(i, j) for j in mismatches(got, {data.dual[i]: 1})]
+    if bad:
+        i, j = first(bad)
+        out.append(Violation("duality", (i, j), f"N({i},{j} -> unit) != delta(dual)"))
 
-    # commutativity
-    if not np.array_equal(t, t.transpose(1, 0, 2)):
-        i, j, k = map(int, np.argwhere(t != t.transpose(1, 0, 2))[0])
-        out.append(Violation("commutativity", (labels[i], labels[j], labels[k]),
-                             "N(i,j -> k) != N(j,i -> k)"))
+    # commutativity; a mismatch at (i, j, k) is one at (j, i, k) as well
+    bad = []
+    for i, row in rules.items():
+        for j, ch in row.items():
+            for k in mismatches(ch, rules.get(j, empty).get(i, empty)):
+                bad += [(i, j, k), (j, i, k)]
+    if bad:
+        out.append(Violation("commutativity", first(bad), "N(i,j -> k) != N(j,i -> k)"))
 
-    # associativity; values are tiny so int64 sums are exact
-    lhs = np.einsum("ijm,mkl->ijkl", t, t)
-    rhs = np.einsum("jkm,iml->ijkl", t, t)
-    if not np.array_equal(lhs, rhs):
-        i, j, k, l = map(int, np.argwhere(lhs != rhs)[0])
-        out.append(Violation("associativity", (labels[i], labels[j], labels[k], labels[l]),
+    # associativity, exact over Python ints: (i x j) x k against i x (j x k)
+    witness = _associativity_witness(labels, rules, pos)
+    if witness is not None:
+        out.append(Violation("associativity", witness,
                              "sum over (i x j) x k differs from i x (j x k)"))
 
     # quantum dimension is a one-dimensional representation of the ring
@@ -219,10 +228,8 @@ def validate(data: FusionData) -> list[Violation]:
         for j in labels:
             lhs_d = di * data.qdim[j]
             rhs_d = Cyclotomic.from_rational(0)
-            for k in labels:
-                m = data.n(i, j, k)
-                if m:
-                    rhs_d = rhs_d + data.qdim[k] * m
+            for k, m in rules.get(i, empty).get(j, empty).items():
+                rhs_d = rhs_d + data.qdim[k] * m
             if lhs_d != rhs_d:
                 out.append(Violation("dimension_equation", (i, j),
                                      f"d({i})*d({j}) != sum of channel dimensions"))
@@ -235,6 +242,33 @@ def validate(data: FusionData) -> list[Violation]:
         out.append(Violation("twist", (data.unit,), "twist of the unit must vanish mod 1"))
 
     return out
+
+
+def _associativity_witness(
+    labels: Sequence[str], rules: Mapping[str, Mapping[str, Mapping[str, int]]], pos: Mapping[str, int]
+) -> tuple[str, str, str, str] | None:
+    """The first (i, j, k, l) in row-major label order where the multiplicity
+    of l in (i x j) x k differs from that in i x (j x k); None if associative.
+    """
+    empty: dict[str, int] = {}
+    for i in labels:
+        left_i = rules.get(i, empty)
+        for j in labels:
+            ij = left_i.get(j, empty)
+            left_j = rules.get(j, empty)
+            for k in labels:
+                lhs: dict[str, int] = {}
+                for m, a in ij.items():
+                    for l, b in rules.get(m, empty).get(k, empty).items():
+                        lhs[l] = lhs.get(l, 0) + a * b
+                rhs: dict[str, int] = {}
+                for m, a in left_j.get(k, empty).items():
+                    for l, b in left_i.get(m, empty).items():
+                        rhs[l] = rhs.get(l, 0) + a * b
+                if lhs != rhs:
+                    bad = (x for x in lhs.keys() | rhs.keys() if lhs.get(x) != rhs.get(x))
+                    return i, j, k, min(bad, key=pos.__getitem__)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +349,20 @@ def hom_unit_dim(data: FusionData, chain: Sequence[str]) -> int:
 
     The empty chain is the unit object itself, so the answer is 1.
     """
-    n = data.rank
-    iu = data.index(data.unit)
-    vec = np.zeros(n, dtype=object)  # python ints: no overflow anywhere
-    vec[iu] = 1
+    rules = data._rules
+    data.index(data.unit)
+    vec = {data.unit: 1}
     for lab in chain:
-        vec = vec @ data.fusion_matrix(lab)
-    return int(vec[iu])
+        left = rules.get(lab)
+        if left is None:
+            data.index(lab)  # unknown labels are format errors
+            left = {}
+        nxt: dict[str, int] = {}
+        for j, m in vec.items():
+            for k, v in left.get(j, {}).items():
+                nxt[k] = nxt.get(k, 0) + m * v
+        vec = nxt
+    return vec.get(data.unit, 0)
 
 
 def deligne_product(a: FusionData, b: FusionData) -> FusionData:

@@ -15,7 +15,7 @@ import numpy as np
 
 from spinmtc.catalog import builtin
 from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
-from spinmtc.exactnum import Cyclotomic, CycMatrix, matrix_rank_det, zeta
+from spinmtc.exactnum import Cyclotomic, CycMatrix, zeta
 from spinmtc.fusion import (
     check_s_squared,
     compute_smatrix,
@@ -307,7 +307,7 @@ def test_criterion_8_property_suites():
         matrix = CycMatrix(
             [[Cyclotomic.from_rational(x) for x in row] for row in entries]
         )
-        exact_rank, _ = matrix_rank_det(matrix)
+        exact_rank, _ = matrix.rank_det()
         arr = np.array([[float(x) for x in row] for row in entries], dtype=float)
         if exact_rank != int(np.linalg.matrix_rank(arr, tol=1e-8)):
             problems.append(f"rank mismatch case {i}")

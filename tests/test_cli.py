@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import spinmtc
 
 from spinmtc.cli import main
 
@@ -300,3 +306,40 @@ def test_sphere_unknown_label_is_exit_2(capsys):
     code, _, err = run(capsys, "sphere", "fermion", "--labels", "sigma,ghost")
     assert code == 2
     assert "ghost" in err
+
+
+def test_validate_multiplicity_beyond_int64_is_reported(capsys, tmp_path):
+    # x x = 1 + y, x y = x + 2^63 y, y y = 1 + 2^63 x: not associative, and
+    # 2^63 does not fit a 64-bit integer.
+    big = 2**63
+    fusion = [["1", a, a, 1] for a in ("1", "x", "y")] + [[a, "1", a, 1] for a in ("x", "y")]
+    for a, b, k, v in (("x", "x", "1", 1), ("x", "x", "y", 1), ("x", "y", "x", 1),
+                       ("x", "y", "y", big), ("y", "y", "1", 1), ("y", "y", "x", big)):
+        fusion.append([a, b, k, v])
+        if a != b:
+            fusion.append([b, a, k, v])
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps({
+        "name": "xy", "labels": ["1", "x", "y"], "unit": "1",
+        "dual": {"1": "1", "x": "x", "y": "y"}, "fusion": fusion,
+        "twist": {"1": "0", "x": "0", "y": "0"}, "qdim": {"1": "1", "x": "1", "y": "1"},
+    }))
+    code, out, err = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert report["violations"][0] == {
+        "check": "associativity",
+        "witness": ["x", "x", "y", "y"],
+        "detail": "sum over (i x j) x k differs from i x (j x k)",
+    }
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and err == "" and "associativity at ('x', 'x', 'y', 'y')" in out
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(spinmtc.__file__).resolve().parents[1])
+    probe = "import sys, spinmtc.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from spinmtc.exactnum import (
     ExactNumError,
     cyclotomic_polynomial,
     embed_numeric,
-    matrix_rank_det,
     parse_fraction,
     phi_degree,
     root_of_unity,
@@ -245,22 +245,22 @@ def _mat(rows):
 
 def test_rank_det_frozen_cases():
     m = _mat([[1, 2], [3, 4]])
-    rank, det = matrix_rank_det(m)
+    rank, det = m.rank_det()
     assert rank == 2 and det == Cyclotomic.from_rational(-2)
 
     singular = _mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    rank, det = matrix_rank_det(singular)
+    rank, det = singular.rank_det()
     assert rank == 2 and det == ZERO
 
     vandermonde = _mat([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
-    rank, det = matrix_rank_det(vandermonde)
+    rank, det = vandermonde.rank_det()
     assert rank == 3 and det == Cyclotomic.from_rational(2)
 
 
 def test_matrix_with_cyclotomic_entries():
     s = zeta(8, 1) + zeta(8, 7)
     m = CycMatrix([[ONE, s], [s, -ONE]])
-    rank, det = matrix_rank_det(m)
+    rank, det = m.rank_det()
     assert rank == 2
     assert det == Cyclotomic.from_rational(-3)
 
@@ -273,7 +273,7 @@ def test_degenerate_shapes_survive_transpose_and_product():
     tall = _mat([[1], [2], [3]])
     prod = empty_row @ tall
     assert (prod.rows, prod.cols) == (0, 1)
-    rank, det = matrix_rank_det(CycMatrix([], shape=(0, 0)))
+    rank, det = CycMatrix([], shape=(0, 0)).rank_det()
     assert rank == 0 and det == ONE
 
 
@@ -303,7 +303,125 @@ def test_exact_rank_matches_numeric_rank(data):
         # plant a dependent row so rank deficiency is exercised
         entries[-1] = [x + y for x, y in zip(entries[0], entries[1])]
     m = CycMatrix([[Cyclotomic.from_rational(x) for x in row] for row in entries])
-    exact_rank, _ = matrix_rank_det(m)
+    exact_rank, _ = m.rank_det()
     arr = np.array([[float(x) for x in row] for row in entries], dtype=float)
     numeric_rank = int(np.linalg.matrix_rank(arr, tol=1e-8))
     assert exact_rank == numeric_rank
+
+
+# --- packed matrix product ------------------------------------------------------
+
+
+def _reference_matmul(a, b):
+    """Entry by entry with Cyclotomic ops: the kernel's independent oracle."""
+    return [
+        [sum((a[i, k] * b[k, j] for k in range(a.cols)), ZERO) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def _assert_matmul_matches_reference(a, b):
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    if got.rows and got.cols:
+        assert got.conductor == math.lcm(a.conductor, b.conductor)
+    assert got.to_lists() == _reference_matmul(a, b)
+    for row in got:
+        for x in row:
+            assert x.conductor == got.conductor
+            assert all(0 <= e < phi_degree(got.conductor) and c for e, c in x.coefficients().items())
+
+
+_CONDUCTORS = (1, 3, 8, 16, 80)
+_COEFFS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.integers(-(2**200), 2**200).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**70)),
+)
+
+
+def _cyc_at(conductor):
+    terms = st.dictionaries(st.integers(0, conductor - 1), _COEFFS, max_size=4)
+    return st.one_of(st.just(ZERO), terms.map(lambda t: Cyclotomic(conductor, t)))
+
+
+def _cyc_matrix(draw, rows, cols):
+    conductor = draw(st.sampled_from(_CONDUCTORS))
+    entries = [[draw(_cyc_at(conductor)) for _ in range(cols)] for _ in range(rows)]
+    return CycMatrix(entries, shape=(rows, cols))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_matmul_matches_reference_loop(data):
+    # Random conductors (often different on the two sides), signs,
+    # 2^200-size numerators and nontrivial denominators.
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = _cyc_matrix(data.draw, rows, inner)
+    b = _cyc_matrix(data.draw, inner, cols)
+    _assert_matmul_matches_reference(a, b)
+
+
+@pytest.mark.parametrize("n", _CONDUCTORS)
+def test_packed_matmul_every_power_at_conductor(n):
+    # Rows of zeta powers hit every exponent, so every reduction row is used.
+    a = CycMatrix([[zeta(n, e) for e in range(n)], [zeta(n, -e) * (e - 3) for e in range(n)]])
+    b = CycMatrix([[zeta(n, e * k) / (k + 2) for k in range(3)] for e in range(n)])
+    _assert_matmul_matches_reference(a, b)
+
+
+def test_packed_matmul_mixed_conductors():
+    a = CycMatrix([[zeta(3), zeta(8, 3)], [Fraction(-5, 6), zeta(16, 7)]])
+    b = CycMatrix([[zeta(80, 17), 2], [zeta(5, 2), zeta(3, 2) - zeta(8)]])
+    assert (a.conductor, b.conductor) == (48, 240)
+    _assert_matmul_matches_reference(a, b)
+    _assert_matmul_matches_reference(b, a)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_matmul_meets_its_slot_bound(sign):
+    # Every coefficient at its maximum M makes the middle unreduced slot
+    # exactly cols * phi(N) * M^2, the bound the slot width is sized for.
+    n, cols, big = 16, 5, 2**200 - 1
+    full = Cyclotomic(n, {e: big for e in range(phi_degree(n))})
+    a = CycMatrix([[full] * cols] * 2)
+    b = CycMatrix([[full * sign] * 3] * cols)
+    _assert_matmul_matches_reference(a, b)
+    assert (a @ b)[0, 0] == full * full * (sign * cols)
+
+
+def test_packed_matmul_zero_and_empty_shapes():
+    zeros = CycMatrix([[ZERO] * 3] * 2)
+    full = CycMatrix([[zeta(8)] * 2] * 3)
+    _assert_matmul_matches_reference(zeros, full)
+    assert (zeros @ full).is_zero()
+    tall = CycMatrix([[zeta(5)], [1], [2]])
+    for left, right in (
+        (CycMatrix([], shape=(0, 3)), tall),  # 0x3 @ 3x1
+        (tall.transpose(), CycMatrix([], shape=(3, 0))),  # 1x3 @ 3x0
+        (CycMatrix([], shape=(0, 3)), CycMatrix([], shape=(3, 0))),  # 0xn @ nx0
+        (CycMatrix([], shape=(4, 0)), CycMatrix([], shape=(0, 3))),  # nx0 @ 0xm
+    ):
+        prod = left @ right
+        assert (prod.rows, prod.cols) == (left.rows, right.cols)
+        assert prod.is_zero()
+    with pytest.raises(ExactNumError):
+        tall @ tall
+
+
+def test_packed_s_squared_on_builtins_and_rank_36_product():
+    from spinmtc.catalog import BUILTIN_KEYS, builtin
+    from spinmtc.fusion import check_s_squared, compute_smatrix, deligne_product
+
+    cases = [builtin(key) for key in BUILTIN_KEYS]
+    prod = builtin("dirac")
+    for key in ("fermion", "fermion"):
+        prod = deligne_product(prod, builtin(key))
+    cases.append(prod)
+    assert prod.rank == 36
+    for data in cases:
+        s = compute_smatrix(data)
+        _assert_matmul_matches_reference(s.data, s.data)
+        holds, alpha = check_s_squared(s, data)
+        assert holds, data.name
+        assert alpha == sum((data.qdim[lab] * data.qdim[lab] for lab in data.labels), ZERO), data.name

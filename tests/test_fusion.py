@@ -115,6 +115,50 @@ def test_validate_reports_broken_associativity():
     assert any(v.check == "associativity" for v in vs)
 
 
+def _ring_xy(big: int) -> FusionData:
+    """Commutative rank-3 ring: x x = 1 + y, x y = x + big y, y y = 1 + big x.
+
+    (x x) y and x (x y) differ by big^2 copies of y, so it is never associative.
+    """
+    labels = ("1", "x", "y")
+    products = {("x", "x"): {"1": 1, "y": 1}, ("x", "y"): {"x": 1, "y": big}, ("y", "y"): {"1": 1, "x": big}}
+    fusion = {}
+    for a in labels:
+        fusion[("1", a, a)] = fusion[(a, "1", a)] = 1
+    for (a, b), channels in products.items():
+        for k, v in channels.items():
+            fusion[(a, b, k)] = fusion[(b, a, k)] = v
+    return FusionData(
+        name=f"xy{big}",
+        labels=labels,
+        unit="1",
+        dual={lab: lab for lab in labels},
+        fusion=fusion,
+        twist={lab: Fraction(0) for lab in labels},
+        qdim={lab: ONE for lab in labels},
+    )
+
+
+def _first_associativity_failure(data):
+    labs, n = data.labels, data.n
+    for i, j, k, l in itertools.product(labs, repeat=4):
+        lhs = sum(n(i, j, m) * n(m, k, l) for m in labs)
+        rhs = sum(n(j, k, m) * n(i, m, l) for m in labs)
+        if lhs != rhs:
+            return (i, j, k, l)
+    return None
+
+
+@pytest.mark.parametrize("big", (1, 2**32, 2**63, 2**200))
+def test_validate_associativity_is_exact_for_large_multiplicities(big):
+    # At 2^32 the defect big^2 is 2^64, which an int64 sum wraps to zero;
+    # at 2^63 a multiplicity no longer fits an int64 at all.
+    data = _ring_xy(big)
+    vs = validate(data)
+    assert [v.check for v in vs] == ["associativity", "dimension_equation"]
+    assert vs[0].witness == _first_associativity_failure(data) == ("x", "x", "y", "y")
+
+
 def test_validate_reports_wrong_qdim():
     f = builtin("fermion")
     vs = validate(replace(f, qdim={**f.qdim, "sigma": Cyclotomic.from_rational(2)}))
@@ -142,14 +186,22 @@ def test_validate_reports_unit_normalizations():
     assert any(v.check == "qdim" for v in vs)
 
 
+def _int_matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
 def test_fusion_matrices_commute_on_builtins():
     # Fusion matrices of a commutative associative ring commute pairwise.
     for key in BUILTIN_KEYS:
         data = builtin(key)
         mats = [data.fusion_matrix(lab) for lab in data.labels]
+        for lab, a in zip(data.labels, mats):
+            assert len(a) == data.rank and all(len(row) == data.rank for row in a)
+            assert all(type(x) is int for row in a for x in row)
+            assert a == tuple(tuple(data.n(lab, j, k) for k in data.labels) for j in data.labels)
         for a in mats:
             for b in mats:
-                assert (a @ b == b @ a).all()
+                assert _int_matmul(a, b) == _int_matmul(b, a)
 
 
 # --- s-matrix ------------------------------------------------------------------
