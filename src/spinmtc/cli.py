@@ -48,7 +48,7 @@ from .verma import VermaError, singular_vectors
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_MAX_DEGREE = 8
+DEFAULT_MAX_DEGREE = 10
 
 
 class CliError(Exception):
@@ -67,6 +67,20 @@ def _load_category(arg: str) -> FusionData:
     if arg in BUILTIN_KEYS:
         return builtin(arg)
     raise FormatError(f"no such file or builtin: {arg!r}")
+
+
+def _load_known_category(arg: str) -> FusionData:
+    """As ``_load_category``, but fusion rules naming unknown labels are format errors.
+
+    ``validate`` reports such rules as violations; the other commands cannot
+    compute with them.
+    """
+    data = _load_category(arg)
+    unknown = {lab for key in data.fusion for lab in key} - set(data.labels)
+    if unknown:
+        names = ", ".join(map(repr, sorted(unknown)))
+        raise FormatError(f"fusion rules of {data.name!r} name unknown label {names}")
+    return data
 
 
 def _resolve_vminus(data: FusionData, requested: str | None) -> str:
@@ -136,7 +150,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_smatrix(args: argparse.Namespace) -> int:
-    data = _load_category(args.category)
+    data = _load_known_category(args.category)
     s = compute_smatrix(data)
     holds, alpha = check_s_squared(s, data)
     obj = {
@@ -175,7 +189,7 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    data = _load_category(args.category)
+    data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     st = clifford_structure(data, vminus)
     if not st.is_clifford:
@@ -215,7 +229,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
-    data = _load_category(args.category)
+    data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     labels = tuple(x for x in args.labels.split(",") if x)
     rep = sphere_report(SpinSphereSpec(data, vminus, labels))
@@ -241,7 +255,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 
 
 def _cmd_torus(args: argparse.Namespace) -> int:
-    data = _load_category(args.category)
+    data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     rep = torus_dims(data, vminus)
     obj = {"category": data.name, "vminus": vminus, **rep.to_dict()}

@@ -25,7 +25,6 @@ __all__ = [
     "enumerate_labels",
     "sector_counts",
     "valid_pairs",
-    "partial_fusion_stub",
     "model_to_dict",
 ]
 
@@ -151,23 +150,6 @@ def valid_pairs(max_product: int) -> Iterator[MinimalModelSpec]:
                 found.append(MinimalModelSpec(p, q))
     found.sort(key=lambda m: (m.p * m.q, m.p))
     return iter(found)
-
-
-def partial_fusion_stub(spec: MinimalModelSpec) -> dict:
-    """Labels and twists of the model packaged for inspection.
-
-    Deliberately marked incomplete: fusion multiplicities and quantum
-    dimensions are not produced here, so this is not loadable category data.
-    """
-    labels = enumerate_labels(spec)
-    return {
-        "incomplete": True,
-        "name": f"minimal({spec.p},{spec.q})",
-        "labels": [f"{lab.sector}({lab.r},{lab.s})" for lab in labels],
-        "twist": {
-            f"{lab.sector}({lab.r},{lab.s})": _fraction_str(lab.h % 1) for lab in labels
-        },
-    }
 
 
 def model_to_dict(spec: MinimalModelSpec) -> dict:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from math import gcd, isqrt, lcm
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import _fraction_str
 
@@ -473,48 +474,183 @@ def degree_basis(d: Fraction | int, restrict_vprime: bool = False) -> list[PBWMo
 
 
 # ---------------------------------------------------------------------------
-# rational linear algebra (plain lists of Fractions)
+# sparse exact linear algebra: rows are dicts {column: nonzero entry}
+
+Row = dict[int, Any]
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        prow = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if prow is None:
+def _subtract(row: Row, f: Any, prow: Row, p: int | None) -> None:
+    """row -= f * prow in place, over Q (p None) or mod p; drops zeros."""
+    for k, x in prow.items():
+        y = row.get(k, 0) - f * x
+        if p:
+            y %= p
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _reduce(row: Row, pivots: Mapping[int, Row], p: int | None = None) -> Row:
+    """Reduce a copy of row by reduced-echelon pivot rows (keyed by pivot column).
+
+    Pivot rows vanish on the other pivot columns, so one subtraction per
+    pivot column present in the row suffices, in any order.
+    """
+    row = dict(row)
+    for col in [k for k in row if k in pivots]:
+        _subtract(row, row[col], pivots[col], p)
+    return row
+
+
+def _rref(rows: Iterable[Row], p: int | None = None) -> dict[int, Row]:
+    """Sparse reduced row echelon form over Q (Fraction entries) or mod a prime p.
+
+    Returns the nonzero rows keyed by pivot column; each has a unit pivot,
+    no entries left of it and none on other pivot columns.  The result is
+    the unique RREF of the row space, with pivots in increasing column order.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        row = _reduce(row, pivots, p)
+        if not row:
             continue
-        rows[r], rows[prow] = rows[prow], rows[r]
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-    del rows[r:]
-    return rows, pivots
+        col = min(row)
+        inv = pow(row[col], -1, p) if p else 1 / row[col]
+        row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
+        for prow in pivots.values():
+            if col in prow:
+                _subtract(prow, prow[col], row, p)
+        pivots[col] = row
+    return pivots
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for the odd word-size candidates used here."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """Primes downward from 2^61 - 1 (itself prime), always in the same order."""
+    n = 2**61 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _rational_reconstruction(a: int, m: int) -> Fraction | None:
+    """The n/d = a mod m with |n|, d <= sqrt(m/2), if any (Wang 1981)."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column."""
-    work = [row[:] for row in rows if any(row)]
-    work, pivots = _rref(work)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right nullspace, one vector per free column of the RREF.
+
+    Multimodular: each row is scaled to integers and eliminated mod the
+    primes of ``_primes`` in turn.  Primes with the same pivot columns are
+    combined by CRT; a prime with a better pivot list (more pivots, or as
+    many and lexicographically earlier) restarts the combination, and one
+    with a worse list is skipped.  The RREF entries are then rationally
+    reconstructed and every candidate vector v is checked A v = 0 exactly
+    in Q; a failed reconstruction or check adds a prime.
+
+    Soundness.  Rank over Q is at least rank mod p, so full rank mod p
+    proves the nullspace is zero.  Otherwise, with F the free columns mod p,
+    each certified v_f is 1 at f, 0 on F - {f}, and otherwise supported on
+    pivot columns left of f (an RREF row vanishes left of its pivot).  So
+    A v_f = 0 says column f depends on the columns left of it: f is free
+    over Q too.  Then nullity over Q >= |F| = nullity mod p >= nullity over
+    Q, the free columns agree, and the v_f are the unique RREF basis.
+    Termination: reduction mod p is faithful (same pivots, RREF mod p) for
+    all primes but the finitely many dividing a pivot minor; a bad prime's
+    rank profile is pointwise at most the rational one, so its pivot list is
+    worse, and once a good prime is seen enough good primes follow for the
+    reconstruction to succeed.
+    """
+    int_rows = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row if x))
+        entries = {j: int(x * den) for j, x in enumerate(row) if x}
+        if entries:
+            int_rows.append(entries)
+
+    best: tuple | None = None
+    modulus = 1
+    residues: dict[int, Row] = {}
+    for p in _primes():
+        red = _rref(({j: x % p for j, x in row.items() if x % p} for row in int_rows), p)
+        if len(red) == ncols:
+            return []
+        key = (-len(red), sorted(red))
+        if best is None or key < best:
+            best, modulus, residues = key, p, red
+        elif key > best:
+            continue
+        else:
+            # CRT: x = r mod modulus and y mod p, into x mod modulus * p
+            inv = pow(modulus, -1, p)
+            for col, row in residues.items():
+                prow = red[col]
+                for k in set(row) | set(prow):
+                    r = row.get(k, 0)
+                    row[k] = r + modulus * ((prow.get(k, 0) - r) * inv % p)
+            modulus *= p
+        basis = _reconstruct(residues, modulus, ncols)
+        if basis is not None and all(_annihilated(int_rows, vec) for vec in basis):
+            return basis
+
+
+def _reconstruct(
+    pivots: Mapping[int, Row], modulus: int, ncols: int
+) -> list[list[Fraction]] | None:
+    """Nullspace basis from an RREF known mod modulus, or None if an entry fails."""
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for prow, pcol in zip(work, pivots):
-            vec[pcol] = -prow[fc]
+        for pcol, prow in pivots.items():
+            x = _rational_reconstruction(prow.get(fc, 0), modulus)
+            if x is None:
+                return None
+            vec[pcol] = -x
         basis.append(vec)
     return basis
+
+
+def _annihilated(int_rows: list[Row], vec: list[Fraction]) -> bool:
+    """Whether every integer row is orthogonal to vec, checked exactly."""
+    den = lcm(*(x.denominator for x in vec))
+    ivec = [x.numerator * (den // x.denominator) for x in vec]
+    return all(sum(x * ivec[j] for j, x in row.items()) == 0 for row in int_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +723,6 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
     if d <= 0 or (2 * d).denominator != 1:
         raise VermaError(f"degree must be a positive half-integer, got {d}")
     basis = degree_basis(d)
-    col_of = {mon: j for j, mon in enumerate(basis)}
     ncols = len(basis)
 
     # constraint matrix: rows indexed by target monomials of both raising ops
@@ -605,56 +740,38 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
     null = _nullspace(rows, ncols)
     full_dim = len(null)
 
-    # submodule slice, expressed on the same basis
-    sub_rows: list[list[Fraction]] = []
-    for u in degree_basis(d - Fraction(1, 2)):
-        image = straighten(u.word() + (G(Fraction(-1, 2)),), c, h)
-        row = [Fraction(0)] * ncols
-        for mon, cf in image.terms.items():
-            row[col_of[mon]] = cf
-        sub_rows.append(row)
-
-    # reduce everything with pivot preference on the non-quotient monomials
+    # submodule slice, with columns ordered so that pivots prefer the
+    # non-quotient monomials
     perm = [j for j, mon in enumerate(basis) if not mon.in_vprime] + [
         j for j, mon in enumerate(basis) if mon.in_vprime
     ]
     n_outside = sum(1 for mon in basis if not mon.in_vprime)
-    inv_perm = [0] * ncols
-    for newpos, j in enumerate(perm):
-        inv_perm[j] = newpos
+    pos_of = {basis[j]: pos for pos, j in enumerate(perm)}
+    sub_images = (
+        straighten(u.word() + (G(Fraction(-1, 2)),), c, h).terms
+        for u in degree_basis(d - Fraction(1, 2))
+    )
+    sub = _rref({pos_of[mon]: cf for mon, cf in terms.items()} for terms in sub_images)
 
-    sub_p = [[row[j] for j in perm] for row in sub_rows]
-    sub_p, sub_pivots = _rref(sub_p)
-
-    def reduce_vec(vec: list[Fraction]) -> list[Fraction]:
-        v = [vec[j] for j in perm]
-        for prow, pcol in zip(sub_p, sub_pivots):
-            f = v[pcol]
-            if f:
-                v = [a - f * b for a, b in zip(v, prow)]
-        return v
-
-    reduced = [reduce_vec(w) for w in null]
+    reduced = [
+        _reduce({pos_of[basis[j]]: x for j, x in enumerate(w) if x}, sub) for w in null
+    ]
     for v in reduced:
-        bad = next((pos for pos in range(n_outside) if v[pos]), None)
-        if bad is not None:
+        bad = min(v, default=n_outside)
+        if bad < n_outside:
             raise VermaError(
                 "quotient reduction left support outside the restricted basis at "
                 f"{basis[perm[bad]].to_text()}"
             )
 
-    quo = [row[:] for row in reduced if any(row)]
-    quo_rref, _ = _rref(quo)
-    space_dim = len(quo_rref)
+    space_dim = len(_rref(reduced))
 
     vector = full_vector = leading = lam = None
     shape_ok: bool | None = None
     if space_dim == 1:
         # pick a nullspace vector with nonzero image and normalize the pair
-        w, w_red = next((w, r) for w, r in zip(null, reduced) if any(r))
-        red_terms = {
-            basis[perm[pos]]: cf for pos, cf in enumerate(w_red) if cf
-        }
+        w, w_red = next((w, r) for w, r in zip(null, reduced) if r)
+        red_terms = {basis[perm[pos]]: cf for pos, cf in w_red.items()}
         width = max(int(2 * d) - 2, 0)
         leading = max(
             red_terms,

@@ -288,7 +288,7 @@ def test_degree_cap_from_environment(capsys, monkeypatch):
 
 def test_default_degree_cap_allows_the_reference_models(capsys, monkeypatch):
     monkeypatch.delenv("SPINMTC_MAX_DEGREE", raising=False)
-    for p, q in [(2, 4), (3, 5), (3, 7), (2, 8)]:
+    for p, q in [(2, 4), (3, 5), (3, 7), (2, 8), (2, 20)]:
         code, _, _ = run(capsys, "singvec", "--p", str(p), "--q", str(q))
         assert code == 0, (p, q)
 
@@ -306,6 +306,38 @@ def test_sphere_unknown_label_is_exit_2(capsys):
     code, _, err = run(capsys, "sphere", "fermion", "--labels", "sigma,ghost")
     assert code == 2
     assert "ghost" in err
+
+
+def _fermion_with_unknown_label(capsys, tmp_path) -> Path:
+    _, dump, _ = run(capsys, "builtin", "fermion")
+    doc = json.loads(dump)
+    doc["fusion"].append(["sigma", "psi", "zzz", 1])
+    path = tmp_path / "zzz.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("smatrix",), ("classify",), ("torus",), ("sphere", "--labels", "sigma,sigma")],
+    ids=["smatrix", "classify", "torus", "sphere"],
+)
+def test_fusion_rule_with_unknown_label_is_exit_2(capsys, tmp_path, argv):
+    path = _fermion_with_unknown_label(capsys, tmp_path)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert "unknown label 'zzz'" in err and "Traceback" not in err
+
+
+def test_validate_reports_fusion_rule_with_unknown_label(capsys, tmp_path):
+    path = _fermion_with_unknown_label(capsys, tmp_path)
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [{
+        "check": "fusion",
+        "witness": ["sigma", "psi", "zzz"],
+        "detail": "fusion key mentions unknown labels",
+    }]
 
 
 def test_validate_multiplicity_beyond_int64_is_reported(capsys, tmp_path):

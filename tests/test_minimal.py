@@ -14,7 +14,6 @@ from spinmtc.minimal import (
     conformal_weight,
     enumerate_labels,
     model_to_dict,
-    partial_fusion_stub,
     sector_counts,
     valid_pairs,
     validate_pq,
@@ -212,14 +211,6 @@ def test_model_to_dict_shape():
         {"r": 1, "s": 2, "h": "3/80", "split": True},
         {"r": 1, "s": 4, "h": "7/16", "split": True},
     ]
-
-
-def test_partial_fusion_stub_is_marked_incomplete():
-    stub = partial_fusion_stub(MinimalModelSpec(3, 5))
-    assert stub["incomplete"] is True
-    assert stub["labels"] == ["NS(1,1)", "NS(1,3)", "R(1,2)", "R(1,4)"]
-    assert stub["twist"]["R(1,2)"] == "3/80"
-    assert "fusion" not in stub
 
 
 # --- randomized grid properties ------------------------------------------------------

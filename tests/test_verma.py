@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinmtc.verma import (
     G,
+    NSMode,
     L,
     PBWMonomial,
     VermaError,
@@ -25,6 +27,7 @@ from spinmtc.verma import (
     straighten,
     verify_minimal_singular_vector,
 )
+from spinmtc.verma import _nullspace, _primes, _rref
 
 C, H = Fraction(7, 10), Fraction(1, 10)
 
@@ -351,6 +354,153 @@ def test_singular_vector_rejects_bad_degrees():
         singular_vectors(C, H, Fraction(1, 3))
     with pytest.raises(VermaError):
         singular_vectors(C, H, -1)
+
+
+# --- Kac determinant oracle ----------------------------------------------------------
+# The Shapovalov form is built from straightening alone and its rank found by
+# the dense reference elimination below, so it checks the singular-space
+# dimensions independently of the sparse multimodular solver.
+
+
+def _gram(c: Fraction, h: Fraction, n: Fraction) -> list[list[Fraction]]:
+    """<u v, w v> = constant term of u^dagger w v, with L_n^dagger = L_-n, G_r^dagger = G_-r."""
+    basis = degree_basis(n)
+    words = [mon.word() for mon in basis]
+    size = len(basis)
+    gram = [[Fraction(0)] * size for _ in range(size)]
+    for i, u in enumerate(words):
+        dagger = tuple(NSMode(m.kind, -m.index) for m in reversed(u))
+        for j in range(i, size):
+            if basis[i].parity == basis[j].parity:
+                value = straighten(dagger + words[j], c, h).coefficient(PBWMonomial())
+                gram[i][j] = gram[j][i] = value
+    return gram
+
+
+def test_kac_determinant_zeros_match_singular_vectors():
+    # b^2 = 13/11: numerator and denominator exceed twice the largest level,
+    # so no two Kac zeros h_{r,s} (r - s even, rs/2 <= 4) coincide and the
+    # Gram matrix at h_{r,s} has a single vanishing Kac factor.
+    t = Fraction(13, 11)
+    c = Fraction(15, 2) - 3 * (t + 1 / t)
+    max_level = 4
+    for r in range(1, 9):
+        for s in range(1, 9):
+            if (r - s) % 2 or r * s > 2 * max_level:
+                continue
+            h = ((r - s * t) ** 2 - (1 - t) ** 2) / (8 * t)
+            level = Fraction(r * s, 2)
+            for n in (level - Fraction(1, 2), level, level + Fraction(1, 2)):
+                if n > max_level:
+                    continue
+                # the Verma submodule on the singular vector has P_NS(n - rs/2) states
+                nullity = len(degree_basis(n - level)) if n >= level else 0
+                gram = _gram(c, h, n)
+                rank = len(_dense_rref([row[:] for row in gram])[1])
+                assert len(gram) - rank == nullity, (r, s, n)
+            assert singular_vectors(c, h, level).full_space_dim == 1, (r, s)
+
+
+# --- sparse exact linear algebra ------------------------------------------------------
+
+
+def _dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reference: dense in-place Gauss-Jordan over Fractions."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        prow = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if prow is None:
+            continue
+        rows[r], rows[prow] = rows[prow], rows[r]
+        piv = rows[r][col]
+        rows[r] = [x / piv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(col)
+        r += 1
+    del rows[r:]
+    return rows, pivots
+
+
+def _dense_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    work, pivots = _dense_rref([row[:] for row in rows if any(row)])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for prow, pcol in zip(work, pivots):
+            vec[pcol] = -prow[fc]
+        basis.append(vec)
+    return basis
+
+
+def _fractions(rows: list[list[int]]) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_nullspace_survives_unlucky_primes():
+    p, q = islice(_primes(), 2)
+    # singular mod the first prime, full rank over Q
+    assert _nullspace(_fractions([[p, 0], [0, 1]]), 2) == []
+    # same rank mod the first prime but a later pivot: the combination
+    # restarts at the next prime, and -1/p needs three primes to reconstruct
+    assert _nullspace(_fractions([[p, 1]]), 2) == [[Fraction(-1, p), Fraction(1)]]
+    # a worse pivot list after a good one: that prime is skipped, not combined
+    assert _nullspace(_fractions([[q, 0], [0, 1]]), 2) == []
+    assert _nullspace(_fractions([[q, 1]]), 2) == [[Fraction(-1, q), Fraction(1)]]
+
+
+def test_nullspace_entries_need_several_primes():
+    a, b, e = 2**200 + 235, 3**126 - 2, 2**199 + 17
+    rows = [[Fraction(a), Fraction(b), Fraction(0)], [Fraction(0), Fraction(e), Fraction(a, 7)]]
+    null = _nullspace(rows, 3)
+    assert null == _dense_nullspace(rows, 3)
+    # beyond what two 61-bit primes can reconstruct
+    assert max(abs(x.numerator) * x.denominator for x in null[0]).bit_length() > 2 * 61
+
+
+def test_nullspace_degenerate_shapes():
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert _nullspace([], 3) == identity
+    assert _nullspace([[Fraction(0)] * 3] * 2, 3) == identity
+    assert _nullspace([], 0) == []
+    assert _nullspace([[]], 0) == []
+    assert _nullspace(_fractions([[0, 2, 0]]), 3) == [[1, 0, 0], [0, 0, 1]]
+
+
+_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    st.integers(-(2**90), 2**90).map(Fraction),
+    st.just(Fraction(2**61 - 1)),
+)
+
+
+@st.composite
+def _sparse_matrix(draw):
+    ncols = draw(st.integers(0, 6))
+    return draw(st.lists(st.lists(_entry, min_size=ncols, max_size=ncols), max_size=7)), ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sparse_matrix())
+def test_sparse_kernel_matches_dense_reference(matrix):
+    rows, ncols = matrix
+    assert _nullspace(rows, ncols) == _dense_nullspace(rows, ncols)
+    dense, pivots = _dense_rref([row[:] for row in rows])
+    sparse = _rref({j: x for j, x in enumerate(row) if x} for row in rows)
+    assert sorted(sparse) == pivots
+    assert [[sparse[col].get(j, 0) for j in range(ncols)] for col in pivots] == dense
 
 
 # --- generator lists ---------------------------------------------------------------
