@@ -70,9 +70,10 @@ def _load_category(arg: str) -> FusionData:
 
 
 def _load_known_category(arg: str) -> FusionData:
-    """As ``_load_category``, but fusion rules naming unknown labels are format errors.
+    """As ``_load_category``, but fusion rules naming unknown labels, and
+    ``dual``, ``twist`` or ``qdim`` maps missing a label, are format errors.
 
-    ``validate`` reports such rules as violations; the other commands cannot
+    ``validate`` reports these as violations; the other commands cannot
     compute with them.
     """
     data = _load_category(arg)
@@ -80,6 +81,11 @@ def _load_known_category(arg: str) -> FusionData:
     if unknown:
         names = ", ".join(map(repr, sorted(unknown)))
         raise FormatError(f"fusion rules of {data.name!r} name unknown label {names}")
+    for name in ("dual", "twist", "qdim"):
+        missing = [lab for lab in data.labels if lab not in getattr(data, name)]
+        if missing:
+            names = ", ".join(map(repr, missing))
+            raise FormatError(f"{name} of {data.name!r} has no entry for label {names}")
     return data
 
 

@@ -1,5 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N), plus exact linear algebra.
 
+The library's one Gaussian elimination is the sparse RREF kernel ``_rref``
+here, over Q, F_p or Q(zeta_N): ``CycMatrix.rank_det`` and the
+singular-vector solve of :mod:`spinmtc.verma` both run on it.
+
 Elements are kept in the power basis of Q[x]/Phi_N(x), so zero tests and
 equality are exact coefficient comparisons.  Values of different conductor
 are rebased to the least common multiple before they are combined.  All
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Cyclotomic",
@@ -36,16 +40,6 @@ class ExactNumError(ValueError):
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense, constant term first)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -491,6 +485,62 @@ def _unpack(value: int, width: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# sparse exact linear algebra: rows are dicts {column: nonzero entry}
+
+Row = dict[int, Any]
+
+
+def _subtract(row: Row, f: Any, prow: Row, p: int | None) -> None:
+    """row -= f * prow in place, over a field (p None) or mod p; drops zeros."""
+    for k, x in prow.items():
+        y = row.get(k, 0) - f * x
+        if p:
+            y %= p
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _reduce(row: Row, pivots: Mapping[int, Row], p: int | None = None) -> Row:
+    """Reduce a copy of row by reduced-echelon pivot rows (keyed by pivot column).
+
+    Pivot rows vanish on the other pivot columns, so one subtraction per
+    pivot column present in the row suffices, in any order.
+    """
+    row = dict(row)
+    for col in [k for k in row if k in pivots]:
+        _subtract(row, row[col], pivots[col], p)
+    return row
+
+
+def _rref(rows: Iterable[Row], p: int | None = None) -> tuple[dict[int, Row], list[Any]]:
+    """Sparse reduced row echelon form over Q, Q(zeta_N) or mod a prime p.
+
+    Entries are ``Fraction`` or ``Cyclotomic`` values (p None), or ints mod
+    p.  Returns the nonzero rows keyed by pivot column, in the order their
+    pivots were found, and the pivot values before normalisation in that
+    order.  Each row has a unit pivot, no entries left of it and none on
+    other pivot columns.  The rows are the unique RREF of the row space.
+    """
+    pivots: dict[int, Row] = {}
+    raw: list[Any] = []
+    for row in rows:
+        row = _reduce(row, pivots, p)
+        if not row:
+            continue
+        col = min(row)
+        raw.append(row[col])
+        inv = pow(row[col], -1, p) if p else 1 / row[col]
+        row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
+        for prow in pivots.values():
+            if col in prow:
+                _subtract(prow, prow[col], row, p)
+        pivots[col] = row
+    return pivots, raw
+
+
+# ---------------------------------------------------------------------------
 
 
 class CycMatrix:
@@ -628,41 +678,24 @@ class CycMatrix:
     def rank_det(self) -> tuple[int, Cyclotomic | None]:
         """Exact rank, and determinant for square matrices (None otherwise).
 
-        A 0x0 matrix has rank 0 and determinant 1 (empty product).
+        Both come from one ``_rref`` pass over the rows.  Each row is reduced
+        only by earlier rows, so the determinant is unchanged, and it then
+        vanishes left of its pivot and on earlier pivot columns: with the
+        columns in pivot order the rows are triangular.  So the determinant
+        is the sign of the permutation row -> pivot column times the product
+        of the pivots before normalisation.  A 0x0 matrix has rank 0 and
+        determinant 1 (empty product).
         """
-        work = [list(row) for row in self.entries]
-        rank = 0
-        swaps = 0
-        pivots: list[Cyclotomic] = []
-        for col in range(self.cols):
-            if rank == self.rows:
-                break
-            prow = next((r for r in range(rank, self.rows) if not work[r][col].is_zero), None)
-            if prow is None:
-                continue
-            if prow != rank:
-                work[rank], work[prow] = work[prow], work[rank]
-                swaps += 1
-            piv = work[rank][col]
-            pivots.append(piv)
-            inv = piv.inverse()
-            for r in range(rank + 1, self.rows):
-                f = work[r][col]
-                if not f.is_zero:
-                    factor = f * inv
-                    work[r] = [work[r][c] - factor * work[rank][c] for c in range(self.cols)]
-            rank += 1
-        det: Cyclotomic | None = None
-        if self.rows == self.cols:
-            if rank < self.rows:
-                det = Cyclotomic.from_rational(0)
-            else:
-                det = Cyclotomic.from_rational(1)
-                for p in pivots:
-                    det = det * p
-                if swaps % 2:
-                    det = -det
-        return rank, det
+        pivots, raw = _rref({j: x for j, x in enumerate(row) if x} for row in self.entries)
+        rank = len(pivots)
+        if self.rows != self.cols:
+            return rank, None
+        if rank < self.rows:
+            return rank, Cyclotomic.from_rational(0)
+        det = math.prod(raw, start=Cyclotomic.from_rational(1))
+        cols = list(pivots)
+        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+        return rank, -det if inversions % 2 else det
 
     def to_lists(self) -> list[list[Cyclotomic]]:
         return [list(row) for row in self.entries]

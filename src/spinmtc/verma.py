@@ -24,9 +24,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exactnum import _fraction_str
+from .exactnum import Row, _fraction_str, _reduce, _rref
 
 __all__ = [
     "NSMode",
@@ -39,7 +39,6 @@ __all__ = [
     "filtration_key",
     "straighten",
     "apply_mode",
-    "apply_word",
     "degree_basis",
     "SingularVectorReport",
     "expected_leading_shape",
@@ -410,16 +409,6 @@ def apply_mode(mode: NSMode, vec: VermaVector) -> VermaVector:
     return out
 
 
-def apply_word(
-    word: Sequence[NSMode], c: Fraction | int, h: Fraction | int
-) -> VermaVector:
-    """Right-to-left fold of modes against v; equals straighten of the word."""
-    vec = VermaVector(Fraction(c), Fraction(h), {PBWMonomial(): Fraction(1)})
-    for mode in reversed(list(word)):
-        vec = apply_mode(mode, vec)
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # graded bases
 
@@ -474,56 +463,7 @@ def degree_basis(d: Fraction | int, restrict_vprime: bool = False) -> list[PBWMo
 
 
 # ---------------------------------------------------------------------------
-# sparse exact linear algebra: rows are dicts {column: nonzero entry}
-
-Row = dict[int, Any]
-
-
-def _subtract(row: Row, f: Any, prow: Row, p: int | None) -> None:
-    """row -= f * prow in place, over Q (p None) or mod p; drops zeros."""
-    for k, x in prow.items():
-        y = row.get(k, 0) - f * x
-        if p:
-            y %= p
-        if y:
-            row[k] = y
-        else:
-            del row[k]
-
-
-def _reduce(row: Row, pivots: Mapping[int, Row], p: int | None = None) -> Row:
-    """Reduce a copy of row by reduced-echelon pivot rows (keyed by pivot column).
-
-    Pivot rows vanish on the other pivot columns, so one subtraction per
-    pivot column present in the row suffices, in any order.
-    """
-    row = dict(row)
-    for col in [k for k in row if k in pivots]:
-        _subtract(row, row[col], pivots[col], p)
-    return row
-
-
-def _rref(rows: Iterable[Row], p: int | None = None) -> dict[int, Row]:
-    """Sparse reduced row echelon form over Q (Fraction entries) or mod a prime p.
-
-    Returns the nonzero rows keyed by pivot column; each has a unit pivot,
-    no entries left of it and none on other pivot columns.  The result is
-    the unique RREF of the row space, with pivots in increasing column order.
-    """
-    pivots: dict[int, Row] = {}
-    for row in rows:
-        row = _reduce(row, pivots, p)
-        if not row:
-            continue
-        col = min(row)
-        inv = pow(row[col], -1, p) if p else 1 / row[col]
-        row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
-        for prow in pivots.values():
-            if col in prow:
-                _subtract(prow, prow[col], row, p)
-        pivots[col] = row
-    return pivots
-
+# multimodular nullspace
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
 
@@ -605,7 +545,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     modulus = 1
     residues: dict[int, Row] = {}
     for p in _primes():
-        red = _rref(({j: x % p for j, x in row.items() if x % p} for row in int_rows), p)
+        red, _ = _rref(({j: x % p for j, x in row.items() if x % p} for row in int_rows), p)
         if len(red) == ncols:
             return []
         key = (-len(red), sorted(red))
@@ -751,7 +691,7 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
         straighten(u.word() + (G(Fraction(-1, 2)),), c, h).terms
         for u in degree_basis(d - Fraction(1, 2))
     )
-    sub = _rref({pos_of[mon]: cf for mon, cf in terms.items()} for terms in sub_images)
+    sub, _ = _rref({pos_of[mon]: cf for mon, cf in terms.items()} for terms in sub_images)
 
     reduced = [
         _reduce({pos_of[basis[j]]: x for j, x in enumerate(w) if x}, sub) for w in null
@@ -764,7 +704,7 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
                 f"{basis[perm[bad]].to_text()}"
             )
 
-    space_dim = len(_rref(reduced))
+    space_dim = len(_rref(reduced)[0])
 
     vector = full_vector = leading = lam = None
     shape_ok: bool | None = None

@@ -340,6 +340,41 @@ def test_validate_reports_fusion_rule_with_unknown_label(capsys, tmp_path):
     }]
 
 
+def _fermion_without(capsys, tmp_path, name) -> Path:
+    _, dump, _ = run(capsys, "builtin", "fermion")
+    doc = json.loads(dump)
+    del doc[name]["sigma"]
+    path = tmp_path / f"no_{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name", ["twist", "qdim", "dual"])
+@pytest.mark.parametrize(
+    "argv",
+    [("smatrix",), ("classify",), ("torus",), ("sphere", "--labels", "sigma,sigma")],
+    ids=["smatrix", "classify", "torus", "sphere"],
+)
+def test_map_missing_a_label_is_exit_2(capsys, tmp_path, argv, name):
+    path = _fermion_without(capsys, tmp_path, name)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert f"{name} of 'fermion' has no entry for label 'sigma'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["twist", "qdim", "dual"])
+def test_validate_reports_map_missing_a_label(capsys, tmp_path, name):
+    path = _fermion_without(capsys, tmp_path, name)
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [{
+        "check": name,
+        "witness": ["sigma"],
+        "detail": f"{name} missing for these labels",
+    }]
+
+
 def test_validate_multiplicity_beyond_int64_is_reported(capsys, tmp_path):
     # x x = 1 + y, x y = x + 2^63 y, y y = 1 + 2^63 x: not associative, and
     # 2^63 does not fit a 64-bit integer.

@@ -425,3 +425,109 @@ def test_packed_s_squared_on_builtins_and_rank_36_product():
         holds, alpha = check_s_squared(s, data)
         assert holds, data.name
         assert alpha == sum((data.qdim[lab] * data.qdim[lab] for lab in data.labels), ZERO), data.name
+
+
+# --- elimination kernel over Q(zeta_N) ------------------------------------------
+
+
+def _dense_rank_det(m):
+    """Reference: dense forward elimination with row swaps over Cyclotomic ops."""
+    work = [list(row) for row in m.entries]
+    rank = 0
+    swaps = 0
+    pivots = []
+    for col in range(m.cols):
+        if rank == m.rows:
+            break
+        prow = next((r for r in range(rank, m.rows) if not work[r][col].is_zero), None)
+        if prow is None:
+            continue
+        if prow != rank:
+            work[rank], work[prow] = work[prow], work[rank]
+            swaps += 1
+        piv = work[rank][col]
+        pivots.append(piv)
+        inv = piv.inverse()
+        for r in range(rank + 1, m.rows):
+            f = work[r][col]
+            if not f.is_zero:
+                factor = f * inv
+                work[r] = [work[r][c] - factor * work[rank][c] for c in range(m.cols)]
+        rank += 1
+    det = None
+    if m.rows == m.cols:
+        if rank < m.rows:
+            det = Cyclotomic.from_rational(0)
+        else:
+            det = Cyclotomic.from_rational(1)
+            for p in pivots:
+                det = det * p
+            if swaps % 2:
+                det = -det
+    return rank, det
+
+
+def _assert_rank_det_matches_reference(m):
+    rank, det = m.rank_det()
+    ref_rank, ref_det = _dense_rank_det(m)
+    assert rank == ref_rank
+    if ref_det is None:
+        assert det is None
+    else:
+        assert det == ref_det and det.to_dict() == ref_det.to_dict()
+
+
+_KERNEL_CONDUCTORS = (1, 3, 5, 8, 80)
+_KERNEL_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_det_matches_dense_reference(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    conductor = data.draw(st.sampled_from(_KERNEL_CONDUCTORS))
+    terms = st.dictionaries(st.integers(0, conductor - 1), _KERNEL_COEFFS, max_size=3)
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), terms.map(lambda t: Cyclotomic(conductor, t)))
+    entries = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and data.draw(st.booleans()):
+        # a row in the span of two others, over Q(zeta_N)
+        a, b = data.draw(entry), data.draw(entry)
+        entries[data.draw(st.integers(2, rows - 1))] = [
+            a * x + b * y for x, y in zip(entries[0], entries[1])
+        ]
+    _assert_rank_det_matches_reference(CycMatrix(entries, shape=(rows, cols)))
+
+
+def test_rank_det_degenerate_shapes():
+    for shape in ((0, 0), (0, 4), (4, 0)):
+        m = CycMatrix([], shape=shape)
+        _assert_rank_det_matches_reference(m)
+    assert CycMatrix([], shape=(0, 4)).rank_det() == (0, None)
+    assert CycMatrix([[ZERO] * 3] * 3).rank_det() == (0, ZERO)
+    # the pivot columns (1, 0, 2) are one transposition from row order
+    m = CycMatrix([[0, zeta(5), 1], [2, 0, 0], [0, 0, zeta(3)]])
+    assert m.rank_det() == (3, -2 * zeta(5) * zeta(3))
+    _assert_rank_det_matches_reference(m)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [("dirac", "dirac", "dirac"), ("dirac", "fermion", "fermion"), ("fibonacci", "fermion", "fermion")],
+    ids=["dirac3", "dirac_fermion2", "fibonacci_fermion2"],
+)
+def test_rank_det_on_blocks_of_benchmark_products(factors):
+    from spinmtc.catalog import builtin
+    from spinmtc.clifford import classify_labels, clifford_structure, find_vminus, verify_block_structure
+    from spinmtc.fusion import compute_smatrix, deligne_product
+
+    first, *rest = factors
+    data = builtin(first)
+    for key in rest:
+        data = deligne_product(data, builtin(key))
+    s = compute_smatrix(data)
+    generators = [v for v in find_vminus(data) if clifford_structure(data, v).is_clifford]
+    assert generators
+    for vminus in generators:
+        report = verify_block_structure(data, classify_labels(data, vminus), s)
+        for block in (report.block_a, report.block_c, report.block_b.hstack(report.block_d)):
+            _assert_rank_det_matches_reference(block)

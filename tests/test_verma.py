@@ -17,7 +17,6 @@ from spinmtc.verma import (
     VermaError,
     VermaVector,
     apply_mode,
-    apply_word,
     c2_generators,
     degree_basis,
     expected_leading_shape,
@@ -27,7 +26,8 @@ from spinmtc.verma import (
     straighten,
     verify_minimal_singular_vector,
 )
-from spinmtc.verma import _nullspace, _primes, _rref
+from spinmtc.exactnum import _rref
+from spinmtc.verma import _nullspace, _primes
 
 C, H = Fraction(7, 10), Fraction(1, 10)
 
@@ -112,7 +112,7 @@ def test_raising_modes_kill_the_highest_weight_vector():
 
 
 def test_l0_measures_degree():
-    vec = apply_word([L(-2), G("-3/2")], C, H)
+    vec = straighten([L(-2), G("-3/2")], C, H)
     measured = apply_mode(L(0), vec)
     assert measured == vec.scaled(H + Fraction(7, 2))
 
@@ -175,9 +175,12 @@ def test_action_is_associative_on_triples(x, y, z, c, h):
     assert whole == stepwise
 
 
-def test_apply_word_equals_straighten():
+def test_mode_by_mode_fold_equals_straighten():
     word = [L(-1), G("-1/2"), L(2), G("-5/2")]
-    assert apply_word(word, C, H) == straighten(word, C, H)
+    vec = _hw()
+    for mode in reversed(word):
+        vec = apply_mode(mode, vec)
+    assert vec == straighten(word, C, H)
 
 
 # --- vectors -------------------------------------------------------------------
@@ -498,7 +501,7 @@ def test_sparse_kernel_matches_dense_reference(matrix):
     rows, ncols = matrix
     assert _nullspace(rows, ncols) == _dense_nullspace(rows, ncols)
     dense, pivots = _dense_rref([row[:] for row in rows])
-    sparse = _rref({j: x for j, x in enumerate(row) if x} for row in rows)
+    sparse, _ = _rref({j: x for j, x in enumerate(row) if x} for row in rows)
     assert sorted(sparse) == pivots
     assert [[sparse[col].get(j, 0) for j in range(ncols)] for col in pivots] == dense
 
