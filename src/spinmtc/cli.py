@@ -40,6 +40,7 @@ from .minimal import (
     central_charge,
     enumerate_labels,
     model_to_dict,
+    sector_counts,
     valid_pairs,
     validate_pq,
 )
@@ -49,6 +50,8 @@ from .verma import VermaError, singular_vectors
 __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_DEGREE = 10
+MAX_PUNCTURES = 20  # the epsilon table has 2^n rows
+MAX_DIGITS = 17  # a float holds about 17 significant digits
 
 
 class CliError(Exception):
@@ -235,9 +238,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
+    labels = tuple(x for x in args.labels.split(",") if x)
+    if len(labels) > MAX_PUNCTURES:
+        raise CliError(2, f"{len(labels)} punctures exceed the limit {MAX_PUNCTURES}")
     data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
-    labels = tuple(x for x in args.labels.split(",") if x)
     rep = sphere_report(SpinSphereSpec(data, vminus, labels))
     obj = {
         "category": data.name,
@@ -305,9 +310,7 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
 
 
 def _scan_row(spec: MinimalModelSpec) -> dict:
-    labels = enumerate_labels(spec)
-    ns = sum(1 for lab in labels if lab.sector == "NS")
-    rr = len(labels) - ns
+    ns, rr = sector_counts(spec)
     split = ((spec.p - 1) * (spec.q - 1)) % 2 == 0
     return {
         "p": spec.p,
@@ -353,6 +356,8 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
             degree = parse_fraction(args.degree)
         except ValueError as exc:
             raise CliError(2, str(exc)) from exc
+        if degree <= 0 or degree.denominator > 2:
+            raise CliError(2, f"--degree must be a positive integer or half-integer, got {degree}")
 
     cap = DEFAULT_MAX_DEGREE
     env = os.environ.get("SPINMTC_MAX_DEGREE")
@@ -417,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="table",
                         help="output format (default table)")
-    common.add_argument("--numeric", type=int, metavar="DIGITS", default=0,
-                        help="add floating-point annotations (never authoritative)")
+    common.add_argument("--numeric", type=int, choices=range(MAX_DIGITS + 1), metavar="DIGITS",
+                        default=0, help=f"add floating-point annotations to 0-{MAX_DIGITS} "
+                        "significant digits (never authoritative)")
 
     def cat_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)

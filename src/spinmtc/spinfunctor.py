@@ -2,15 +2,23 @@
 
 A sphere with framed punctures labelled X_1..X_n carries one vector space per
 assignment of a sign epsilon_i to each puncture; flipping epsilon_i replaces
-X_i by its image under tensoring with the odd generator.  The functor's total
+X_i by its image under tensoring with the odd generator v.  The functor's total
 space is the sum over all 2^n assignments and splits into 2^{n-1} isomorphic
 blocks; punctures with non-split (R0) labels contribute odd generators to a
 Clifford algebra acting on the result.  Torus spaces are counted per spin
 structure from the label partition alone.
+
+Parity law: tensoring by v is an involutive permutation of the labels that
+commutes with fusion by every puncture label, so a chain with m flipped
+labels is v^(m mod 2) times the unflipped chain.  Each epsilon-table entry
+therefore depends only on the parity of epsilon, and the whole table comes
+from two fusion chains.  The commutation is checked on the input before the
+law is used.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -85,41 +93,36 @@ def sphere_epsilon_table(spec: SpinSphereSpec) -> dict[tuple[int, ...], int]:
     """Unit multiplicity of the twisted label chain for every sign assignment.
 
     Key (e_1..e_n): label i is replaced by its involution image when e_i = 1.
+    By the parity law, once its premise is checked, two chains give every entry.
     """
-    data = spec.category
-    st = _require_clifford(data, spec.vminus)
-    n = len(spec.boundary_labels)
-    table: dict[tuple[int, ...], int] = {}
-    for mask in range(2 ** n):
-        eps = tuple((mask >> i) & 1 for i in range(n))
-        chain = [
-            st.involution[lab] if e else lab
-            for lab, e in zip(spec.boundary_labels, eps)
-        ]
-        table[eps] = hom_unit_dim(data, chain)
-    return table
+    data, labels = spec.category, spec.boundary_labels
+    inv = _require_clifford(data, spec.vminus).involution
+    rules = data._rules
+    for x in dict.fromkeys(labels):  # (inv x) * j = x * (inv j) = inv(x * j)
+        for j in data.labels:
+            want = {inv[k]: v for k, v in rules.get(x, {}).get(j, {}).items()}
+            if want != rules.get(inv[x], {}).get(j, {}) or want != rules.get(x, {}).get(inv[j], {}):
+                raise InconsistentDataError(f"tensoring by {spec.vminus!r} does not commute "
+                                            f"with fusion at puncture {x!r} and label {j!r}")
+    even = hom_unit_dim(data, labels)
+    odd = hom_unit_dim(data, (inv[labels[0]],) + labels[1:])
+    keys = itertools.product((0, 1), repeat=len(labels))  # sorted
+    return {eps: odd if sum(eps) % 2 else even for eps in keys}
 
 
 def sphere_report(spec: SpinSphereSpec) -> SpinSphereReport:
     """Total and per-block dimensions, plus the Clifford class of the R0 punctures.
 
-    The total must split evenly into 2^{n-1} blocks; fermionic data
-    guarantees it, so anything else is reported as inconsistent input.
+    Each of the 2^{n-1} blocks holds one even and one odd assignment.
     """
-    data = spec.category
-    cls = classify_labels(data, spec.vminus)
+    cls = classify_labels(spec.category, spec.vminus)
     table = sphere_epsilon_table(spec)
     n = len(spec.boundary_labels)
-    total = sum(table.values())
-    blocks = 2 ** (n - 1)
-    if total % blocks:
-        raise InconsistentDataError(
-            f"total dimension {total} does not split into {blocks} equal blocks"
-        )
+    component = table[(0,) * n] + table[(1,) + (0,) * (n - 1)]
     lam = sum(1 for lab in spec.boundary_labels if lab in cls.r_zero)
     return SpinSphereReport(
-        total_dim=total,
-        component_dim=total // blocks,
+        total_dim=2 ** (n - 1) * component,
+        component_dim=component,
         lambda_rank=lam,
         lambda_class=CliffordAlgebraClass(lam),
         epsilon_table=table,

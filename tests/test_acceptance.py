@@ -278,7 +278,7 @@ def _random_mode(rng: Random):
     return G(Fraction(rng.choice(range(-9, 10, 2)), 2))
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(brute_force_epsilon_table):
     start = time.perf_counter()
     problems: list[str] = []
     rng = Random(20260815)
@@ -334,13 +334,16 @@ def test_criterion_8_property_suites():
         if whole != stepwise:
             problems.append(f"jacobi case {i}: {[m for m in triple]}")
 
-    # epsilon-flip law on all Clifford builtins, chains up to length 4
+    # epsilon tables against the 2^n loop, and the epsilon-flip law, on all
+    # Clifford builtins, chains up to length 4
     for key in CLIFFORD_BUILTINS:
         data = builtin(key)
         (vminus,) = find_vminus(data)
         for n in (1, 2, 3, 4):
             for chain in itertools.product(data.labels, repeat=n):
                 table = sphere_epsilon_table(SpinSphereSpec(data, vminus, chain))
+                if table != brute_force_epsilon_table(data, vminus, chain):
+                    problems.append(f"epsilon table {key} {chain} differs from the 2^n loop")
                 for eps in table:
                     for i in range(n):
                         for j in range(i + 1, n):

@@ -12,7 +12,9 @@ import pytest
 
 import spinmtc
 
-from spinmtc.cli import main
+from spinmtc.cli import MAX_PUNCTURES, main
+from spinmtc.fusion import dump_fusion
+from spinmtc.minimal import MinimalModelSpec, enumerate_labels
 
 
 def run(capsys, *argv):
@@ -53,6 +55,15 @@ def test_smatrix_numeric_annotation(capsys):
     assert report["numeric"]["digits"] == 4
     assert "not authoritative" in report["numeric"]["note"]
     assert report["numeric"]["entries"][0][2] == "1.414"
+
+    for digits in ("-1", "18"):
+        code, out, err = run(capsys, "smatrix", "fermion", "--numeric", digits)
+        assert code == 2
+        assert out == ""
+        assert f"invalid choice: {digits}" in err
+        assert "Traceback" not in err and "specifier" not in err
+    code, _, _ = run(capsys, "smatrix", "fermion", "--numeric", "17")
+    assert code == 0
 
 
 def test_classify_fermion(capsys):
@@ -109,6 +120,18 @@ def test_minimal_scan(capsys):
         "r_count": 1,
         "split": False,
     }
+
+    # the closed-form rows against the enumerated labels
+    code, out, _ = run(capsys, "minimal-scan", "--max-pq", "300", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 170
+    for row in report["models"]:
+        labels = enumerate_labels(MinimalModelSpec(row["p"], row["q"]))
+        ramond = [lab for lab in labels if lab.sector == "R"]
+        assert row["ns_count"] == len(labels) - len(ramond), row
+        assert row["r_count"] == len(ramond), row
+        assert {lab.split for lab in ramond} == {row["split"]}, row
 
 
 def test_singvec_by_model(capsys):
@@ -300,6 +323,37 @@ def test_bad_flags_are_exit_2(capsys):
     capsys.readouterr()
     assert main(["sphere", "fermion"]) == 2
     capsys.readouterr()
+
+
+def test_singvec_degree_must_be_a_positive_half_integer(capsys):
+    for degree in ("-1", "0", "1/3"):
+        code, out, err = run(capsys, "singvec", "--c", "1", "--h", "0", "--degree", degree)
+        assert code == 2, degree
+        assert out == ""
+        assert "positive integer or half-integer" in err
+    code, _, _ = run(capsys, "singvec", "--c", "1", "--h", "0", "--degree", "1/2")
+    assert code == 0
+
+
+def test_sphere_puncture_cap_is_exit_2(capsys):
+    labels = ",".join(["sigma"] * (MAX_PUNCTURES + 1))
+    code, out, err = run(capsys, "sphere", "fermion", "--labels", labels)
+    assert code == 2
+    assert out == ""
+    assert f"limit {MAX_PUNCTURES}" in err
+    # the cap is checked before the category is even loaded
+    code, _, err = run(capsys, "sphere", "no-such-category", "--labels", labels)
+    assert code == 2
+    assert f"limit {MAX_PUNCTURES}" in err
+
+
+def test_sphere_on_noncommuting_odd_generator_is_exit_1(capsys, tmp_path, skew):
+    path = tmp_path / "skew.json"
+    path.write_text(dump_fusion(skew))
+    code, out, err = run(capsys, "sphere", str(path), "--labels", "a,b,v")
+    assert code == 1
+    assert out == ""
+    assert "puncture 'a' and label 'a'" in err
 
 
 def test_sphere_unknown_label_is_exit_2(capsys):

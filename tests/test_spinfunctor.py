@@ -7,9 +7,10 @@ from dataclasses import replace
 
 import pytest
 
+import spinmtc.spinfunctor
 from spinmtc.catalog import builtin
 from spinmtc.clifford import classify_labels, find_vminus
-from spinmtc.fusion import FormatError, InconsistentDataError
+from spinmtc.fusion import FormatError, InconsistentDataError, deligne_product, hom_unit_dim
 from spinmtc.spinfunctor import (
     SpinSphereSpec,
     sphere_epsilon_table,
@@ -107,22 +108,74 @@ def _all_chains(data, max_len):
         yield from itertools.product(data.labels, repeat=n)
 
 
-def test_epsilon_flip_law_all_builtin_chains():
+def _tables_and_brute_force(brute_force):
+    """(data, vminus, chain, table) for builtin chains up to length 3 and product
+    chains up to length 2, every admissible odd generator, each table checked
+    against the 2^n brute-force loop."""
+    cases = [(builtin(key), 3) for key in CLIFFORD_BUILTINS]
+    cases += [
+        (deligne_product(builtin("fermion"), builtin("fermion")), 2),
+        (deligne_product(builtin("dirac"), builtin("fermion")), 2),
+    ]
+    for data, max_len in cases:
+        vminus = find_vminus(data)
+        assert vminus, data.name
+        for vm in vminus:
+            for chain in _all_chains(data, max_len):
+                table = sphere_epsilon_table(SpinSphereSpec(data, vm, chain))
+                assert table == brute_force(data, vm, chain), (data.name, vm, chain)
+                yield data, vm, chain, table
+
+
+def test_epsilon_flip_law_all_builtin_chains(brute_force_epsilon_table):
     # Flipping two coordinates together moves one unit of the odd generator
     # across the chain and cannot change any entry.
-    for key in CLIFFORD_BUILTINS:
-        data = builtin(key)
-        vm = _vminus(key)
-        for chain in _all_chains(data, 3):
-            table = sphere_epsilon_table(SpinSphereSpec(data, vm, chain))
-            n = len(chain)
-            for eps in table:
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        flipped = list(eps)
-                        flipped[i] ^= 1
-                        flipped[j] ^= 1
-                        assert table[tuple(flipped)] == table[eps], (key, chain, eps)
+    for data, vm, chain, table in _tables_and_brute_force(brute_force_epsilon_table):
+        n = len(chain)
+        for eps in table:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    flipped = list(eps)
+                    flipped[i] ^= 1
+                    flipped[j] ^= 1
+                    assert table[tuple(flipped)] == table[eps], (data.name, vm, chain, eps)
+
+
+def test_epsilon_table_fuses_two_chains_whatever_the_puncture_count(monkeypatch):
+    calls = []
+
+    def counting(data, chain):
+        calls.append(tuple(chain))
+        return hom_unit_dim(data, chain)
+
+    monkeypatch.setattr(spinmtc.spinfunctor, "hom_unit_dim", counting)
+    for n in range(1, 13):
+        calls.clear()
+        table = sphere_epsilon_table(SpinSphereSpec(builtin("fermion"), "psi", ("sigma",) * n))
+        assert len(table) == 2 ** n
+        assert list(table) == sorted(table)
+        assert len(calls) == 2, n
+
+
+def test_noncommuting_odd_generator_is_inconsistent(skew, brute_force_epsilon_table):
+    # skew passes every other check on the sphere path, yet its entries are
+    # not a function of the parity: two flips change 000 into 011.  The
+    # premise check names the puncture and label where the law fails.
+    brute = brute_force_epsilon_table(skew, "v", ("a", "b", "v"))
+    assert (brute[(0, 0, 0)], brute[(0, 1, 1)]) == (0, 1)
+    with pytest.raises(InconsistentDataError, match="puncture 'a' and label 'a'"):
+        sphere_report(SpinSphereSpec(skew, "v", ("a", "b", "v")))
+    with pytest.raises(InconsistentDataError, match="puncture 'b'"):
+        sphere_epsilon_table(SpinSphereSpec(skew, "v", ("b",)))
+
+
+def test_odd_generator_not_commuting_on_the_right_is_inconsistent(
+    skew_right, brute_force_epsilon_table
+):
+    brute = brute_force_epsilon_table(skew_right, "v", ("a", "a"))
+    assert (brute[(0, 1)], brute[(1, 0)]) == (0, 1)
+    with pytest.raises(InconsistentDataError, match="puncture 'a' and label '1'"):
+        sphere_report(SpinSphereSpec(skew_right, "v", ("a", "a")))
 
 
 def test_parity_vanishing_all_builtin_chains():
