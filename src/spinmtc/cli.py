@@ -49,7 +49,7 @@ from .verma import VermaError, singular_vectors
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_MAX_DEGREE = 10
+DEFAULT_MAX_DEGREE = 16
 MAX_PUNCTURES = 20  # the epsilon table has 2^n rows
 MAX_DIGITS = 17  # a float holds about 17 significant digits
 
@@ -237,8 +237,28 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
+def _split_labels(text: str) -> tuple[str, ...]:
+    """Comma-separated labels, split only outside parentheses, so that
+    product labels such as ``(1,psi)`` stay whole; empty pieces are dropped."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise CliError(2, f"unbalanced ')' at position {i} of --labels {text!r}")
+        elif ch == "," and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    if depth:
+        raise CliError(2, f"unbalanced '(' in --labels {text!r}")
+    pieces.append(text[start:])
+    return tuple(x for x in pieces if x)
+
+
 def _cmd_sphere(args: argparse.Namespace) -> int:
-    labels = tuple(x for x in args.labels.split(",") if x)
+    labels = _split_labels(args.labels)
     if len(labels) > MAX_PUNCTURES:
         raise CliError(2, f"{len(labels)} punctures exceed the limit {MAX_PUNCTURES}")
     data = _load_known_category(args.category)
@@ -438,7 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vminus", help="odd generator to use when several qualify")
 
     p = cat_cmd("sphere", "spin sphere state-space dimensions")
-    p.add_argument("--labels", required=True, help="comma-separated puncture labels")
+    p.add_argument(
+        "--labels",
+        required=True,
+        help="comma-separated puncture labels; commas inside parentheses stay in the label",
+    )
     p.add_argument("--vminus", help="odd generator to use when several qualify")
 
     p = cat_cmd("torus", "spin torus state-space dimensions")

@@ -15,7 +15,9 @@ integers.  Everything is exact rational arithmetic.
 
 Straightening is a terminating rewriting system on words; any admissible
 choice of rewrite position yields the same normal form, which tests exploit
-by shuffling the choice.
+by shuffling the choice.  ``singular_vectors`` does not straighten: it takes
+its images from ``_action``, a memoized action of one mode on int-encoded
+normal words, and ``straighten`` stays as that action's independent oracle.
 """
 
 from __future__ import annotations
@@ -410,6 +412,92 @@ def apply_mode(mode: NSMode, vec: VermaVector) -> VermaVector:
 
 
 # ---------------------------------------------------------------------------
+# memoized action on int-encoded words
+
+IntWord = tuple[int, ...]
+
+
+def _int_word(mon: PBWMonomial) -> IntWord:
+    """The monomial's modes as ints m = 2 * index, in the same order."""
+    return tuple(int(2 * r) for r in mon.g_part) + tuple(2 * n for n in mon.l_part)
+
+
+def _add_scaled(out: dict[IntWord, Fraction], vec: Mapping[IntWord, Fraction], f: Fraction) -> None:
+    """out += f * vec in place, dropping zeros."""
+    for w, cf in vec.items():
+        s = out.get(w, 0) + f * cf
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+
+
+def _action(c: Fraction, h: Fraction) -> Callable[[int, IntWord], Mapping[IntWord, Fraction]]:
+    """The NS action of one mode on normal words, memoized on (mode, word).
+
+    A mode is the int m = 2 * index: G_{m/2} for odd m, L_{m/2} for even m.
+    A normal word is a tuple of negative modes in ``_mode_key`` order: odd
+    ones strictly increasing, then even ones weakly decreasing.  ``act(x, w)``
+    is x w v on the PBW basis, as {normal word: coefficient}.  It prepends x
+    where it may stand, folds G_a G_a into L_{2a}, and otherwise uses
+    x y rest = (-1)^{|x||y|} y (x rest) + [x, y} rest, where [x, y} is the
+    bracket of the module docstring (the anticommutator for two G's).
+    Results are shared between calls: treat them as read-only.  The memo
+    lives as long as the returned function.
+    """
+    memo: dict[tuple[int, IntWord], Mapping[IntWord, Fraction]] = {}
+
+    def act(x: int, w: IntWord) -> Mapping[IntWord, Fraction]:
+        out = memo.get((x, w))
+        if out is not None:
+            return out
+        if not w:
+            out = {(x,): Fraction(1)} if x < 0 else {(): h} if x == 0 and h else {}
+        else:
+            y, rest = w[0], w[1:]
+            # a negative x stands first when it keeps the word normal
+            if x < 0 and (not y & 1 or x < y if x & 1 else not y & 1 and x >= y):
+                out = {(x,) + w: Fraction(1)}
+            elif x == y and x & 1:
+                out = act(2 * x, rest)  # G_a G_a = L_{2a}; no central term at a < 0
+            else:
+                out = {}
+                sign = -1 if x & 1 and y & 1 else 1
+                for w2, cf in act(x, rest).items():
+                    _add_scaled(out, act(y, w2), sign * cf)
+                # the bracket's mode is x + y; with a = x/2 and b = y/2 its
+                # coefficient is 2, a - b/2, a/2 - b or a - b
+                if x & 1:
+                    coef = Fraction(2) if y & 1 else Fraction(2 * x - y, 4)
+                else:
+                    coef = Fraction(x - 2 * y, 4) if y & 1 else Fraction((x - y) // 2)
+                if coef:
+                    _add_scaled(out, act(x + y, rest), coef)
+                if x + y == 0:
+                    # (c/3)(a^2 - 1/4) for two G's, (c/12)(a^3 - a) for two L's
+                    central = Fraction(x * x - 1, 12) if x & 1 else Fraction(x**3 - 4 * x, 96)
+                    _add_scaled(out, {rest: central}, c)
+        memo[(x, w)] = out
+        return out
+
+    return act
+
+
+def _fold(
+    act: Callable[[int, IntWord], Mapping[IntWord, Fraction]],
+    modes: IntWord,
+    vec: Mapping[IntWord, Fraction],
+) -> Mapping[IntWord, Fraction]:
+    """modes[0] .. modes[-1] applied to vec through ``act``, rightmost first."""
+    for x in reversed(modes):
+        out: dict[IntWord, Fraction] = {}
+        for w, cf in vec.items():
+            _add_scaled(out, act(x, w), cf)
+        vec = out
+    return vec
+
+
+# ---------------------------------------------------------------------------
 # graded bases
 
 
@@ -540,6 +628,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         entries = {j: int(x * den) for j, x in enumerate(row) if x}
         if entries:
             int_rows.append(entries)
+    int_rows.sort(key=len)  # sparse rows first: far less fill-in
 
     best: tuple | None = None
     modulus = 1
@@ -655,24 +744,26 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
     """Degree-d vectors killed by G_{1/2} and G_{3/2}, and their quotient image.
 
     The quotient is by the degree-d slice of the submodule generated by
-    G_{-1/2} v, spanned by straightened u G_{-1/2} v over PBW monomials u of
-    degree d - 1/2.  Reduction pivots prefer the non-restricted monomials, so
+    G_{-1/2} v, spanned by u G_{-1/2} v over PBW monomials u of degree
+    d - 1/2.  Reduction pivots prefer the non-restricted monomials, so
     surviving vectors are expressed on the restricted (quotient) basis.
+    Every image comes from one ``_action`` memo, shared by this call only.
     """
     c, h, d = Fraction(c), Fraction(h), Fraction(d)
     if d <= 0 or (2 * d).denominator != 1:
         raise VermaError(f"degree must be a positive half-integer, got {d}")
     basis = degree_basis(d)
+    words = [_int_word(mon) for mon in basis]
     ncols = len(basis)
+    act = _action(c, h)
 
-    # constraint matrix: rows indexed by target monomials of both raising ops
+    # constraint matrix: rows indexed by target words of G_{1/2} and G_{3/2}
     rows: list[list[Fraction]] = []
-    row_of: dict[tuple[str, PBWMonomial], int] = {}
-    for op_name, op in (("G1/2", G(Fraction(1, 2))), ("G3/2", G(Fraction(3, 2)))):
-        for j, mon in enumerate(basis):
-            image = straighten((op,) + mon.word(), c, h)
-            for tmon, cf in image.terms.items():
-                key = (op_name, tmon)
+    row_of: dict[tuple[int, IntWord], int] = {}
+    for op in (1, 3):
+        for j, word in enumerate(words):
+            for target, cf in act(op, word).items():
+                key = (op, target)
                 if key not in row_of:
                     row_of[key] = len(rows)
                     rows.append([Fraction(0)] * ncols)
@@ -686,15 +777,15 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
         j for j, mon in enumerate(basis) if mon.in_vprime
     ]
     n_outside = sum(1 for mon in basis if not mon.in_vprime)
-    pos_of = {basis[j]: pos for pos, j in enumerate(perm)}
-    sub_images = (
-        straighten(u.word() + (G(Fraction(-1, 2)),), c, h).terms
+    pos_of = {words[j]: pos for pos, j in enumerate(perm)}
+    sub_rows = [
+        {pos_of[w]: cf for w, cf in _fold(act, _int_word(u), {(-1,): Fraction(1)}).items()}
         for u in degree_basis(d - Fraction(1, 2))
-    )
-    sub, _ = _rref({pos_of[mon]: cf for mon, cf in terms.items()} for terms in sub_images)
+    ]
+    sub, _ = _rref(sorted(sub_rows, key=len))
 
     reduced = [
-        _reduce({pos_of[basis[j]]: x for j, x in enumerate(w) if x}, sub) for w in null
+        _reduce({pos_of[words[j]]: x for j, x in enumerate(w) if x}, sub) for w in null
     ]
     for v in reduced:
         bad = min(v, default=n_outside)
@@ -704,7 +795,7 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
                 f"{basis[perm[bad]].to_text()}"
             )
 
-    space_dim = len(_rref(reduced)[0])
+    space_dim = len(_rref(sorted(reduced, key=len))[0])
 
     vector = full_vector = leading = lam = None
     shape_ok: bool | None = None

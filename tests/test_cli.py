@@ -12,9 +12,12 @@ import pytest
 
 import spinmtc
 
+from spinmtc.catalog import builtin
 from spinmtc.cli import MAX_PUNCTURES, main
-from spinmtc.fusion import dump_fusion
+from spinmtc.clifford import find_vminus
+from spinmtc.fusion import deligne_product, dump_fusion
 from spinmtc.minimal import MinimalModelSpec, enumerate_labels
+from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 
 
 def run(capsys, *argv):
@@ -311,9 +314,17 @@ def test_degree_cap_from_environment(capsys, monkeypatch):
 
 def test_default_degree_cap_allows_the_reference_models(capsys, monkeypatch):
     monkeypatch.delenv("SPINMTC_MAX_DEGREE", raising=False)
-    for p, q in [(2, 4), (3, 5), (3, 7), (2, 8), (2, 20)]:
+    for p, q in [(2, 4), (3, 5), (3, 7), (2, 8), (2, 20), (5, 7)]:
         code, _, _ = run(capsys, "singvec", "--p", str(p), "--q", str(q))
         assert code == 0, (p, q)
+
+
+def test_default_degree_cap_is_sixteen(capsys, monkeypatch):
+    monkeypatch.delenv("SPINMTC_MAX_DEGREE", raising=False)
+    code, out, err = run(capsys, "singvec", "--c", "1", "--h", "0", "--degree", "33/2")
+    assert code == 2
+    assert out == ""
+    assert "degree 33/2 exceeds the limit 16" in err
 
 
 def test_bad_flags_are_exit_2(capsys):
@@ -354,6 +365,32 @@ def test_sphere_on_noncommuting_odd_generator_is_exit_1(capsys, tmp_path, skew):
     assert code == 1
     assert out == ""
     assert "puncture 'a' and label 'a'" in err
+
+
+def test_sphere_accepts_product_labels(capsys, tmp_path):
+    # Product labels contain commas; --labels splits only outside parentheses.
+    prod = deligne_product(builtin("fermion"), builtin("fermion"))
+    path = tmp_path / "prod.json"
+    path.write_text(dump_fusion(prod))
+    labels = ("(1,psi)", "(1,psi)")
+    vminus_all = find_vminus(prod)
+    assert vminus_all == ["(1,psi)", "(psi,1)"]
+    for vminus in vminus_all:
+        argv = ["sphere", str(path), "--vminus", vminus, "--labels", "(1,psi),(1,psi)"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, (vminus, err)
+        obj = json.loads(out)
+        assert obj["boundary_labels"] == list(labels)
+        expect = sphere_report(SpinSphereSpec(prod, vminus, labels)).to_dict()
+        assert {k: obj[k] for k in expect} == expect
+
+
+@pytest.mark.parametrize("labels", ["(1,psi", "1,psi)", "(1,psi)),((1,psi)", "sigma)("])
+def test_sphere_unbalanced_labels_are_exit_2(capsys, labels):
+    code, out, err = run(capsys, "sphere", "fermion", "--labels", labels)
+    assert code == 2
+    assert out == ""
+    assert "unbalanced" in err
 
 
 def test_sphere_unknown_label_is_exit_2(capsys):

@@ -27,7 +27,8 @@ from spinmtc.verma import (
     verify_minimal_singular_vector,
 )
 from spinmtc.exactnum import _rref
-from spinmtc.verma import _nullspace, _primes
+from spinmtc.minimal import MinimalModelSpec, central_charge
+from spinmtc.verma import _action, _fold, _int_word, _nullspace, _primes
 
 C, H = Fraction(7, 10), Fraction(1, 10)
 
@@ -380,28 +381,74 @@ def _gram(c: Fraction, h: Fraction, n: Fraction) -> list[list[Fraction]]:
     return gram
 
 
-def test_kac_determinant_zeros_match_singular_vectors():
-    # b^2 = 13/11: numerator and denominator exceed twice the largest level,
-    # so no two Kac zeros h_{r,s} (r - s even, rs/2 <= 4) coincide and the
-    # Gram matrix at h_{r,s} has a single vanishing Kac factor.
+def _kac_zeros(max_level: int) -> list[tuple[int, int, Fraction, Fraction]]:
+    """(r, s, c, h_{r,s}) at b^2 = 13/11 for r - s even and rs/2 <= max_level.
+
+    Numerator and denominator of b^2 exceed twice the largest level, so no
+    two of these Kac zeros coincide and the Gram matrix at h_{r,s} has a
+    single vanishing Kac factor.
+    """
     t = Fraction(13, 11)
     c = Fraction(15, 2) - 3 * (t + 1 / t)
+    return [
+        (r, s, c, ((r - s * t) ** 2 - (1 - t) ** 2) / (8 * t))
+        for r in range(1, 2 * max_level + 1)
+        for s in range(1, 2 * max_level + 1)
+        if (r - s) % 2 == 0 and r * s <= 2 * max_level
+    ]
+
+
+def test_kac_determinant_zeros_match_singular_vectors():
     max_level = 4
-    for r in range(1, 9):
-        for s in range(1, 9):
-            if (r - s) % 2 or r * s > 2 * max_level:
+    for r, s, c, h in _kac_zeros(max_level):
+        level = Fraction(r * s, 2)
+        for n in (level - Fraction(1, 2), level, level + Fraction(1, 2)):
+            if n > max_level:
                 continue
-            h = ((r - s * t) ** 2 - (1 - t) ** 2) / (8 * t)
-            level = Fraction(r * s, 2)
-            for n in (level - Fraction(1, 2), level, level + Fraction(1, 2)):
-                if n > max_level:
-                    continue
-                # the Verma submodule on the singular vector has P_NS(n - rs/2) states
-                nullity = len(degree_basis(n - level)) if n >= level else 0
-                gram = _gram(c, h, n)
-                rank = len(_dense_rref([row[:] for row in gram])[1])
-                assert len(gram) - rank == nullity, (r, s, n)
-            assert singular_vectors(c, h, level).full_space_dim == 1, (r, s)
+            # the Verma submodule on the singular vector has P_NS(n - rs/2) states
+            nullity = len(degree_basis(n - level)) if n >= level else 0
+            gram = _gram(c, h, n)
+            rank = len(_dense_rref([row[:] for row in gram])[1])
+            assert len(gram) - rank == nullity, (r, s, n)
+        assert singular_vectors(c, h, level).full_space_dim == 1, (r, s)
+
+
+# --- the solver's memoized action against straightening -----------------------------
+
+
+def _seeded_point(seed: int) -> tuple[Fraction, Fraction]:
+    rng = Random(seed)
+    return tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(2))
+
+
+_ACTION_POINTS = [
+    pytest.param(*_seeded_point(seed), True, id=f"seed{seed}") for seed in (5, 6)
+] + [pytest.param(c, h, False, id=f"kac{r},{s}") for r, s, c, h in _kac_zeros(4)]
+
+
+@pytest.mark.parametrize("c, h, shuffled", _ACTION_POINTS)
+def test_action_matches_straighten_on_solver_images(c, h, shuffled):
+    # Every image singular_vectors takes from the memoized action, up to
+    # degree 8: G_{1/2} and G_{3/2} on each basis word, and u G_{-1/2} v
+    # folded mode by mode.  At the generic points straighten also runs
+    # with a shuffled rewrite order.
+    act = _action(c, h)
+    rng = Random(17)
+    picks = [None, lambda n: rng.randrange(n)] if shuffled else [None]
+
+    def expected(word, pick):
+        return {_int_word(mon): cf for mon, cf in straighten(word, c, h, pick).terms.items()}
+
+    for twice in range(17):
+        for mon in degree_basis(Fraction(twice, 2)):
+            for op in (1, 3):
+                image = act(op, _int_word(mon))
+                for pick in picks:
+                    assert image == expected((G(Fraction(op, 2)),) + mon.word(), pick), (op, mon)
+            if twice < 16:
+                image = _fold(act, _int_word(mon), {(-1,): Fraction(1)})
+                for pick in picks:
+                    assert image == expected(mon.word() + (G("-1/2"),), pick), mon
 
 
 # --- sparse exact linear algebra ------------------------------------------------------
@@ -504,6 +551,19 @@ def test_sparse_kernel_matches_dense_reference(matrix):
     sparse, _ = _rref({j: x for j, x in enumerate(row) if x} for row in rows)
     assert sorted(sparse) == pivots
     assert [[sparse[col].get(j, 0) for j in range(ncols)] for col in pivots] == dense
+
+
+# --- reach ------------------------------------------------------------------------
+
+
+@pytest.mark.slow
+def test_minimal_models_up_to_degree_sixteen():
+    # The six models of degree 12 to 16; deselected by default, run with -m slow.
+    for p, q in [(5, 7), (3, 13), (4, 10), (2, 32), (3, 17), (5, 9)]:
+        d = Fraction((p - 1) * (q - 1), 2)
+        rep = singular_vectors(central_charge(MinimalModelSpec(p, q)), 0, d)
+        assert rep.space_dim == 1, (p, q)
+        assert rep.shape_ok, (p, q)
 
 
 # --- generator lists ---------------------------------------------------------------
