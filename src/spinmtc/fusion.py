@@ -10,6 +10,7 @@ and forms Deligne (componentwise) products.  Everything is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,8 +21,9 @@ from .exactnum import (
     Cyclotomic,
     CycMatrix,
     parse_fraction,
-    root_of_unity,
     _fraction_str,
+    _reduce_coeffs,
+    _subtract,
 )
 
 __all__ = [
@@ -115,9 +117,6 @@ class FusionData:
             tuple(left.get(j, {}).get(k, 0) for k in self.labels) for j in self.labels
         )
 
-    def theta(self, label: str) -> Cyclotomic:
-        return root_of_unity(self.twist[label])
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -195,6 +194,7 @@ def validate(data: FusionData) -> list[Violation]:
     if bad:
         i, k = first(bad)
         out.append(Violation("unit_axiom", (i, k), f"N({i},unit -> {k}) != delta"))
+    unit_ok = not out
 
     # duality: multiplicity of the unit in i x j is delta_{j, dual(i)}
     bad = []
@@ -214,16 +214,26 @@ def validate(data: FusionData) -> list[Violation]:
     if bad:
         out.append(Violation("commutativity", first(bad), "N(i,j -> k) != N(j,i -> k)"))
 
-    # associativity, exact over Python ints: (i x j) x k against i x (j x k)
-    witness = _associativity_witness(labels, rules, pos)
+    # associativity, exact over Python ints: (i x j) x k against i x (j x k).
+    # With both unit axioms, i running over a generating set is a proof (see
+    # _span_generators); the full loop runs otherwise and finds the least
+    # witness when that check fails.
+    gens = _span_generators(labels, rules, unit) if unit_ok else None
+    if gens is not None and _associativity_witness(labels, rules, pos, gens) is not None:
+        gens = None
+    witness = None if gens is not None else _associativity_witness(labels, rules, pos)
     if witness is not None:
         out.append(Violation("associativity", witness,
                              "sum over (i x j) x k differs from i x (j x k)"))
 
-    # quantum dimension is a one-dimensional representation of the ring
+    # quantum dimension is a one-dimensional representation of the ring.
+    # d(a b) = d(a) d(b) holds for every a once it holds for a in the
+    # generating set: on words by associativity and d(unit) = 1, on their
+    # span by linearity.
     if data.qdim[data.unit] != 1:
         out.append(Violation("qdim", (data.unit,), "quantum dimension of the unit must be 1"))
-    for i in labels:
+        gens = None
+    for i in labels if gens is None else gens:
         di = data.qdim[i]
         for j in labels:
             lhs_d = di * data.qdim[j]
@@ -244,14 +254,82 @@ def validate(data: FusionData) -> list[Violation]:
     return out
 
 
+_SPAN_PRIME = 2**61 - 1
+
+
+def _span_generators(
+    labels: Sequence[str], rules: Mapping[str, Mapping[str, Mapping[str, int]]], unit: str
+) -> list[str]:
+    """Labels G whose right-nested words g1 (g2 (... (gn 1))) span Q^rank.
+
+    The word vectors are kept in echelon form mod a prime, starting from the
+    empty word 1.  Labels are taken in order: one not yet in the span joins
+    G, and the span is then closed under left fusion by every label of G.
+    Every label ends up in the span, so the words have full rank mod p, hence
+    over Q.  The word g 1 is taken to be g itself, so both unit axioms must
+    hold.
+
+    If (g b) c = g (b c) for every g in G and all labels b, c, the ring is
+    associative: by induction on the word w, (w b) c = w (b c) (the base case
+    w = 1 is the left unit axiom), and the associator is linear in its first
+    slot.
+    """
+    p = _SPAN_PRIME
+    col = {lab: n for n, lab in enumerate(labels)}
+    echelon: dict[int, dict[int, int]] = {}  # pivot column -> row with pivot 1
+
+    def insert(vec: Mapping[str, int]) -> bool:
+        row = {col[lab]: m % p for lab, m in vec.items() if m % p}
+        while row:
+            lead = min(row)
+            prow = echelon.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, p)
+                echelon[lead] = {c: x * inv % p for c, x in row.items()}
+                return True
+            _subtract(row, row[lead], prow, p)
+        return False
+
+    empty: dict[str, int] = {}
+    gens: list[str] = []
+    words: list[dict[str, int]] = [{unit: 1}]  # the empty word
+    insert(words[0])
+    todo: list[tuple[str, dict[str, int]]] = []  # (g, word) with g w still to span
+    for lab in labels:
+        if len(echelon) == len(labels):
+            break
+        if not insert({lab: 1}):
+            continue
+        gens.append(lab)
+        # lab times every nonempty word, and every generator times lab = lab 1
+        todo += [(lab, w) for w in words[1:]] + [(g, {lab: 1}) for g in gens]
+        words.append({lab: 1})
+        while todo and len(echelon) < len(labels):
+            g, w = todo.pop()
+            left = rules.get(g, empty)
+            vec: dict[str, int] = {}
+            for b, m in w.items():
+                for k, v in left.get(b, empty).items():
+                    vec[k] = (vec.get(k, 0) + m * v) % p
+            if insert(vec):
+                words.append(vec)
+                todo += [(h, vec) for h in gens]
+    return gens
+
+
 def _associativity_witness(
-    labels: Sequence[str], rules: Mapping[str, Mapping[str, Mapping[str, int]]], pos: Mapping[str, int]
+    labels: Sequence[str],
+    rules: Mapping[str, Mapping[str, Mapping[str, int]]],
+    pos: Mapping[str, int],
+    left: Sequence[str] | None = None,
 ) -> tuple[str, str, str, str] | None:
     """The first (i, j, k, l) in row-major label order where the multiplicity
     of l in (i x j) x k differs from that in i x (j x k); None if associative.
+
+    ``left`` restricts i to those labels (all labels by default).
     """
     empty: dict[str, int] = {}
-    for i in labels:
+    for i in labels if left is None else left:
         left_i = rules.get(i, empty)
         for j in labels:
             ij = left_i.get(j, empty)
@@ -286,27 +364,66 @@ class SMatrix:
 def compute_smatrix(data: FusionData) -> SMatrix:
     """s_{ij} = theta_i^{-1} theta_j^{-1} sum_k N(i,j->k) theta_k d_k.
 
+    Each theta = e^{2 pi i t} is a root of unity, so an entry is
+    sum_k N d_k e^{2 pi i (t_k - t_i - t_j)}: at conductor n, the terms of
+    d_k shifted in exponent by n (t_k - t_i - t_j), reduced once per entry.  Every entry gets the conductor that the product
+    of cyclotomic values in the formula above would have: the lcm of the
+    denominators of t_i and t_j and, per channel, of t_k and the conductor of
+    d_k.  A channel whose d_k is a conductor-1 zero adds nothing, and an
+    entry whose channels add only conductor 1 and sum to zero (one without
+    channels, say) is a conductor-1 zero.
+
     Raises InconsistentDataError if the result is not symmetric.
     """
     labels = data.labels
-    theta = {lab: data.theta(lab) for lab in labels}
-    theta_inv = {lab: root_of_unity(-data.twist[lab]) for lab in labels}
-    weight = {lab: theta[lab] * data.qdim[lab] for lab in labels}
+    twist = {lab: Fraction(data.twist[lab]) % 1 for lab in labels}
+    qdim = {lab: data.qdim[lab] for lab in labels}
 
     channels: dict[tuple[str, str], list[tuple[str, int]]] = {}
     for (i, j, k), v in data.fusion.items():
         if v:
             channels.setdefault((i, j), []).append((k, v))
 
-    zero = Cyclotomic.from_rational(0)
+    # the conductor of theta_k d_k, of each entry, and of the matrix
+    term = {
+        k: 1 if d.conductor == 1 and d.is_zero else math.lcm(twist[k].denominator, d.conductor)
+        for k, d in qdim.items()
+    }
+    zero_entries: set[tuple[str, str]] = set()
+    n = 1
+    for i in labels:
+        for j in labels:
+            chans = channels.get((i, j), ())
+            cond = math.lcm(*(term[k] for k, _ in chans))
+            if cond == 1 and not sum(qdim[k].rational_value() * v for k, v in chans):
+                zero_entries.add((i, j))
+            else:
+                n = math.lcm(n, twist[i].denominator, twist[j].denominator, cond)
+
+    # theta_k d_k at conductor n: integer terms over one denominator
+    den = math.lcm(1, *(c.denominator for d in qdim.values() for c in d.coefficients().values()))
+    expo = {lab: t.numerator * (n // t.denominator) for lab, t in twist.items() if n % t.denominator == 0}
+    terms = {
+        k: [((e + expo[k]) % n, c.numerator * (den // c.denominator)) for e, c in d.rebased(n).coefficients().items()]
+        for k, d in qdim.items()
+        if not d.is_zero and n % term[k] == 0
+    }
+
     rows = []
     for i in labels:
         row = []
         for j in labels:
-            acc = zero
+            if (i, j) in zero_entries:
+                row.append(Cyclotomic(n, {}, _canonical=True))
+                continue
+            shift = -expo[i] - expo[j]
+            raw: dict[int, int] = {}
             for k, v in channels.get((i, j), ()):
-                acc = acc + weight[k] * v
-            row.append(theta_inv[i] * theta_inv[j] * acc)
+                for e, c in terms.get(k, ()):
+                    e = (e + shift) % n
+                    raw[e] = raw.get(e, 0) + c * v
+            coeffs = _reduce_coeffs(n, raw)
+            row.append(Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True))
         rows.append(row)
     mat = CycMatrix(rows)
     if not mat.is_symmetric():

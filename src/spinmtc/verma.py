@@ -46,7 +46,6 @@ __all__ = [
     "expected_leading_shape",
     "singular_vectors",
     "verify_minimal_singular_vector",
-    "c2_generators",
 ]
 
 
@@ -861,25 +860,3 @@ def verify_minimal_singular_vector(p: int, q: int) -> SingularVectorReport:
         )
     return report
 
-
-def c2_generators(p: int, q: int) -> tuple[list[PBWMonomial], int]:
-    """Spanning monomials of the degree-graded quotient by the filtration ideal.
-
-    (L_{-2})^i and G_{-3/2}(L_{-2})^i for 0 <= i < the per-sector label count
-    of the (p, q) model; the total is checked against the label census.
-    """
-    from .minimal import MinimalModelSpec, sector_counts
-
-    spec = MinimalModelSpec(p, q)
-    g = (p - 1) * (q - 1)
-    bound = g // 4 if p % 2 else (g + 1) // 4
-    gens = [PBWMonomial((), (-2,) * i) for i in range(bound)] + [
-        PBWMonomial((Fraction(-3, 2),), (-2,) * i) for i in range(bound)
-    ]
-    ns_count, r_count = sector_counts(spec)
-    if len(gens) != ns_count + r_count:
-        raise VermaError(
-            f"generator count {len(gens)} does not match the label census "
-            f"{ns_count} + {r_count} for ({p}, {q})"
-        )
-    return gens, len(gens)

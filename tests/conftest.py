@@ -1,7 +1,8 @@
-"""Fixtures shared by the spin-sphere tests."""
+"""Fixtures shared by the spin-sphere and minimal-model tests."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from spinmtc.clifford import involution_from_vminus
 from spinmtc.exactnum import Cyclotomic
 from spinmtc.fusion import FusionData, hom_unit_dim
+from spinmtc.verma import PBWMonomial
 
 
 def _brute_force_epsilon_table(data, vminus, chain):
@@ -25,6 +27,21 @@ def _brute_force_epsilon_table(data, vminus, chain):
 @pytest.fixture
 def brute_force_epsilon_table():
     return _brute_force_epsilon_table
+
+
+def _c2_monomials(lead: PBWMonomial) -> list[PBWMonomial]:
+    """(L_{-2})^i, then G_{-3/2} (L_{-2})^i, for each i where (L_{-2})^i lies
+    below ``lead``, the leading monomial of a minimal-model singular vector,
+    in degree: the monomials in L_{-2} and G_{-3/2} that it leaves standing."""
+    below = math.ceil(lead.degree / 2)  # the i >= 0 with 2i < degree
+    return [PBWMonomial((), (-2,) * i) for i in range(below)] + [
+        PBWMonomial((Fraction(-3, 2),), (-2,) * i) for i in range(below)
+    ]
+
+
+@pytest.fixture
+def c2_monomials():
+    return _c2_monomials
 
 
 def _pointed_ring(name: str, products: dict) -> FusionData:

@@ -28,6 +28,7 @@ from spinmtc.minimal import (
     central_charge,
     conformal_weight,
     enumerate_labels,
+    sector_counts,
     valid_pairs,
 )
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_epsilon_table, sphere_report, torus_dims
@@ -37,7 +38,6 @@ from spinmtc.verma import (
     PBWMonomial,
     VermaVector,
     apply_mode,
-    c2_generators,
     singular_vectors,
     straighten,
     verify_minimal_singular_vector,
@@ -245,20 +245,29 @@ def test_criterion_6_singular_vectors():
             time.perf_counter() - start, 60.0)
 
 
-def test_criterion_7_generator_counts():
+def test_criterion_7_generator_counts(c2_monomials):
     start = time.perf_counter()
     problems: list[str] = []
 
     models = list(valid_pairs(120))
     if len(models) != 55:
         problems.append(f"census: {len(models)} models with p*q <= 120")
+    solved = 0
     for spec in models:
-        _, count = c2_generators(spec.p, spec.q)
+        census = sum(sector_counts(spec))
         label_count = len(enumerate_labels(spec))
-        if count != label_count:
-            problems.append(
-                f"({spec.p},{spec.q}): {count} generators vs {label_count} labels"
-            )
+        if census != label_count:
+            problems.append(f"({spec.p},{spec.q}): census {census} vs {label_count} labels")
+        d = Fraction((spec.p - 1) * (spec.q - 1), 2)
+        if d > 12:  # the solves this budget allows: the first 12 models
+            continue
+        rep = singular_vectors(central_charge(spec), 0, d)
+        count = len(c2_monomials(rep.leading_monomial))
+        solved += 1
+        if count != census:
+            problems.append(f"({spec.p},{spec.q}): {count} generators vs {census} labels")
+    if solved != 12:
+        problems.append(f"solved {solved} models, expected 12")
 
     _finish(7, "generator count equals label count", problems, time.perf_counter() - start, 5.0)
 

@@ -6,10 +6,14 @@ import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from random import Random
 
 import pytest
 
+import spinmtc.fusion
 from spinmtc.catalog import BUILTIN_KEYS, builtin
+from spinmtc.clifford import classify_labels, clifford_structure, find_vminus, verify_block_structure
 from spinmtc.exactnum import Cyclotomic, zeta
 from spinmtc.fusion import (
     FormatError,
@@ -25,8 +29,17 @@ from spinmtc.fusion import (
     load_fusion,
     validate,
 )
+from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 
 ONE = Cyclotomic.from_rational(1)
+ZERO = Cyclotomic.from_rational(0)
+
+
+def _product(*keys: str) -> FusionData:
+    data = builtin(keys[0])
+    for key in keys[1:]:
+        data = deligne_product(data, builtin(key))
+    return data
 
 
 # --- catalog and serialization ----------------------------------------------
@@ -159,6 +172,98 @@ def test_validate_associativity_is_exact_for_large_multiplicities(big):
     assert vs[0].witness == _first_associativity_failure(data) == ("x", "x", "y", "y")
 
 
+def _validate_both_ways(data, monkeypatch):
+    """validate() as it runs, and with the generator path switched off."""
+    fast = validate(data)
+    with monkeypatch.context() as m:
+        m.setattr(spinmtc.fusion, "_span_generators", lambda *args: None)
+        full = validate(data)
+    return fast, full
+
+
+def _mutations(rng: Random, bases, count: int):
+    """Seeded single-entry mutations: a fusion multiplicity moved by one, one
+    entry's channel swapped for another label, or one quantum dimension changed."""
+    for n in range(count):
+        data = rng.choice(bases)
+        labels = data.labels
+        if n % 3 == 0:
+            key = tuple(rng.choice(labels) for _ in range(3))
+            v = data.n(*key) + rng.choice((-1, 1))
+            fusion = {k: m for k, m in data.fusion.items() if k != key}
+            if v:
+                fusion[key] = abs(v)
+            yield replace(data, fusion=fusion)
+        elif n % 3 == 1:
+            (i, j, k), v = rng.choice(sorted(data.fusion.items()))
+            fusion = {key: m for key, m in data.fusion.items() if key != (i, j, k)}
+            target = (i, j, rng.choice(labels))
+            fusion[target] = fusion.get(target, 0) + v
+            yield replace(data, fusion=fusion)
+        else:
+            lab = rng.choice(labels)
+            new = rng.choice([
+                Cyclotomic.from_rational(rng.randint(-2, 3)),
+                Cyclotomic(rng.choice((4, 5, 8, 16)), {rng.randint(0, 3): rng.randint(-2, 2)}),
+                Cyclotomic(8, {}),
+                data.qdim[rng.choice(labels)],
+            ])
+            yield replace(data, qdim={**data.qdim, lab: new})
+
+
+def test_validate_generator_path_matches_full_loop(monkeypatch):
+    # Associativity and the dimension equation checked on a generating set
+    # must report exactly what the full loops report, witnesses included.
+    calls = []
+    real = spinmtc.fusion._associativity_witness
+
+    def spy(labels, rules, pos, left=None):
+        witness = real(labels, rules, pos, left)
+        calls.append((left is not None, witness is None))
+        return witness
+
+    monkeypatch.setattr(spinmtc.fusion, "_associativity_witness", spy)
+    products = [_product("dirac", "dirac", "dirac"), _product("dirac", "fermion", "fermion"),
+                _product("fibonacci", "fermion", "fermion")]
+    cases = [builtin(key) for key in BUILTIN_KEYS] + products
+    cases += [_ring_xy(big) for big in (1, 2**32, 2**63, 2**200)]
+    bases = [builtin(key) for key in BUILTIN_KEYS] + [
+        _product("fermion", "fermion"), _product("fermion", "dirac"), products[1], products[2]]
+    cases += list(_mutations(Random(20261018), bases, 240))
+    outcomes = set()
+    for data in cases:
+        calls.clear()
+        fast, full = _validate_both_ways(data, monkeypatch)
+        assert fast == full, data.name
+        outcomes.add(calls[0] if calls else None)
+    # both generator-path verdicts, and inputs that skip it (unit axiom broken)
+    assert {(True, True), (True, False), (False, True)} <= outcomes
+
+
+def test_validate_broken_unit_runs_the_full_loop(monkeypatch):
+    # 1 x x = x + y breaks the unit axiom and associativity; the generator
+    # proof needs the unit axiom, so validate must not take that path.
+    data = _ring_xy(1)
+    data = replace(data, fusion={**data.fusion, ("1", "x", "y"): 1})
+
+    def refuse(*args):
+        raise AssertionError("generator path taken with a broken unit axiom")
+
+    monkeypatch.setattr(spinmtc.fusion, "_span_generators", refuse)
+    vs = validate(data)
+    assert [v.check for v in vs] == ["unit_axiom", "commutativity", "associativity", "dimension_equation"]
+    assert vs[2].witness == _first_associativity_failure(data) == ("1", "1", "x", "y")
+
+
+def test_span_generators_are_small_on_products():
+    # The generating sets behind the fast path: far fewer labels than the rank.
+    for keys, size in [(("dirac",) * 3, 3), (("dirac", "fermion", "fermion"), 5),
+                       (("fibonacci", "fermion", "fermion"), 5), (("fermion",), 2)]:
+        data = _product(*keys)
+        gens = spinmtc.fusion._span_generators(data.labels, data._rules, data.unit)
+        assert len(gens) == size, keys
+
+
 def test_validate_reports_wrong_qdim():
     f = builtin("fermion")
     vs = validate(replace(f, qdim={**f.qdim, "sigma": Cyclotomic.from_rational(2)}))
@@ -260,6 +365,26 @@ def test_fermion_smatrix_independent_of_sigma_twist():
         assert holds and alpha == Cyclotomic.from_rational(4)
 
 
+def test_smatrix_conductor_on_degenerate_data():
+    # The printed conductor is that of the product of cyclotomic values the
+    # s-matrix formula describes, also on data validate() would reject: an
+    # entry without channels is a conductor-1 zero, and a qdim that is a
+    # conductor-1 zero drops its label's twist.
+    f, t = builtin("fermion"), builtin("toric")
+    no_sigma = {key: v for key, v in f.fusion.items() if "sigma" not in key[:2]}
+    cases = [
+        (replace(f, fusion=no_sigma, twist={**f.twist, "sigma": Fraction(1, 3)}), 2),
+        (replace(f, qdim={lab: ZERO for lab in f.labels}), 1),
+        (replace(f, qdim={**f.qdim, "sigma": ZERO}), 16),
+        (replace(f, qdim={**f.qdim, "psi": Cyclotomic(12, {})}), 48),
+        (replace(t, qdim={**t.qdim, "e": Cyclotomic(5, {1: Fraction(1, 2)})}), 10),
+    ]
+    for data, conductor in cases:
+        s = compute_smatrix(data).data
+        assert s.conductor == conductor
+        assert all(x.conductor == conductor for row in s for x in row)
+
+
 def test_asymmetric_smatrix_is_rejected():
     nc = FusionData(
         name="noncomm",
@@ -317,6 +442,71 @@ def test_hom_unit_dim_cyclic_and_reversal_invariance():
             assert hom_unit_dim(data, rotated) == base, (key, chain)
             reversed_dual = tuple(data.dual[x] for x in reversed(chain))
             assert hom_unit_dim(data, reversed_dual) == base, (key, chain)
+
+
+@lru_cache(maxsize=None)
+def _verlinde_dims(keys: tuple[str, ...], length: int) -> dict[tuple[str, ...], Cyclotomic]:
+    """hom(1, a_1 x ... x a_n) = alpha^{-1} sum_x s_{0x}^{2-n} prod_i s_{a_i x}
+    for every chain of length 1..length, from the s-matrix alone (Verlinde)."""
+    data = _product(*keys)
+    s = compute_smatrix(data)
+    holds, alpha = check_s_squared(s, data)
+    assert holds, keys
+    rank, unit = data.rank, data.index(data.unit)
+    s0 = [s.data[unit, x] for x in range(rank)]
+    dims = {}
+    level = {(): [ONE] * rank}  # chain -> prod_i s_{a_i x}, by x
+    for n in range(1, length + 1):
+        weight = [s0[x] ** (2 - n) / alpha for x in range(rank)]
+        nxt = {}
+        for chain, prod in level.items():
+            for a, row in zip(data.labels, s.data):
+                nxt[chain + (a,)] = ext = [p * sx for p, sx in zip(prod, row)]
+                dims[chain + (a,)] = sum((w * e for w, e in zip(weight, ext)), ZERO)
+        level = nxt
+    return dims
+
+
+VERLINDE_CASES = [(("fermion",), 4), (("dirac",), 4), (("toric",), 4), (("fibonacci",), 4),
+                  (("fermion", "dirac"), 3)]
+
+
+@pytest.mark.parametrize("keys, length", VERLINDE_CASES)
+def test_verlinde_formula_matches_hom_unit_dim(keys, length):
+    # An oracle from the s-matrix for the fusion chains, exact in Q(zeta_N).
+    data = _product(*keys)
+    dims = _verlinde_dims(keys, length)
+    assert len(dims) == sum(data.rank ** n for n in range(1, length + 1))
+    for chain, value in dims.items():
+        assert value == hom_unit_dim(data, chain), (keys, chain)
+
+
+@pytest.mark.parametrize("keys, length", VERLINDE_CASES)
+def test_verlinde_formula_matches_sphere_component_dim(keys, length):
+    # A block of the spin sphere holds the chain and the chain with its first
+    # label flipped by the odd generator.
+    data = _product(*keys)
+    dims = _verlinde_dims(keys, length)
+    spins = [v for v in find_vminus(data) if clifford_structure(data, v).is_clifford]
+    assert spins or keys == ("fibonacci",)
+    for vminus in spins:
+        inv = clifford_structure(data, vminus).involution
+        for chain in dims:
+            want = dims[chain] + dims[(inv[chain[0]],) + chain[1:]]
+            assert sphere_report(SpinSphereSpec(data, vminus, chain)).component_dim == want, chain
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("keys", [("fermion",) * 5, ("dirac",) * 4])
+def test_category_checks_at_rank_250(keys):
+    # fermion^5 (rank 243) and dirac^4 (rank 256); run with -m slow.
+    data = _product(*keys)
+    assert validate(data) == []
+    s = compute_smatrix(data)
+    assert check_s_squared(s, data)[0]
+    vminus = find_vminus(data)[0]
+    assert clifford_structure(data, vminus).is_clifford
+    assert verify_block_structure(data, classify_labels(data, vminus), s).all_pass
 
 
 # --- Deligne products ------------------------------------------------------------

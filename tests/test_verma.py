@@ -17,7 +17,6 @@ from spinmtc.verma import (
     VermaError,
     VermaVector,
     apply_mode,
-    c2_generators,
     degree_basis,
     expected_leading_shape,
     filtration_key,
@@ -27,7 +26,7 @@ from spinmtc.verma import (
     verify_minimal_singular_vector,
 )
 from spinmtc.exactnum import _rref
-from spinmtc.minimal import MinimalModelSpec, central_charge
+from spinmtc.minimal import MinimalModelSpec, central_charge, sector_counts
 from spinmtc.verma import _action, _fold, _int_word, _nullspace, _primes
 
 C, H = Fraction(7, 10), Fraction(1, 10)
@@ -569,15 +568,17 @@ def test_minimal_models_up_to_degree_sixteen():
 # --- generator lists ---------------------------------------------------------------
 
 
-def test_c2_generators_frozen():
-    gens, count = c2_generators(2, 4)
-    assert [g.to_text() for g in gens] == ["1", "G[-3/2]"]
-    assert count == 2
-    gens, count = c2_generators(3, 5)
-    assert [g.to_text() for g in gens] == ["1", "L[-2]", "G[-3/2]", "G[-3/2] L[-2]"]
-    assert count == 4
-    gens, count = c2_generators(3, 7)
-    assert [g.to_text() for g in gens] == [
+def test_c2_generators_frozen(c2_monomials):
+    # The monomials in L_{-2} and G_{-3/2} below each computed leading
+    # monomial; their number is the label census of the model.
+    def gens(p, q):
+        out = c2_monomials(verify_minimal_singular_vector(p, q).leading_monomial)
+        assert len(out) == sum(sector_counts(MinimalModelSpec(p, q)))
+        return [g.to_text() for g in out]
+
+    assert gens(2, 4) == ["1", "G[-3/2]"]
+    assert gens(3, 5) == ["1", "L[-2]", "G[-3/2]", "G[-3/2] L[-2]"]
+    assert gens(3, 7) == [
         "1",
         "L[-2]",
         "L[-2] L[-2]",
@@ -585,4 +586,3 @@ def test_c2_generators_frozen():
         "G[-3/2] L[-2]",
         "G[-3/2] L[-2] L[-2]",
     ]
-    assert count == 6
