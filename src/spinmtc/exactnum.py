@@ -1,8 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N), plus exact linear algebra.
 
 The library's one Gaussian elimination is the sparse RREF kernel ``_rref``
-here, over Q, F_p or Q(zeta_N): ``CycMatrix.rank_det`` and the
-singular-vector solve of :mod:`spinmtc.verma` both run on it.
+here, over Q, F_p or Q(zeta_N): ``CycMatrix.rank_det``, the
+singular-vector solve of :mod:`spinmtc.verma` and, one row at a time through
+``_insert_row``, the generating-set search of :mod:`spinmtc.fusion` run on it.
 
 Elements are kept in the power basis of Q[x]/Phi_N(x), so zero tests and
 equality are exact coefficient comparisons.  Values of different conductor
@@ -526,18 +527,32 @@ def _rref(rows: Iterable[Row], p: int | None = None) -> tuple[dict[int, Row], li
     pivots: dict[int, Row] = {}
     raw: list[Any] = []
     for row in rows:
-        row = _reduce(row, pivots, p)
-        if not row:
-            continue
-        col = min(row)
-        raw.append(row[col])
-        inv = pow(row[col], -1, p) if p else 1 / row[col]
-        row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
-        for prow in pivots.values():
-            if col in prow:
-                _subtract(prow, prow[col], row, p)
-        pivots[col] = row
+        pivot = _insert_row(pivots, row, p)
+        if pivot is not None:
+            raw.append(pivot)
     return pivots, raw
+
+
+def _insert_row(pivots: dict[int, Row], row: Row, p: int | None = None) -> Any:
+    """One step of ``_rref``: add row to the reduced-echelon pivots in place.
+
+    The row is reduced, normalised to a unit pivot and substituted back into
+    the other pivot rows.  Returns its pivot value before normalisation, or
+    None when the row lies in the span of the pivots (nothing is added).
+    Entries of row must be nonzero.
+    """
+    row = _reduce(row, pivots, p)
+    if not row:
+        return None
+    col = min(row)
+    pivot = row[col]
+    inv = pow(pivot, -1, p) if p else 1 / pivot
+    row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
+    for prow in pivots.values():
+        if col in prow:
+            _subtract(prow, prow[col], row, p)
+    pivots[col] = row
+    return pivot
 
 
 # ---------------------------------------------------------------------------

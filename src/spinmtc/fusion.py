@@ -20,10 +20,11 @@ from typing import Mapping, Sequence
 from .exactnum import (
     Cyclotomic,
     CycMatrix,
+    Row,
     parse_fraction,
     _fraction_str,
+    _insert_row,
     _reduce_coeffs,
-    _subtract,
 )
 
 __all__ = [
@@ -229,24 +230,18 @@ def validate(data: FusionData) -> list[Violation]:
     # quantum dimension is a one-dimensional representation of the ring.
     # d(a b) = d(a) d(b) holds for every a once it holds for a in the
     # generating set: on words by associativity and d(unit) = 1, on their
-    # span by linearity.
+    # span by linearity.  As for associativity, a failure on the generating
+    # set reruns the full loop for the least witness.
     if data.qdim[data.unit] != 1:
         out.append(Violation("qdim", (data.unit,), "quantum dimension of the unit must be 1"))
         gens = None
-    for i in labels if gens is None else gens:
-        di = data.qdim[i]
-        for j in labels:
-            lhs_d = di * data.qdim[j]
-            rhs_d = Cyclotomic.from_rational(0)
-            for k, m in rules.get(i, empty).get(j, empty).items():
-                rhs_d = rhs_d + data.qdim[k] * m
-            if lhs_d != rhs_d:
-                out.append(Violation("dimension_equation", (i, j),
-                                     f"d({i})*d({j}) != sum of channel dimensions"))
-                break
-        else:
-            continue
-        break
+    if gens is not None and _dimension_witness(data.qdim, labels, rules, gens) is not None:
+        gens = None
+    witness = None if gens is not None else _dimension_witness(data.qdim, labels, rules)
+    if witness is not None:
+        i, j = witness
+        out.append(Violation("dimension_equation", witness,
+                             f"d({i})*d({j}) != sum of channel dimensions"))
 
     if data.twist[data.unit] % 1 != 0:
         out.append(Violation("twist", (data.unit,), "twist of the unit must vanish mod 1"))
@@ -276,45 +271,56 @@ def _span_generators(
     """
     p = _SPAN_PRIME
     col = {lab: n for n, lab in enumerate(labels)}
-    echelon: dict[int, dict[int, int]] = {}  # pivot column -> row with pivot 1
-
-    def insert(vec: Mapping[str, int]) -> bool:
-        row = {col[lab]: m % p for lab, m in vec.items() if m % p}
-        while row:
-            lead = min(row)
-            prow = echelon.get(lead)
-            if prow is None:
-                inv = pow(row[lead], -1, p)
-                echelon[lead] = {c: x * inv % p for c, x in row.items()}
-                return True
-            _subtract(row, row[lead], prow, p)
-        return False
-
+    echelon: dict[int, Row] = {}  # the span mod p, in reduced echelon form
     empty: dict[str, int] = {}
     gens: list[str] = []
-    words: list[dict[str, int]] = [{unit: 1}]  # the empty word
-    insert(words[0])
-    todo: list[tuple[str, dict[str, int]]] = []  # (g, word) with g w still to span
+    words: list[Row] = [{col[unit]: 1}]  # word vectors by label column; the empty word
+    _insert_row(echelon, words[0], p)
+    todo: list[tuple[str, Row]] = []  # (g, word) with g w still to span
     for lab in labels:
         if len(echelon) == len(labels):
             break
-        if not insert({lab: 1}):
+        if _insert_row(echelon, {col[lab]: 1}, p) is None:
             continue
         gens.append(lab)
         # lab times every nonempty word, and every generator times lab = lab 1
-        todo += [(lab, w) for w in words[1:]] + [(g, {lab: 1}) for g in gens]
-        words.append({lab: 1})
+        todo += [(lab, w) for w in words[1:]] + [(g, {col[lab]: 1}) for g in gens]
+        words.append({col[lab]: 1})
         while todo and len(echelon) < len(labels):
             g, w = todo.pop()
             left = rules.get(g, empty)
-            vec: dict[str, int] = {}
+            vec: Row = {}
             for b, m in w.items():
-                for k, v in left.get(b, empty).items():
-                    vec[k] = (vec.get(k, 0) + m * v) % p
-            if insert(vec):
+                for k, v in left.get(labels[b], empty).items():
+                    vec[col[k]] = (vec.get(col[k], 0) + m * v) % p
+            vec = {k: v for k, v in vec.items() if v}
+            if _insert_row(echelon, vec, p) is not None:
                 words.append(vec)
                 todo += [(h, vec) for h in gens]
     return gens
+
+
+def _dimension_witness(
+    qdim: Mapping[str, Cyclotomic],
+    labels: Sequence[str],
+    rules: Mapping[str, Mapping[str, Mapping[str, int]]],
+    left: Sequence[str] | None = None,
+) -> tuple[str, str] | None:
+    """The first (i, j) in row-major label order where d(i) d(j) differs from
+    the sum of N(i,j -> k) d(k); None if the dimension equation holds.
+
+    ``left`` restricts i to those labels (all labels by default).
+    """
+    empty: dict[str, int] = {}
+    for i in labels if left is None else left:
+        di = qdim[i]
+        for j in labels:
+            rhs = Cyclotomic.from_rational(0)
+            for k, m in rules.get(i, empty).get(j, empty).items():
+                rhs = rhs + qdim[k] * m
+            if di * qdim[j] != rhs:
+                return (i, j)
+    return None
 
 
 def _associativity_witness(
@@ -366,12 +372,13 @@ def compute_smatrix(data: FusionData) -> SMatrix:
 
     Each theta = e^{2 pi i t} is a root of unity, so an entry is
     sum_k N d_k e^{2 pi i (t_k - t_i - t_j)}: at conductor n, the terms of
-    d_k shifted in exponent by n (t_k - t_i - t_j), reduced once per entry.  Every entry gets the conductor that the product
-    of cyclotomic values in the formula above would have: the lcm of the
-    denominators of t_i and t_j and, per channel, of t_k and the conductor of
-    d_k.  A channel whose d_k is a conductor-1 zero adds nothing, and an
-    entry whose channels add only conductor 1 and sum to zero (one without
-    channels, say) is a conductor-1 zero.
+    d_k shifted in exponent by n (t_k - t_i - t_j), reduced once per entry.
+    Every entry gets the conductor that the product of cyclotomic values in
+    the formula above would have: the lcm of the denominators of t_i and t_j
+    and, per channel, of t_k and the conductor of d_k.  A channel whose d_k
+    is a conductor-1 zero adds nothing, and an entry whose channels add only
+    conductor 1 and sum to zero (one without channels, say) is a conductor-1
+    zero.
 
     Raises InconsistentDataError if the result is not symmetric.
     """

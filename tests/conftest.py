@@ -29,11 +29,11 @@ def brute_force_epsilon_table():
     return _brute_force_epsilon_table
 
 
-def _c2_monomials(lead: PBWMonomial) -> list[PBWMonomial]:
-    """(L_{-2})^i, then G_{-3/2} (L_{-2})^i, for each i where (L_{-2})^i lies
-    below ``lead``, the leading monomial of a minimal-model singular vector,
-    in degree: the monomials in L_{-2} and G_{-3/2} that it leaves standing."""
-    below = math.ceil(lead.degree / 2)  # the i >= 0 with 2i < degree
+def _c2_monomials(d: Fraction) -> list[PBWMonomial]:
+    """(L_{-2})^i, then G_{-3/2} (L_{-2})^i, for each i with 2i < d: the
+    monomials in L_{-2} and G_{-3/2} that the degree-d leading monomial of a
+    minimal-model singular vector leaves standing."""
+    below = math.ceil(d / 2)  # the i >= 0 with 2i < d
     return [PBWMonomial((), (-2,) * i) for i in range(below)] + [
         PBWMonomial((Fraction(-3, 2),), (-2,) * i) for i in range(below)
     ]

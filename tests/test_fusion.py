@@ -255,6 +255,32 @@ def test_validate_broken_unit_runs_the_full_loop(monkeypatch):
     assert vs[2].witness == _first_associativity_failure(data) == ("1", "1", "x", "y")
 
 
+def test_validate_dimension_witness_when_the_span_differs_mod_p(monkeypatch):
+    # Q[a, b, c] with a a = b + P c and every other product of a, b, c zero is
+    # associative, with generators a, c: modulo P = 2^61 - 1 the word a a is
+    # b, so b is skipped, yet b is not in the span of 1, a, a a over Q.  With
+    # d = (1, 0, P, -1), a passes the dimension equation and b and c fail;
+    # the least witness is (b, b), not the first generator failure (c, b).
+    big = spinmtc.fusion._SPAN_PRIME
+    labels = ("1", "a", "b", "c")
+    fusion = {("1", x, x): 1 for x in labels} | {(x, "1", x): 1 for x in labels}
+    fusion |= {("a", "a", "b"): 1, ("a", "a", "c"): big}
+    data = FusionData(
+        name="span_mod_p",
+        labels=labels,
+        unit="1",
+        dual={x: x for x in labels},
+        fusion=fusion,
+        twist={x: Fraction(0) for x in labels},
+        qdim=dict(zip(labels, map(Cyclotomic.from_rational, (1, 0, big, -1)))),
+    )
+    assert spinmtc.fusion._span_generators(labels, data._rules, "1") == ["a", "c"]
+    fast, full = _validate_both_ways(data, monkeypatch)
+    assert fast == full
+    assert [v.check for v in fast] == ["duality", "dimension_equation"]
+    assert fast[1].witness == ("b", "b")
+
+
 def test_span_generators_are_small_on_products():
     # The generating sets behind the fast path: far fewer labels than the rank.
     for keys, size in [(("dirac",) * 3, 3), (("dirac", "fermion", "fermion"), 5),

@@ -572,7 +572,7 @@ def test_c2_generators_frozen(c2_monomials):
     # The monomials in L_{-2} and G_{-3/2} below each computed leading
     # monomial; their number is the label census of the model.
     def gens(p, q):
-        out = c2_monomials(verify_minimal_singular_vector(p, q).leading_monomial)
+        out = c2_monomials(verify_minimal_singular_vector(p, q).leading_monomial.degree)
         assert len(out) == sum(sector_counts(MinimalModelSpec(p, q)))
         return [g.to_text() for g in out]
 
