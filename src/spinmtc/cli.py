@@ -9,12 +9,13 @@ path or a builtin key (a real file with the same name wins).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .catalog import BUILTIN_KEYS, builtin
 from .clifford import (
@@ -51,6 +52,7 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_DEGREE = 16
 MAX_PUNCTURES = 20  # the epsilon table has 2^n rows
+ROWS_PER_WRITE = 4096  # sphere writes its rows in blocks of this many
 MAX_DIGITS = 17  # a float holds about 17 significant digits
 
 
@@ -257,6 +259,14 @@ def _split_labels(text: str) -> tuple[str, ...]:
     return tuple(x for x in pieces if x)
 
 
+def _write_blocks(parts: Iterator[str], sep: str) -> None:
+    """Write ``sep.join(parts)`` to stdout, a block of parts at a time."""
+    lead = ""
+    while block := list(itertools.islice(parts, ROWS_PER_WRITE)):
+        sys.stdout.write(lead + sep.join(block))
+        lead = sep
+
+
 def _cmd_sphere(args: argparse.Namespace) -> int:
     labels = _split_labels(args.labels)
     if len(labels) > MAX_PUNCTURES:
@@ -264,12 +274,19 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
     data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     rep = sphere_report(SpinSphereSpec(data, vminus, labels))
-    obj = {
-        "category": data.name,
-        "vminus": vminus,
-        "boundary_labels": list(labels),
-        **rep.to_dict(),
-    }
+    rows = rep.epsilon_table.rows()
+    if args.format == "json":
+        obj = {
+            "category": data.name,
+            "vminus": vminus,
+            "boundary_labels": list(labels),
+            **rep.to_dict(table=False),
+        }
+        # as json.dumps(obj, indent=2) with the table, its last key, spliced in
+        sys.stdout.write(json.dumps(obj, indent=2)[:-2] + ',\n  "epsilon_table": {\n')
+        _write_blocks((f'    "{bits}": {val}' for bits, val in rows), ",\n")
+        sys.stdout.write("\n  }\n}\n")
+        return 0
     lines = [
         f"{data.name}: sphere with punctures {list(labels)}",
         f"  total dimension      {rep.total_dim}",
@@ -277,11 +294,11 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
         f"  odd punctures        {rep.lambda_rank} "
         f"(clifford algebra on {rep.lambda_class.generators} generators, "
         f"parity {rep.lambda_class.parity})",
-        "  epsilon table:",
+        "  epsilon table:\n",
     ]
-    for key, val in sorted(rep.epsilon_table.items()):
-        lines.append(f"    {''.join(str(b) for b in key)}  {val}")
-    _emit(obj, "\n".join(lines), args.format)
+    sys.stdout.write("\n".join(lines))
+    _write_blocks((f"    {bits}  {val}" for bits, val in rows), "\n")
+    sys.stdout.write("\n")
     return 0
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "clifford_structure",
     "classify_labels",
     "verify_block_structure",
-    "morita_parity",
 ]
 
 

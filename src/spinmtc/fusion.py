@@ -517,6 +517,9 @@ def deligne_product(a: FusionData, b: FusionData) -> FusionData:
 
 _ALLOWED_KEYS = {"name", "labels", "unit", "dual", "fusion", "twist", "qdim", "sigma_vv"}
 _REQUIRED_KEYS = {"name", "labels", "unit", "dual", "fusion", "twist", "qdim"}
+# Largest conductor (lcm of twist denominators and qdim conductors) a file may
+# declare: arithmetic mod Phi_N grows with N (README gives times at the cap).
+MAX_CONDUCTOR = 10_000
 
 
 def fusion_from_dict(obj: object) -> FusionData:
@@ -576,6 +579,11 @@ def fusion_from_dict(obj: object) -> FusionData:
     qdim_raw = obj["qdim"]
     if not isinstance(qdim_raw, dict):
         raise FormatError("qdim must map labels to cyclotomic values")
+    declared = [v.get("conductor") if isinstance(v, dict) else 1 for v in qdim_raw.values()]
+    conductor = math.lcm(*(t.denominator for t in twist.values()),
+                         *(c for c in declared if isinstance(c, int) and c > 0))
+    if conductor > MAX_CONDUCTOR:
+        raise FormatError(f"conductor {conductor} of {name!r} exceeds the limit {MAX_CONDUCTOR}")
     qdim: dict[str, Cyclotomic] = {}
     for lab, v in qdim_raw.items():
         if isinstance(v, dict):

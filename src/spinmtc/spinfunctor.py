@@ -13,19 +13,20 @@ commutes with fusion by every puncture label, so a chain with m flipped
 labels is v^(m mod 2) times the unflipped chain.  Each epsilon-table entry
 therefore depends only on the parity of epsilon, and the whole table comes
 from two fusion chains.  The commutation is checked on the input before the
-law is used.
+law is used; the table is a mapping that answers each key by its parity.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .clifford import CliffordAlgebraClass, classify_labels, clifford_structure
 from .fusion import FormatError, FusionData, InconsistentDataError, hom_unit_dim
 
 __all__ = [
+    "EpsilonTable",
     "SpinSphereSpec",
     "SpinSphereReport",
     "SpinTorusReport",
@@ -51,25 +52,49 @@ class SpinSphereSpec:
                 raise FormatError(f"unknown puncture label {lab!r}")
 
 
+class EpsilonTable(Mapping):
+    """Epsilon table of n punctures: an n-tuple of 0/1 maps to ``odd`` if its
+    sum is odd, else to ``even``; keys iterate sorted, and are never stored."""
+
+    def __init__(self, n: int, even: int, odd: int):
+        self.n, self.even, self.odd = n, even, odd
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product((0, 1), repeat=self.n)
+
+    def __getitem__(self, key: object) -> int:
+        if not (isinstance(key, tuple) and len(key) == self.n and all(b in (0, 1) for b in key)):
+            raise KeyError(key)
+        return self.odd if sum(key) % 2 else self.even
+
+    def rows(self) -> Iterator[tuple[str, int]]:
+        """(bit string, value) for every key, in sorted order."""
+        n, vals = self.n, (self.even, self.odd)
+        return ((format(i, f"0{n}b"), vals[i.bit_count() & 1]) for i in range(1 << n))
+
+
 @dataclass(frozen=True)
 class SpinSphereReport:
     total_dim: int
     component_dim: int
     lambda_rank: int
     lambda_class: CliffordAlgebraClass
-    epsilon_table: Mapping[tuple[int, ...], int]
+    epsilon_table: EpsilonTable
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, table: bool = True) -> dict:
+        """The report as JSON data; ``table=False`` leaves out the epsilon table."""
+        out = {
             "total_dim": self.total_dim,
             "component_dim": self.component_dim,
             "lambda_rank": self.lambda_rank,
             "lambda_class": self.lambda_class.to_dict(),
-            "epsilon_table": {
-                "".join(str(b) for b in key): val
-                for key, val in sorted(self.epsilon_table.items())
-            },
         }
+        if table:
+            out["epsilon_table"] = dict(self.epsilon_table.rows())
+        return out
 
 
 @dataclass(frozen=True)
@@ -89,7 +114,7 @@ def _require_clifford(data: FusionData, vminus: str):
     return st
 
 
-def sphere_epsilon_table(spec: SpinSphereSpec) -> dict[tuple[int, ...], int]:
+def sphere_epsilon_table(spec: SpinSphereSpec) -> EpsilonTable:
     """Unit multiplicity of the twisted label chain for every sign assignment.
 
     Key (e_1..e_n): label i is replaced by its involution image when e_i = 1.
@@ -106,8 +131,7 @@ def sphere_epsilon_table(spec: SpinSphereSpec) -> dict[tuple[int, ...], int]:
                                             f"with fusion at puncture {x!r} and label {j!r}")
     even = hom_unit_dim(data, labels)
     odd = hom_unit_dim(data, (inv[labels[0]],) + labels[1:])
-    keys = itertools.product((0, 1), repeat=len(labels))  # sorted
-    return {eps: odd if sum(eps) % 2 else even for eps in keys}
+    return EpsilonTable(len(labels), even, odd)
 
 
 def sphere_report(spec: SpinSphereSpec) -> SpinSphereReport:
@@ -118,7 +142,7 @@ def sphere_report(spec: SpinSphereSpec) -> SpinSphereReport:
     cls = classify_labels(spec.category, spec.vminus)
     table = sphere_epsilon_table(spec)
     n = len(spec.boundary_labels)
-    component = table[(0,) * n] + table[(1,) + (0,) * (n - 1)]
+    component = table.even + table.odd
     lam = sum(1 for lab in spec.boundary_labels if lab in cls.r_zero)
     return SpinSphereReport(
         total_dim=2 ** (n - 1) * component,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -13,9 +14,9 @@ import pytest
 import spinmtc
 
 from spinmtc.catalog import builtin
-from spinmtc.cli import MAX_PUNCTURES, main
+from spinmtc.cli import MAX_PUNCTURES, ROWS_PER_WRITE, main
 from spinmtc.clifford import find_vminus
-from spinmtc.fusion import deligne_product, dump_fusion
+from spinmtc.fusion import MAX_CONDUCTOR, deligne_product, dump_fusion
 from spinmtc.minimal import MinimalModelSpec, enumerate_labels
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 
@@ -263,7 +264,7 @@ def test_no_vminus_is_exit_1(capsys):
 def test_ambiguous_vminus_lists_candidates(capsys, tmp_path):
     # A product category with two odd generators requires --vminus.
     from spinmtc.catalog import builtin as make
-    from spinmtc.fusion import deligne_product, dump_fusion
+    from spinmtc.fusion import MAX_CONDUCTOR, deligne_product, dump_fusion
 
     prod = deligne_product(make("fermion"), make("fermion"))
     path = tmp_path / "prod.json"
@@ -501,3 +502,135 @@ def test_cli_import_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+# --- streamed sphere output --------------------------------------------------------
+
+
+def _sphere_json_oracle(data, vminus, labels) -> str:
+    rep = sphere_report(SpinSphereSpec(data, vminus, labels))
+    obj = {"category": data.name, "vminus": vminus, "boundary_labels": list(labels),
+           **rep.to_dict()}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _sphere_table_oracle(data, labels) -> str:
+    (vminus,) = find_vminus(data)
+    rep = sphere_report(SpinSphereSpec(data, vminus, labels))
+    lines = [
+        f"{data.name}: sphere with punctures {list(labels)}",
+        f"  total dimension      {rep.total_dim}",
+        f"  component dimension  {rep.component_dim}",
+        f"  odd punctures        {rep.lambda_rank} "
+        f"(clifford algebra on {rep.lambda_class.generators} generators, "
+        f"parity {rep.lambda_class.parity})",
+        "  epsilon table:",
+    ]
+    for key, val in sorted(rep.epsilon_table.items()):
+        lines.append(f"    {''.join(str(b) for b in key)}  {val}")
+    return "\n".join(lines) + "\n"
+
+
+def _builtin_chains(max_len):
+    for key in ("fermion", "dirac", "toric"):
+        data = builtin(key)
+        for n in range(1, max_len + 1):
+            for chain in itertools.product(data.labels, repeat=n):
+                yield key, data, chain
+
+
+def test_streamed_sphere_json_equals_whole_dump(capsys):
+    for key, data, chain in _builtin_chains(4):
+        (vminus,) = find_vminus(data)
+        code, out, _ = run(capsys, "sphere", key, "--labels", ",".join(chain), "--format", "json")
+        assert code == 0
+        assert out == _sphere_json_oracle(data, vminus, chain), (key, chain)
+
+
+def test_streamed_sphere_json_on_product_labels(capsys, tmp_path):
+    prod = deligne_product(builtin("dirac"), builtin("fermion"))
+    path = tmp_path / "prod.json"
+    path.write_text(dump_fusion(prod))
+    for vminus in find_vminus(prod):
+        for chain in itertools.product(prod.labels[:4], repeat=2):
+            argv = ["sphere", str(path), "--vminus", vminus, "--labels", ",".join(chain)]
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            assert out == _sphere_json_oracle(prod, vminus, chain), (vminus, chain)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "two-blocks"])
+def test_streamed_sphere_at_the_block_size(capsys, extra):
+    # 2^n rows fill exactly one write block, then spill into a second one
+    n = ROWS_PER_WRITE.bit_length() - 1 + extra
+    assert 2 ** n == ROWS_PER_WRITE * (1 + extra)
+    data, chain = builtin("fermion"), ("sigma", "psi") * (n // 2) + ("1",) * (n % 2)
+    for fmt, want in (("json", _sphere_json_oracle(data, "psi", chain)),
+                      ("table", _sphere_table_oracle(data, chain))):
+        code, out, _ = run(capsys, "sphere", "fermion", "--labels", ",".join(chain), "--format", fmt)
+        assert code == 0
+        assert out == want, fmt
+
+
+def test_streamed_sphere_table_keeps_its_line_format(capsys):
+    for key, data, chain in _builtin_chains(3):
+        code, out, _ = run(capsys, "sphere", key, "--labels", ",".join(chain))
+        assert code == 0
+        assert out == _sphere_table_oracle(data, chain), (key, chain)
+
+
+# A child's ru_maxrss counts its parent's resident set at the fork, so the
+# child is started from a small launcher rather than from the test process.
+_LAUNCHER = """import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_sphere_at_the_puncture_cap_runs_in_bounded_memory():
+    src = str(Path(spinmtc.__file__).resolve().parents[1])
+    labels = ("sigma",) * MAX_PUNCTURES
+    argv = [sys.executable, "-m", "spinmtc.cli", "sphere", "fermion", "--labels", ",".join(labels)]
+    launcher = subprocess.Popen([sys.executable, "-c", _LAUNCHER, *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    head = [launcher.stdout.readline() for _ in range(6)]
+    for last in launcher.stdout:
+        pass
+    code, maxrss_kb = map(int, launcher.stderr.read().split())
+    launcher.stdout.close()
+    launcher.stderr.close()
+    assert launcher.wait(timeout=60) == 0 and code == 0
+    table = sphere_report(SpinSphereSpec(builtin("fermion"), "psi", labels)).epsilon_table
+    assert head[4] == b"  epsilon table:\n"
+    assert head[5] == f"    {'0' * MAX_PUNCTURES}  {table.even}\n".encode()
+    assert last == f"    {'1' * MAX_PUNCTURES}  {table[(1,) * MAX_PUNCTURES]}\n".encode()
+    assert maxrss_kb < 100 * 1024, maxrss_kb  # KiB on Linux
+
+
+# --- conductor cap -------------------------------------------------------------------
+
+
+def _fermion_at_conductor(capsys, tmp_path, where) -> Path:
+    _, dump, _ = run(capsys, "builtin", "fermion")
+    doc = json.loads(dump)
+    if where == "qdim":
+        doc["qdim"]["sigma"] = {"conductor": 10**11, "terms": [[0, "1"]]}
+    else:
+        doc["twist"]["sigma"] = "1/30030"
+    path = tmp_path / f"huge_{where}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("where, conductor", [("qdim", 10**11), ("twist", 120120)])
+@pytest.mark.parametrize(
+    "argv",
+    [("validate",), ("smatrix",), ("classify",), ("torus",), ("sphere", "--labels", "sigma,sigma")],
+    ids=["validate", "smatrix", "classify", "torus", "sphere"],
+)
+def test_conductor_beyond_the_cap_is_exit_2(capsys, tmp_path, argv, where, conductor):
+    path = _fermion_at_conductor(capsys, tmp_path, where)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert f"conductor {conductor} of 'fermion' exceeds the limit {MAX_CONDUCTOR}" in err

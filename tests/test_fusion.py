@@ -16,6 +16,7 @@ from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import classify_labels, clifford_structure, find_vminus, verify_block_structure
 from spinmtc.exactnum import Cyclotomic, zeta
 from spinmtc.fusion import (
+    MAX_CONDUCTOR,
     FormatError,
     FusionData,
     InconsistentDataError,
@@ -70,6 +71,25 @@ def test_dict_round_trip_is_canonical():
     for key in BUILTIN_KEYS:
         d = fusion_to_dict(builtin(key))
         assert fusion_from_dict(json.loads(json.dumps(d))) == builtin(key)
+
+
+def test_conductor_cap():
+    # the Deligne products the benchmark writes load, at conductors 8, 16 and 80
+    for keys, conductor in ((("dirac",) * 3, 8), (("dirac", "fermion", "fermion"), 16),
+                            (("fibonacci", "fermion", "fermion"), 80)):
+        data = _product(*keys)
+        assert fusion_from_dict(json.loads(dump_fusion(data))) == data
+        assert compute_smatrix(data).data.conductor == conductor
+    doc = fusion_to_dict(builtin("fermion"))
+    doc["twist"]["sigma"] = f"1/{MAX_CONDUCTOR}"  # lcm with 16 and 8: the cap itself
+    assert fusion_from_dict(doc).twist["sigma"] == Fraction(1, MAX_CONDUCTOR)
+    doc["twist"]["sigma"] = f"1/{MAX_CONDUCTOR + 16}"
+    with pytest.raises(FormatError, match=f"conductor {MAX_CONDUCTOR + 16} of 'fermion' exceeds"):
+        fusion_from_dict(doc)
+    doc["twist"]["sigma"] = "1/16"
+    doc["qdim"]["psi"] = {"conductor": 3 * MAX_CONDUCTOR, "terms": [[0, "1"]]}
+    with pytest.raises(FormatError, match=f"conductor {3 * MAX_CONDUCTOR} of 'fermion'"):
+        fusion_from_dict(doc)
 
 
 def test_strict_format_rejections():

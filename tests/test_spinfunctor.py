@@ -12,6 +12,7 @@ from spinmtc.catalog import builtin
 from spinmtc.clifford import classify_labels, find_vminus
 from spinmtc.fusion import FormatError, InconsistentDataError, deligne_product, hom_unit_dim
 from spinmtc.spinfunctor import (
+    EpsilonTable,
     SpinSphereSpec,
     sphere_epsilon_table,
     sphere_report,
@@ -155,6 +156,22 @@ def test_epsilon_table_fuses_two_chains_whatever_the_puncture_count(monkeypatch)
         assert len(table) == 2 ** n
         assert list(table) == sorted(table)
         assert len(calls) == 2, n
+
+
+def test_epsilon_table_is_a_parity_law_mapping(brute_force_epsilon_table):
+    data, chain = builtin("fermion"), ("sigma", "psi", "sigma", "1")
+    table = sphere_epsilon_table(SpinSphereSpec(data, "psi", chain))
+    assert isinstance(table, EpsilonTable)
+    assert len(table) == 16
+    assert list(table) == sorted(itertools.product((0, 1), repeat=4))
+    assert table == brute_force_epsilon_table(data, "psi", chain)
+    assert list(table.rows()) == [("".join(map(str, k)), v) for k, v in table.items()]
+    for key in [(0, 1, 0), (0, 1, 0, 1, 0), (0, 2, 0, 0), (0, -1, 0, 0), [0, 1, 0, 1], "0101", 5]:
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
+    odd = EpsilonTable(3, 7, 5)
+    assert dict(odd) == {k: 5 if sum(k) % 2 else 7 for k in itertools.product((0, 1), repeat=3)}
 
 
 def test_noncommuting_odd_generator_is_inconsistent(skew, brute_force_epsilon_table):
