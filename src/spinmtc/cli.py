@@ -32,7 +32,6 @@ from .fusion import (
     check_s_squared,
     compute_smatrix,
     dump_fusion,
-    fusion_to_dict,
     load_fusion,
     validate,
 )
@@ -177,19 +176,16 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
         grid.append([lab] + [str(x) for x in row])
     lines = [_grid(grid)]
     if args.numeric:
+        digits = args.numeric
+        numeric = [[_fmt_complex(embed_numeric(x, digits), digits) for x in row] for row in s.data]
         obj["numeric"] = {
-            "digits": args.numeric,
+            "digits": digits,
             "note": "floating-point annotations; not authoritative",
-            "entries": [
-                [_fmt_complex(embed_numeric(x, args.numeric), args.numeric) for x in row]
-                for row in s.data
-            ],
+            "entries": numeric,
         }
         ngrid = [[""] + list(data.labels)]
-        for lab, row in zip(data.labels, s.data):
-            ngrid.append(
-                [lab] + [f"~{_fmt_complex(embed_numeric(x, args.numeric), args.numeric)}" for x in row]
-            )
+        for lab, row in zip(data.labels, numeric):
+            ngrid.append([lab] + [f"~{x}" for x in row])
         lines += ["", "numeric (not authoritative):", _grid(ngrid)]
     if holds:
         lines.append(f"s^2 = alpha * conjugation with alpha = {alpha}")
@@ -437,11 +433,7 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
 
 
 def _cmd_builtin(args: argparse.Namespace) -> int:
-    data = builtin(args.key)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(fusion_to_dict(data), indent=2) + "\n")
-    else:
-        sys.stdout.write(dump_fusion(data))
+    sys.stdout.write(dump_fusion(builtin(args.key)))
     return 0
 
 

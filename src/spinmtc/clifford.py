@@ -103,31 +103,27 @@ def find_vminus(data: FusionData) -> list[str]:
 
     Returned in the input label order.
     """
-    out = []
-    for lab in data.labels:
-        if lab == data.unit:
-            continue
-        if data.n(lab, lab, data.unit) != 1:
-            continue
-        total = sum(v for (i, j, _k), v in data.fusion.items() if i == lab and j == lab and v)
-        if total != 1:
-            continue
-        if data.twist[lab] % 1 != Fraction(1, 2):
-            continue
-        out.append(lab)
-    return out
+    rules = data._rules
+    return [
+        lab
+        for lab in data.labels
+        if lab != data.unit
+        and rules.get(lab, {}).get(lab) == {data.unit: 1}
+        and data.twist[lab] % 1 == Fraction(1, 2)
+    ]
 
 
 def involution_from_vminus(data: FusionData, vminus: str) -> dict[str, str]:
     """The label involution M -> vminus x M; requires a free action."""
+    left = data._rules.get(vminus, {})
     inv: dict[str, str] = {}
     for lab in data.labels:
-        images = [k for k in data.labels if data.n(vminus, lab, k)]
-        if len(images) != 1 or data.n(vminus, lab, images[0]) != 1:
+        images = left.get(lab, {})
+        if list(images.values()) != [1]:
             raise InconsistentDataError(
                 f"tensoring by {vminus!r} does not permute labels freely at {lab!r}"
             )
-        inv[lab] = images[0]
+        inv[lab] = next(iter(images))
     for lab in data.labels:
         if inv[inv[lab]] != lab:
             raise InconsistentDataError(
@@ -142,7 +138,11 @@ def compute_zeta(data: FusionData, vminus: str) -> dict[str, int]:
     The ratio of twists is an exact root of unity; a value other than +-1
     means the input is not consistent fermionic data.
     """
-    inv = involution_from_vminus(data, vminus)
+    return _zeta(data, involution_from_vminus(data, vminus))
+
+
+def _zeta(data: FusionData, inv: Mapping[str, str]) -> dict[str, int]:
+    """``compute_zeta`` for the involution inv of the odd generator."""
     zeta: dict[str, int] = {}
     for lab in data.labels:
         delta = (data.twist[inv[lab]] - data.twist[lab]) % 1
@@ -169,9 +169,8 @@ def clifford_structure(data: FusionData, vminus: str) -> CliffordStructure:
             f"{vminus!r} is not an admissible odd generator for {data.name!r}"
         )
     inv = involution_from_vminus(data, vminus)
-    zeta = compute_zeta(data, vminus)
     sigma = data.sigma_vv if data.sigma_vv is not None else -1
-    return CliffordStructure(vminus=vminus, sigma_vv=sigma, involution=inv, zeta=zeta)
+    return CliffordStructure(vminus=vminus, sigma_vv=sigma, involution=inv, zeta=_zeta(data, inv))
 
 
 def classify_labels(data: FusionData, vminus: str) -> LabelClassification:

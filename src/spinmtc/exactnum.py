@@ -10,6 +10,11 @@ equality are exact coefficient comparisons.  Values of different conductor
 are rebased to the least common multiple before they are combined.  All
 objects here are immutable once constructed and safe to share freely.
 
+Reduction modulo Phi_N folds exponents mod N (x^N = 1), then divides out the
+monic Phi_N from the top exponent down, in integers over one common
+denominator.  Phi_N is built prime by prime, and each conductor caches only
+Phi_N and its nonzero lower terms: O(phi(N)) ints.
+
 Floating-point only ever appears in :func:`embed_numeric`, which is a
 display/diagnostic aid and never feeds a correctness decision.
 """
@@ -40,35 +45,55 @@ class ExactNumError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (dense, constant term first)
+# dense polynomial helpers (constant term first)
 
 
-def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    # den is monic; the division must be exact
+def _poly_divmod(num: Sequence[Any], den: Sequence[Any]) -> tuple[list[Any], list[Any]]:
+    """Quotient and remainder of num by den, from the top exponent down.
+
+    Only den's nonzero lower terms are subtracted.  With a monic den, int
+    inputs give int outputs.
+    """
     num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        coef = num[k + dd]
-        out[k] = coef
+    deg = len(den) - 1
+    lead = den[-1]
+    low = [(j, c) for j, c in enumerate(den[:deg]) if c]
+    quot = [0] * max(len(num) - deg, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        coef = num[k + deg] if lead == 1 else num[k + deg] / lead
         if coef:
-            for j in range(dd + 1):
-                num[k + j] -= coef * den[j]
-    if any(num[:dd]):
-        raise ExactNumError("inexact polynomial division")
+            quot[k] = coef
+            for j, c in low:
+                num[k + j] -= coef * c
+    return quot, num[:deg]
+
+
+def _stretch(poly: Sequence[int], k: int) -> list[int]:
+    """poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
     return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    Built prime by prime from Phi_1 = x - 1: Phi_mp(x) = Phi_m(x^p) / Phi_m(x)
+    for a prime p not dividing m, up to the product r of n's primes; then
+    Phi_n(x) = Phi_r(x^(n/r)).
+    """
     if n < 1:
         raise ExactNumError(f"conductor must be a positive integer, got {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    poly, r = [-1, 1], 1
+    for p in range(2, n + 1):
+        # a divisor p of n is prime when no smaller prime of n (all in r) divides it
+        if n % p == 0 and math.gcd(p, r) == 1:
+            poly, rem = _poly_divmod(_stretch(poly, p), poly)
+            if any(rem):
+                raise ExactNumError("inexact polynomial division")
+            r *= p
+    return tuple(_stretch(poly, n // r))
 
 
 def phi_degree(n: int) -> int:
@@ -77,21 +102,10 @@ def phi_degree(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^j mod Phi_n for deg(Phi_n) <= j < n, as integer coefficient rows."""
+def _phi_lower_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_n, and the nonzero (exponent, coefficient) terms below its monic top."""
     poly = cyclotomic_polynomial(n)
-    deg = len(poly) - 1
-    rows: list[tuple[int, ...]] = []
-    cur = [-c for c in poly[:deg]]
-    rows.append(tuple(cur))
-    for _ in range(deg + 1, n):
-        top = cur[deg - 1] if deg else 0
-        cur = [0] + cur[: deg - 1]
-        if top:
-            base = rows[0]
-            cur = [cur[i] + top * base[i] for i in range(deg)]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    return len(poly) - 1, tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +127,12 @@ class Cyclotomic:
         if _canonical:
             object.__setattr__(self, "_coeffs", dict(coeffs))
         else:
+            # reduced in integers over one common denominator
             raw = {int(e): Fraction(c) for e, c in coeffs.items()}
-            object.__setattr__(self, "_coeffs", _reduce_coeffs(conductor, raw))
+            den = math.lcm(1, *(c.denominator for c in raw.values()))
+            ints = {e: c.numerator * (den // c.denominator) for e, c in raw.items()}
+            reduced = _reduce_coeffs(conductor, ints)
+            object.__setattr__(self, "_coeffs", {e: Fraction(c, den) for e, c in reduced.items()})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cyclotomic is immutable")
@@ -157,7 +175,9 @@ class Cyclotomic:
         if m % n:
             raise ExactNumError(f"cannot rebase conductor {n} to non-multiple {m}")
         k = m // n
-        return Cyclotomic(m, {e * k: c for e, c in self._coeffs.items()})
+        coeffs = {e * k: c for e, c in self._coeffs.items()}
+        # already canonical when every exponent stays below phi(m)
+        return Cyclotomic(m, coeffs, _canonical=max(coeffs, default=0) < phi_degree(m))
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
@@ -329,25 +349,23 @@ class Cyclotomic:
         return cls(conductor, raw)
 
 
-def _reduce_coeffs(n: int, raw: Mapping[int, Fraction | int]) -> dict[int, Fraction | int]:
-    """Power-basis coefficients mod Phi_n; int inputs give int outputs."""
-    deg = phi_degree(n)
-    dense: list[Fraction | int] = [0] * deg
-    rows = None
+def _reduce_coeffs(n: int, raw: Mapping[int, int]) -> dict[int, int]:
+    """Integer power-basis coefficients mod Phi_n.
+
+    Exponents are folded mod n (x^n = 1), then the monic Phi_n is divided out
+    from the top exponent down.
+    """
+    deg, low = _phi_lower_terms(n)
+    dense = [0] * n
     for e, coef in raw.items():
-        if not coef:
-            continue
-        e %= n
-        if e < deg:
-            dense[e] += coef
-        else:
-            if rows is None:
-                rows = _reduction_rows(n)
-            row = rows[e - deg]
-            for i, ri in enumerate(row):
-                if ri:
-                    dense[i] += coef * ri
-    return {i: c for i, c in enumerate(dense) if c}
+        dense[e % n] += coef
+    for k in range(n - 1, deg - 1, -1):
+        coef = dense[k]
+        if coef:
+            base = k - deg
+            for j, c in low:
+                dense[base + j] -= coef * c
+    return {i: c for i, c in enumerate(dense[:deg]) if c}
 
 
 def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
@@ -358,22 +376,10 @@ def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fracti
             p.pop()
         return p
 
-    def divmod_poly(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        num = num[:]
-        q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-        lead = den[-1]
-        for k in range(len(q) - 1, -1, -1):
-            coef = num[k + len(den) - 1] / lead
-            q[k] = coef
-            if coef:
-                for j, dj in enumerate(den):
-                    num[k + j] -= coef * dj
-        return trim(q), trim(num[: len(den) - 1])
-
     r0, r1 = trim(modulus[:]), trim(a[:])
     s0, s1 = [], [Fraction(1)]
     while r1:
-        q, r = divmod_poly(r0, r1)
+        q, r = map(trim, _poly_divmod(r0, r1))
         r0, r1 = r1, r
         # s_new = s0 - q*s1
         prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []

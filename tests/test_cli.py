@@ -611,6 +611,40 @@ def test_sphere_at_the_puncture_cap_runs_in_bounded_memory():
 # --- conductor cap -------------------------------------------------------------------
 
 
+def _fermion_with_sigma_twist(capsys, tmp_path, conductor) -> Path:
+    _, dump, _ = run(capsys, "builtin", "fermion")
+    doc = json.loads(dump)
+    doc["twist"]["sigma"] = f"1/{conductor}"
+    path = tmp_path / f"fermion_{conductor}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_smatrix_at_the_conductor_cap_runs_in_bounded_memory(capsys, tmp_path):
+    # Reduction mod Phi_N may keep only O(phi(N)) ints per conductor: a table
+    # of x^j mod Phi_N for every j < N holds about N^2/4 ints, near 290 MB here.
+    path = _fermion_with_sigma_twist(capsys, tmp_path, 9808)
+    src = str(Path(spinmtc.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "spinmtc.cli", "smatrix", str(path), "--format", "json"]
+    done = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    code, maxrss_kb = map(int, done.stderr.split())
+    assert done.returncode == 0 and code == 0
+    report = json.loads(done.stdout)
+    assert report["conductor"] == 9808 and report["squares_to_conjugation"] is True
+    assert maxrss_kb < 100 * 1024, maxrss_kb  # KiB on Linux
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("conductor", [9240, 9520, 9808])
+def test_smatrix_at_the_conductor_cap(capsys, tmp_path, conductor):
+    path = _fermion_with_sigma_twist(capsys, tmp_path, conductor)
+    code, out, err = run(capsys, "smatrix", str(path), "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["conductor"] == conductor and report["squares_to_conjugation"] is True
+
+
 def _fermion_at_conductor(capsys, tmp_path, where) -> Path:
     _, dump, _ = run(capsys, "builtin", "fermion")
     doc = json.loads(dump)

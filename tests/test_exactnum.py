@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from spinmtc.exactnum import (
     root_of_unity,
     zeta,
 )
+from spinmtc.exactnum import _reduce_coeffs
 
 ONE = Cyclotomic.from_rational(1)
 ZERO = Cyclotomic.from_rational(0)
@@ -31,21 +33,23 @@ ZERO = Cyclotomic.from_rational(0)
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
 def _poly_rem(num, den):
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
+    # over a monic den, integer inputs stay integers
+    num = list(num)
     while num and num[-1] == 0:
         num.pop()
     while len(num) >= len(den):
-        lead = num[-1] / den[-1]
+        lead = num[-1] if den[-1] == 1 else Fraction(num[-1]) / den[-1]
         shift = len(num) - len(den)
         for i, d in enumerate(den):
-            num[shift + i] -= lead * d
+            if d:
+                num[shift + i] -= lead * d
         while num and num[-1] == 0:
             num.pop()
         if not num:
@@ -72,7 +76,7 @@ def test_cyclotomic_polynomial_first_exotic_coefficient():
 
 
 def test_cyclotomic_product_recovers_xn_minus_1():
-    for n in range(1, 65):
+    for n in range(1, 301):
         prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:
@@ -86,6 +90,12 @@ def test_phi_degree_matches_polynomial_degree():
         assert phi_degree(n) == len(cyclotomic_polynomial(n)) - 1
 
 
+@pytest.mark.parametrize("n, totient", [(9240, 1920), (9808, 4896)])
+def test_phi_degree_is_the_totient_at_the_conductor_cap(n, totient):
+    assert sum(math.gcd(k, n) == 1 for k in range(1, n + 1)) == totient
+    assert phi_degree(n) == len(cyclotomic_polynomial(n)) - 1 == totient
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     n=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 24]),
@@ -96,6 +106,31 @@ def test_reduction_sound_against_polynomial_remainder(n, coeffs):
     value = Cyclotomic(n, {e: c for e, c in enumerate(coeffs)})
     rem = _poly_rem(coeffs, list(cyclotomic_polynomial(n)))
     assert (value == ZERO) == (not rem)
+
+
+@pytest.mark.parametrize("n", [105, 165, 210, 385, 1155, 2310])
+def test_reduction_equals_polynomial_remainder(n):
+    # Whole canonical forms, for sparse integer polynomials with exponents up
+    # to 2n, so that folding by x^n = 1 is exercised as well as the division.
+    rng = random.Random(n)
+    deg = phi_degree(n)
+    for terms in ([(deg, 1)], [(n - 1, 1)], [(n, 1)], [(2 * n, -3)]) + tuple(
+        [(rng.randrange(2 * n + 1), rng.randint(-9, 9)) for _ in range(8)] for _ in range(2)
+    ):
+        raw: dict[int, int] = {}
+        dense = [0] * (2 * n + 1)
+        for e, c in terms:
+            raw[e] = raw.get(e, 0) + c
+            dense[e] += c
+        rem = _poly_rem(dense, cyclotomic_polynomial(n))
+        want = {i: c for i, c in enumerate(rem) if c}
+        got = _reduce_coeffs(n, raw)
+        assert got == want, (n, terms)
+        # the packed matmul feeds int coefficients and relies on ints back
+        assert all(type(c) is int for c in got.values())
+        assert Cyclotomic(n, raw).coefficients() == want
+        sixths = {e: Fraction(c, 6) for e, c in raw.items()}
+        assert Cyclotomic(n, sixths).coefficients() == {i: Fraction(c, 6) for i, c in want.items()}
 
 
 # --- roots of unity ----------------------------------------------------------
