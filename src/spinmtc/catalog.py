@@ -36,16 +36,8 @@ def _group_category(name: str, elements: list[str], add, neg, twist) -> FusionDa
 
 
 def _trivial() -> FusionData:
-    one = Cyclotomic.from_rational(1)
-    return FusionData(
-        name="trivial",
-        labels=("1",),
-        unit="1",
-        dual={"1": "1"},
-        fusion={("1", "1", "1"): 1},
-        twist={"1": Fraction(0)},
-        qdim={"1": one},
-    )
+    """The trivial group: one label, its own unit and dual."""
+    return _group_category("trivial", ["1"], add=lambda i, j: 0, neg=lambda i: 0, twist=[0])
 
 
 def _fermion() -> FusionData:

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -38,7 +39,6 @@ from .fusion import (
 from .minimal import (
     MinimalModelSpec,
     central_charge,
-    enumerate_labels,
     model_to_dict,
     sector_counts,
     valid_pairs,
@@ -51,6 +51,7 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_DEGREE = 16
 MAX_PUNCTURES = 20  # the epsilon table has 2^n rows
+MAX_PQ = 100_000  # bounds p*q for minimal and minimal-scan; output grows with it
 ROWS_PER_WRITE = 4096  # sphere writes its rows in blocks of this many
 MAX_DIGITS = 17  # a float holds about 17 significant digits
 
@@ -74,8 +75,10 @@ def _load_category(arg: str) -> FusionData:
 
 
 def _load_known_category(arg: str) -> FusionData:
-    """As ``_load_category``, but fusion rules naming unknown labels, and
-    ``dual``, ``twist`` or ``qdim`` maps missing a label, are format errors.
+    """As ``_load_category``, but fusion rules naming unknown labels,
+    ``dual``, ``twist`` or ``qdim`` maps missing a label, repeated labels, a
+    unit that is not a label and ``dual`` values that are not labels are
+    format errors.
 
     ``validate`` reports these as violations; the other commands cannot
     compute with them.
@@ -90,6 +93,16 @@ def _load_known_category(arg: str) -> FusionData:
         if missing:
             names = ", ".join(map(repr, missing))
             raise FormatError(f"{name} of {data.name!r} has no entry for label {names}")
+    repeated = sorted(lab for lab, n in Counter(data.labels).items() if n > 1)
+    if repeated:
+        names = ", ".join(map(repr, repeated))
+        raise FormatError(f"labels of {data.name!r} repeat label {names}")
+    if data.unit not in data.labels:
+        raise FormatError(f"unit {data.unit!r} of {data.name!r} is not a label")
+    unknown = sorted({data.dual[lab] for lab in data.labels} - set(data.labels))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise FormatError(f"dual of {data.name!r} maps to unknown label {names}")
     return data
 
 
@@ -319,25 +332,22 @@ def _require_model(p: int, q: int) -> MinimalModelSpec:
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
     spec = _require_model(args.p, args.q)
+    if spec.p * spec.q > MAX_PQ:
+        raise CliError(2, f"p*q = {spec.p * spec.q} exceeds the limit {MAX_PQ}")
     obj = model_to_dict(spec)
+    c = central_charge(spec)
     if args.numeric:
         obj["numeric"] = {
             "digits": args.numeric,
             "note": "floating-point annotations; not authoritative",
-            "c": f"{float(central_charge(spec)):.{args.numeric}g}",
+            "c": f"{float(c):.{args.numeric}g}",
         }
-    labels = enumerate_labels(spec)
     rows = [["sector", "(r,s)", "h", "split"]]
-    for lab in labels:
-        rows.append(
-            [
-                lab.sector,
-                f"({lab.r},{lab.s})",
-                str(lab.h),
-                "" if lab.split is None else str(lab.split).lower(),
-            ]
-        )
-    table = f"minimal model ({spec.p},{spec.q}): c = {central_charge(spec)}\n" + _grid(rows)
+    for sector, key in (("NS", "ns"), ("R", "r")):
+        for lab in obj[key]:
+            split = str(lab.get("split", "")).lower()
+            rows.append([sector, f"({lab['r']},{lab['s']})", str(parse_fraction(lab["h"])), split])
+    table = f"minimal model ({spec.p},{spec.q}): c = {c}\n" + _grid(rows)
     _emit(obj, table, args.format)
     return 0
 
@@ -358,6 +368,8 @@ def _scan_row(spec: MinimalModelSpec) -> dict:
 def _cmd_minimal_scan(args: argparse.Namespace) -> int:
     if args.max_pq < 4:
         raise CliError(2, "--max-pq must be at least 4")
+    if args.max_pq > MAX_PQ:
+        raise CliError(2, f"--max-pq {args.max_pq} exceeds the limit {MAX_PQ}")
     models = list(map(_scan_row, valid_pairs(args.max_pq)))
     obj = {"max_pq": args.max_pq, "count": len(models), "models": models}
     rows = [["p", "q", "c", "NS", "R", "split"]]

@@ -25,7 +25,6 @@ __all__ = [
     "BlockReport",
     "find_vminus",
     "involution_from_vminus",
-    "compute_zeta",
     "clifford_structure",
     "classify_labels",
     "verify_block_structure",
@@ -132,17 +131,13 @@ def involution_from_vminus(data: FusionData, vminus: str) -> dict[str, str]:
     return inv
 
 
-def compute_zeta(data: FusionData, vminus: str) -> dict[str, int]:
-    """The sign -theta(vminus x M)/theta(M) for every label M.
+def _zeta(data: FusionData, inv: Mapping[str, str]) -> dict[str, int]:
+    """The sign -theta(vminus x M)/theta(M) for every label M, where inv is
+    the involution M -> vminus x M of the odd generator.
 
     The ratio of twists is an exact root of unity; a value other than +-1
     means the input is not consistent fermionic data.
     """
-    return _zeta(data, involution_from_vminus(data, vminus))
-
-
-def _zeta(data: FusionData, inv: Mapping[str, str]) -> dict[str, int]:
-    """``compute_zeta`` for the involution inv of the odd generator."""
     zeta: dict[str, int] = {}
     for lab in data.labels:
         delta = (data.twist[inv[lab]] - data.twist[lab]) % 1

@@ -600,10 +600,6 @@ class CycMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "CycMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key: tuple[int, int]) -> Cyclotomic:
         i, j = key
         return self.entries[i][j]
@@ -668,9 +664,6 @@ class CycMatrix:
                 out_row.append(Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True))
             out.append(out_row)
         return CycMatrix(out, shape=(self.rows, other.cols))
-
-    def scaled(self, factor: Scalar) -> "CycMatrix":
-        return CycMatrix([[x * factor for x in row] for row in self.entries], shape=(self.rows, self.cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "CycMatrix":
         return CycMatrix(

@@ -110,14 +110,6 @@ class FusionData:
                 rules.setdefault(i, {}).setdefault(j, {})[k] = v
         return rules
 
-    def fusion_matrix(self, label: str) -> tuple[tuple[int, ...], ...]:
-        """Matrix of left fusion by ``label``: rows j, cols k."""
-        self.index(label)  # unknown labels are format errors
-        left = self._rules.get(label, {})
-        return tuple(
-            tuple(left.get(j, {}).get(k, 0) for k in self.labels) for j in self.labels
-        )
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -151,6 +143,9 @@ def validate(data: FusionData) -> list[Violation]:
             out.append(Violation(name, tuple(sorted(missing)), f"{name} missing for these labels"))
         if extra:
             out.append(Violation(name, tuple(sorted(extra)), f"{name} defined for unknown labels"))
+    unknown = sorted(lab for lab in label_set & set(data.dual) if data.dual[lab] not in label_set)
+    if unknown:
+        out.append(Violation("dual", tuple(unknown), "dual maps these labels to unknown labels"))
 
     for key, v in data.fusion.items():
         if len(key) != 3 or any(lab not in label_set for lab in key):

@@ -90,12 +90,6 @@ class MinimalLabel:
     h: Fraction
     split: bool | None = None
 
-    def to_dict(self) -> dict:
-        out = {"sector": self.sector, "r": self.r, "s": self.s, "h": _fraction_str(self.h)}
-        if self.sector == "R":
-            out["split"] = self.split
-        return out
-
 
 def sector_counts(spec: MinimalModelSpec) -> tuple[int, int]:
     """(NS count, R count) from the closed-form census.

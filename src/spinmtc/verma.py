@@ -522,24 +522,18 @@ def _l_partitions(total: int, min_part: int) -> Iterable[tuple[int, ...]]:
         part += 1
 
 
-def degree_basis(d: Fraction | int, restrict_vprime: bool = False) -> list[PBWMonomial]:
-    """All PBW monomials of the given degree, sorted by descending filtration.
-
-    With ``restrict_vprime`` only monomials avoiding G_{-1/2} and L_{-1} are
-    produced (the monomial basis of the quotient module).
-    """
+def degree_basis(d: Fraction | int) -> list[PBWMonomial]:
+    """All PBW monomials of the given degree, sorted by descending filtration."""
     d = Fraction(d)
     if d < 0 or (2 * d).denominator != 1:
         raise VermaError(f"degree must be a nonnegative half-integer, got {d}")
-    g_min = Fraction(3, 2) if restrict_vprime else Fraction(1, 2)
-    l_min = 2 if restrict_vprime else 1
     out: list[PBWMonomial] = []
-    for mags in _g_subsets(d, g_min):
+    for mags in _g_subsets(d, Fraction(1, 2)):
         rem = d - sum(mags, Fraction(0))
         if rem.denominator != 1:
             continue
         g_part = tuple(-m for m in reversed(mags))
-        for lparts in _l_partitions(int(rem), l_min):
+        for lparts in _l_partitions(int(rem), 1):
             l_part = tuple(-x for x in lparts)
             out.append(PBWMonomial(g_part, l_part))
     width = max(int(2 * d) - 2, 0)

@@ -14,7 +14,7 @@ import pytest
 import spinmtc
 
 from spinmtc.catalog import builtin
-from spinmtc.cli import MAX_PUNCTURES, ROWS_PER_WRITE, main
+from spinmtc.cli import MAX_PQ, MAX_PUNCTURES, ROWS_PER_WRITE, main
 from spinmtc.clifford import find_vminus
 from spinmtc.fusion import MAX_CONDUCTOR, deligne_product, dump_fusion
 from spinmtc.minimal import MinimalModelSpec, enumerate_labels
@@ -465,6 +465,64 @@ def test_validate_reports_map_missing_a_label(capsys, tmp_path, name):
         "witness": ["sigma"],
         "detail": f"{name} missing for these labels",
     }]
+
+
+def _fermion_edited(capsys, tmp_path, edit) -> Path:
+    _, dump, _ = run(capsys, "builtin", "fermion")
+    doc = json.loads(dump)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# each rejected by validate; the other commands must not compute on it
+STRUCTURE_BREAKS = {
+    "duplicate-label": (lambda doc: doc["labels"].append("sigma"),
+                        "labels of 'fermion' repeat label 'sigma'"),
+    "unit-not-a-label": (lambda doc: doc.update(unit="zzz"),
+                         "unit 'zzz' of 'fermion' is not a label"),
+    "dual-not-a-label": (lambda doc: doc["dual"].update(sigma="zzz"),
+                         "dual of 'fermion' maps to unknown label 'zzz'"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE_BREAKS))
+@pytest.mark.parametrize(
+    "argv",
+    [("smatrix",), ("classify",), ("torus",), ("sphere", "--labels", "sigma,sigma")],
+    ids=["smatrix", "classify", "torus", "sphere"],
+)
+def test_structure_that_validate_rejects_is_exit_2(capsys, tmp_path, argv, case):
+    edit, message = STRUCTURE_BREAKS[case]
+    path = _fermion_edited(capsys, tmp_path, edit)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE_BREAKS))
+def test_validate_reports_structure_breaks(capsys, tmp_path, case):
+    path = _fermion_edited(capsys, tmp_path, STRUCTURE_BREAKS[case][0])
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and "INVALID" in out and err == ""
+
+
+def test_minimal_bound_is_exit_2_before_enumerating(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past the bound")
+
+    monkeypatch.setattr("spinmtc.cli.model_to_dict", refuse)
+    monkeypatch.setattr("spinmtc.cli.valid_pairs", refuse)
+    p, q = 11, 9091  # p*q = MAX_PQ + 1
+    code, out, err = run(capsys, "minimal", "--p", str(p), "--q", str(q))
+    assert (code, out) == (2, "")
+    assert err == f"error: p*q = {p * q} exceeds the limit {MAX_PQ}\n"
+    code, out, err = run(capsys, "minimal-scan", "--max-pq", str(MAX_PQ + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-pq {MAX_PQ + 1} exceeds the limit {MAX_PQ}\n"
+    monkeypatch.setattr("spinmtc.cli.valid_pairs", lambda max_pq: iter([]))
+    assert run(capsys, "minimal-scan", "--max-pq", str(MAX_PQ))[0] == 0
 
 
 def test_validate_multiplicity_beyond_int64_is_reported(capsys, tmp_path):

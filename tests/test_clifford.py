@@ -12,15 +12,16 @@ from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import (
     CHECK_NAMES,
     CliffordAlgebraClass,
+    LabelClassification,
     classify_labels,
     clifford_structure,
-    compute_zeta,
     find_vminus,
     involution_from_vminus,
     morita_parity,
     verify_block_structure,
 )
-from spinmtc.fusion import InconsistentDataError, compute_smatrix, deligne_product
+from spinmtc.exactnum import CycMatrix
+from spinmtc.fusion import InconsistentDataError, SMatrix, compute_smatrix, deligne_product
 
 CLIFFORD_BUILTINS = ("fermion", "dirac", "toric")
 
@@ -64,16 +65,16 @@ def test_involution_is_multiplication_by_vminus():
 
 
 def test_zeta_values_on_builtins():
-    assert compute_zeta(builtin("fermion"), "psi") == {"1": 1, "psi": 1, "sigma": -1}
-    assert compute_zeta(builtin("dirac"), "j2") == {"j0": 1, "j1": -1, "j2": 1, "j3": -1}
-    assert compute_zeta(builtin("toric"), "f") == {"1": 1, "e": -1, "m": -1, "f": 1}
+    assert clifford_structure(builtin("fermion"), "psi").zeta == {"1": 1, "psi": 1, "sigma": -1}
+    assert clifford_structure(builtin("dirac"), "j2").zeta == {"j0": 1, "j1": -1, "j2": 1, "j3": -1}
+    assert clifford_structure(builtin("toric"), "f").zeta == {"1": 1, "e": -1, "m": -1, "f": 1}
 
 
 def test_zeta_multiplicative_on_builtins():
     for key in CLIFFORD_BUILTINS:
         data = builtin(key)
         (vminus,) = find_vminus(data)
-        zeta = compute_zeta(data, vminus)
+        zeta = clifford_structure(data, vminus).zeta
         assert set(zeta.values()) <= {1, -1}
         for (i, j, k), v in data.fusion.items():
             if v:
@@ -227,6 +228,74 @@ def test_corrupted_twist_breaks_block_checks_not_the_code():
     assert failing == ["bd_rank", "count_identity"]
     assert not report.all_pass
     assert report.checks["count_identity"].witness is not None
+
+
+def _checks_with_entry(data, cls, label_i, label_j, value):
+    """Every block check's (ok, witness) on the s-matrix with one entry replaced."""
+    rows = [list(row) for row in compute_smatrix(data).data]
+    rows[data.labels.index(label_i)][data.labels.index(label_j)] = value
+    report = verify_block_structure(data, cls, SMatrix(CycMatrix(rows), data.name))
+    return {name: (r.ok, r.witness) for name, r in report.checks.items()}
+
+
+def _fermion_squared():
+    return deligne_product(builtin("fermion"), builtin("fermion"))
+
+
+# (category, odd generator, corrupted entry, new value, the checks that fail)
+ONE_ENTRY_BREAKS = {
+    "involution_rows": ("fermion", "psi", ("psi", "1"), 2, {
+        "involution_rows": ("1", "1"), "block_pattern": ("NS-", "NS+")}),
+    "nonsplit_row_vanishing": ("fermion", "psi", ("sigma", "sigma"), 1, {
+        "involution_rows": ("sigma", "sigma"), "nonsplit_row_vanishing": ("sigma", "sigma"),
+        "block_pattern": ("R0", "R0")}),
+    "block_pattern": ("fermion", "psi", ("sigma", "1"), 0, {
+        "block_pattern": ("R0", "NS+")}),
+    "diagonal_blocks-not-symmetric": ("fermion^2", "(psi,1)", ("(1,1)", "(1,psi)"), 2, {
+        "involution_rows": ("(1,1)", "(1,psi)"), "block_pattern": ("NS+", "NS-"),
+        "diagonal_blocks": ("A", "not symmetric")}),
+    "diagonal_blocks-singular": ("dirac", "j2", ("j1", "j1"), 0, {
+        "involution_rows": ("j1", "j1"), "block_pattern": ("R+", "R-"),
+        "diagonal_blocks": ("C", "singular")}),
+    "bd_rank": ("fermion", "psi", ("1", "sigma"), 0, {
+        "involution_rows": ("1", "sigma"), "block_pattern": ("NS-", "R0"),
+        "bd_rank": ("rank", 0, "expected", 1)}),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_ENTRY_BREAKS))
+def test_one_corrupted_entry_fails_its_block_check(case):
+    key, vminus, (i, j), value, failing = ONE_ENTRY_BREAKS[case]
+    data = _fermion_squared() if key == "fermion^2" else builtin(key)
+    got = _checks_with_entry(data, classify_labels(data, vminus), i, j, value)
+    want = {name: (name not in failing, failing.get(name)) for name in CHECK_NAMES}
+    assert got == want
+
+
+def test_one_corrupted_entry_fails_btd_zero():
+    # No builtin or pairwise product has R+ and R0 labels at once, so the
+    # partition is hand-built: its only NS+ row, (sigma,1), vanishes on the R0
+    # column (sigma,sigma), and B^T D = 0 until that entry is made nonzero.
+    data = _fermion_squared()
+    cls = LabelClassification(
+        ns_plus=("(sigma,1)",),
+        ns_minus=("(sigma,psi)",),
+        r_plus=("(1,1)", "(1,psi)", "(1,sigma)"),
+        r_minus=("(psi,1)", "(psi,psi)", "(psi,sigma)"),
+        r_zero=("(sigma,sigma)",),
+    )
+    before = _checks_with_entry(data, cls, "(sigma,1)", "(sigma,sigma)", 0)
+    after = _checks_with_entry(data, cls, "(sigma,1)", "(sigma,sigma)", 1)
+    assert before == {
+        "involution_rows": (False, ("(1,1)", "(1,1)")),
+        "nonsplit_row_vanishing": (False, ("(sigma,sigma)", "(1,1)")),
+        "block_pattern": (False, ("NS+", "R-")),
+        "diagonal_blocks": (False, ("A", "singular")),
+        "bd_rank": (True, None),
+        "btd_zero": (True, None),
+        "count_identity": (False, (4, 1)),
+    }
+    assert after == {**before, "btd_zero": (False, ("(1,1)", "(sigma,sigma)"))}
 
 
 # --- Clifford algebra bookkeeping ------------------------------------------------

@@ -329,6 +329,15 @@ def test_validate_reports_unit_and_dual_breaks():
     assert any(v.check == "dual" for v in vs)
 
 
+def test_validate_reports_dual_value_outside_the_labels():
+    # a structural violation: the involution check would look the value up
+    f = builtin("fermion")
+    vs = validate(replace(f, dual={**f.dual, "sigma": "zzz"}))
+    assert [v.to_dict() for v in vs] == [
+        {"check": "dual", "witness": ["sigma"], "detail": "dual maps these labels to unknown labels"}
+    ]
+
+
 def test_validate_reports_unit_normalizations():
     f = builtin("fermion")
     vs = validate(replace(f, twist={**f.twist, "1": Fraction(1, 2)}))
@@ -345,11 +354,7 @@ def test_fusion_matrices_commute_on_builtins():
     # Fusion matrices of a commutative associative ring commute pairwise.
     for key in BUILTIN_KEYS:
         data = builtin(key)
-        mats = [data.fusion_matrix(lab) for lab in data.labels]
-        for lab, a in zip(data.labels, mats):
-            assert len(a) == data.rank and all(len(row) == data.rank for row in a)
-            assert all(type(x) is int for row in a for x in row)
-            assert a == tuple(tuple(data.n(lab, j, k) for k in data.labels) for j in data.labels)
+        mats = [[[data.n(lab, j, k) for k in data.labels] for j in data.labels] for lab in data.labels]
         for a in mats:
             for b in mats:
                 assert _int_matmul(a, b) == _int_matmul(b, a)
