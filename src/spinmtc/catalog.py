@@ -1,22 +1,26 @@
 """Built-in category corpus: small exactly-known fusion data sets.
 
 These are constructed in code (not parsed), so they double as fixtures for
-tests and as reference files via the CLI ``builtin`` subcommand.
+tests and as reference files via the CLI ``builtin`` subcommand.  Each
+builder returns the fields of a ``FusionData``; ``builtin`` builds the object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactnum import Cyclotomic, zeta
-from .fusion import FormatError, FusionData
+
+if TYPE_CHECKING:
+    from .fusion import FusionData
 
 __all__ = ["BUILTIN_KEYS", "builtin"]
 
 BUILTIN_KEYS = ("trivial", "fermion", "dirac", "toric", "fibonacci")
 
 
-def _group_category(name: str, elements: list[str], add, neg, twist) -> FusionData:
+def _group_category(name: str, elements: list[str], add, neg, twist) -> dict:
     """Pointed category on an abelian group given by index arithmetic."""
     one = Cyclotomic.from_rational(1)
     labels = tuple(elements)
@@ -24,7 +28,7 @@ def _group_category(name: str, elements: list[str], add, neg, twist) -> FusionDa
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             fusion[(a, b, elements[add(i, j)])] = 1
-    return FusionData(
+    return dict(
         name=name,
         labels=labels,
         unit=elements[0],
@@ -35,12 +39,12 @@ def _group_category(name: str, elements: list[str], add, neg, twist) -> FusionDa
     )
 
 
-def _trivial() -> FusionData:
+def _trivial() -> dict:
     """The trivial group: one label, its own unit and dual."""
     return _group_category("trivial", ["1"], add=lambda i, j: 0, neg=lambda i: 0, twist=[0])
 
 
-def _fermion() -> FusionData:
+def _fermion() -> dict:
     """Rank-3 Ising-type data: an invertible fermion psi and a spin label sigma."""
     one = Cyclotomic.from_rational(1)
     sqrt2 = zeta(8) + zeta(8) ** 7
@@ -57,7 +61,7 @@ def _fermion() -> FusionData:
         ("sigma", "sigma", "1"): 1,
         ("sigma", "sigma", "psi"): 1,
     }
-    return FusionData(
+    return dict(
         name="fermion",
         labels=labels,
         unit="1",
@@ -68,7 +72,7 @@ def _fermion() -> FusionData:
     )
 
 
-def _dirac() -> FusionData:
+def _dirac() -> dict:
     """Pointed Z/4 data with quadratic twists j^2/8; duals are negation."""
     return _group_category(
         "dirac",
@@ -79,7 +83,7 @@ def _dirac() -> FusionData:
     )
 
 
-def _toric() -> FusionData:
+def _toric() -> dict:
     """Pointed Z/2 x Z/2 data, all labels self-dual, one label twisted by 1/2."""
     order = ["1", "e", "m", "f"]  # bit pairs 00, 01, 10, 11
     return _group_category(
@@ -91,11 +95,11 @@ def _toric() -> FusionData:
     )
 
 
-def _fibonacci() -> FusionData:
+def _fibonacci() -> dict:
     """Rank-2 data with tau x tau = 1 + tau and golden-ratio dimension."""
     one = Cyclotomic.from_rational(1)
     golden = -(zeta(5) ** 2) - zeta(5) ** 3
-    return FusionData(
+    return dict(
         name="fibonacci",
         labels=("1", "tau"),
         unit="1",
@@ -123,8 +127,12 @@ _BUILDERS = {
 
 def builtin(key: str) -> FusionData:
     """One of the built-in categories, by key; raises FormatError for unknown keys."""
+    # Imported here: the CLI reads BUILTIN_KEYS for every command, and most
+    # commands never run ``fusion``.
+    from .fusion import FormatError, FusionData
+
     try:
         maker = _BUILDERS[key]
     except KeyError:
         raise FormatError(f"unknown builtin {key!r}; available: {', '.join(BUILTIN_KEYS)}") from None
-    return maker()
+    return FusionData(**maker())

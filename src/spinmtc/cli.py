@@ -9,6 +9,7 @@ path or a builtin key (a real file with the same name wins).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import os
@@ -16,36 +17,38 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Iterator, Sequence
 
 from .catalog import BUILTIN_KEYS, builtin
-from .clifford import (
-    classify_labels,
-    clifford_structure,
-    find_vminus,
-    verify_block_structure,
-)
 from .exactnum import embed_numeric, parse_fraction, _fraction_str
-from .fusion import (
-    FormatError,
-    FusionData,
-    InconsistentDataError,
-    check_s_squared,
-    compute_smatrix,
-    dump_fusion,
-    load_fusion,
-    validate,
-)
-from .minimal import (
-    MinimalModelSpec,
-    central_charge,
-    model_to_dict,
-    sector_counts,
-    valid_pairs,
-    validate_pq,
-)
-from .spinfunctor import SpinSphereSpec, sphere_report, torus_dims
-from .verma import VermaError, singular_vectors
+
+
+def _lazy(name: str) -> ModuleType:
+    """The submodule ``spinmtc.<name>``, executed on its first attribute read.
+
+    Each command then runs only the modules it uses.  The module sits in
+    ``sys.modules`` from the start, so code that looks it up there (or
+    patches its attributes) sees the one object the handlers read at call
+    time.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+clifford = _lazy("clifford")
+fusion = _lazy("fusion")
+minimal = _lazy("minimal")
+spinfunctor = _lazy("spinfunctor")
+verma = _lazy("verma")
 
 __all__ = ["main", "build_parser"]
 
@@ -64,17 +67,17 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_category(arg: str) -> FusionData:
+def _load_category(arg: str) -> fusion.FusionData:
     """A path, or a builtin key when no such file exists."""
     path = Path(arg)
     if path.exists():
-        return load_fusion(path)
+        return fusion.load_fusion(path)
     if arg in BUILTIN_KEYS:
         return builtin(arg)
-    raise FormatError(f"no such file or builtin: {arg!r}")
+    raise fusion.FormatError(f"no such file or builtin: {arg!r}")
 
 
-def _load_known_category(arg: str) -> FusionData:
+def _load_known_category(arg: str) -> fusion.FusionData:
     """As ``_load_category``, but fusion rules naming unknown labels,
     ``dual``, ``twist`` or ``qdim`` maps missing a label, repeated labels, a
     unit that is not a label and ``dual`` values that are not labels are
@@ -87,27 +90,27 @@ def _load_known_category(arg: str) -> FusionData:
     unknown = {lab for key in data.fusion for lab in key} - set(data.labels)
     if unknown:
         names = ", ".join(map(repr, sorted(unknown)))
-        raise FormatError(f"fusion rules of {data.name!r} name unknown label {names}")
+        raise fusion.FormatError(f"fusion rules of {data.name!r} name unknown label {names}")
     for name in ("dual", "twist", "qdim"):
         missing = [lab for lab in data.labels if lab not in getattr(data, name)]
         if missing:
             names = ", ".join(map(repr, missing))
-            raise FormatError(f"{name} of {data.name!r} has no entry for label {names}")
+            raise fusion.FormatError(f"{name} of {data.name!r} has no entry for label {names}")
     repeated = sorted(lab for lab, n in Counter(data.labels).items() if n > 1)
     if repeated:
         names = ", ".join(map(repr, repeated))
-        raise FormatError(f"labels of {data.name!r} repeat label {names}")
+        raise fusion.FormatError(f"labels of {data.name!r} repeat label {names}")
     if data.unit not in data.labels:
-        raise FormatError(f"unit {data.unit!r} of {data.name!r} is not a label")
+        raise fusion.FormatError(f"unit {data.unit!r} of {data.name!r} is not a label")
     unknown = sorted({data.dual[lab] for lab in data.labels} - set(data.labels))
     if unknown:
         names = ", ".join(map(repr, unknown))
-        raise FormatError(f"dual of {data.name!r} maps to unknown label {names}")
+        raise fusion.FormatError(f"dual of {data.name!r} maps to unknown label {names}")
     return data
 
 
-def _resolve_vminus(data: FusionData, requested: str | None) -> str:
-    candidates = find_vminus(data)
+def _resolve_vminus(data: fusion.FusionData, requested: str | None) -> str:
+    candidates = clifford.find_vminus(data)
     if requested is not None:
         if requested not in candidates:
             raise CliError(
@@ -156,7 +159,7 @@ def _grid(rows: list[list[str]]) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     data = _load_category(args.category)
-    violations = validate(data)
+    violations = fusion.validate(data)
     obj = {
         "category": data.name,
         "valid": not violations,
@@ -174,8 +177,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_smatrix(args: argparse.Namespace) -> int:
     data = _load_known_category(args.category)
-    s = compute_smatrix(data)
-    holds, alpha = check_s_squared(s, data)
+    s = fusion.compute_smatrix(data)
+    holds, alpha = fusion.check_s_squared(s, data)
     obj = {
         "category": data.name,
         "labels": list(data.labels),
@@ -211,7 +214,7 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
-    st = clifford_structure(data, vminus)
+    st = clifford.clifford_structure(data, vminus)
     if not st.is_clifford:
         obj = {
             "category": data.name,
@@ -223,9 +226,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _emit(obj, f"{data.name}: square-root structure at {vminus} (sigma_vv = +1); "
                    "no block theory applies", args.format)
         return 0
-    cls = classify_labels(data, vminus)
-    s = compute_smatrix(data)
-    report = verify_block_structure(data, cls, s)
+    cls = clifford.classify_labels(data, vminus)
+    s = fusion.compute_smatrix(data)
+    report = clifford.verify_block_structure(data, cls, s)
     obj = {
         "category": data.name,
         "vminus": vminus,
@@ -282,7 +285,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
         raise CliError(2, f"{len(labels)} punctures exceed the limit {MAX_PUNCTURES}")
     data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
-    rep = sphere_report(SpinSphereSpec(data, vminus, labels))
+    rep = spinfunctor.sphere_report(spinfunctor.SpinSphereSpec(data, vminus, labels))
     rows = rep.epsilon_table.rows()
     if args.format == "json":
         obj = {
@@ -314,7 +317,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 def _cmd_torus(args: argparse.Namespace) -> int:
     data = _load_known_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
-    rep = torus_dims(data, vminus)
+    rep = spinfunctor.torus_dims(data, vminus)
     obj = {"category": data.name, "vminus": vminus, **rep.to_dict()}
     lines = [f"{data.name}: torus state spaces"]
     for key in ("AA", "AP", "PA", "PP"):
@@ -323,19 +326,19 @@ def _cmd_torus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_model(p: int, q: int) -> MinimalModelSpec:
-    reason = validate_pq(p, q)
+def _require_model(p: int, q: int) -> minimal.MinimalModelSpec:
+    reason = minimal.validate_pq(p, q)
     if reason is not None:
         raise CliError(2, f"not a minimal model: {reason}")
-    return MinimalModelSpec(p, q)
+    return minimal.MinimalModelSpec(p, q)
 
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
     spec = _require_model(args.p, args.q)
     if spec.p * spec.q > MAX_PQ:
         raise CliError(2, f"p*q = {spec.p * spec.q} exceeds the limit {MAX_PQ}")
-    obj = model_to_dict(spec)
-    c = central_charge(spec)
+    obj = minimal.model_to_dict(spec)
+    c = minimal.central_charge(spec)
     if args.numeric:
         obj["numeric"] = {
             "digits": args.numeric,
@@ -352,13 +355,13 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_row(spec: MinimalModelSpec) -> dict:
-    ns, rr = sector_counts(spec)
+def _scan_row(spec: minimal.MinimalModelSpec) -> dict:
+    ns, rr = minimal.sector_counts(spec)
     split = ((spec.p - 1) * (spec.q - 1)) % 2 == 0
     return {
         "p": spec.p,
         "q": spec.q,
-        "c": _fraction_str(central_charge(spec)),
+        "c": _fraction_str(minimal.central_charge(spec)),
         "ns_count": ns,
         "r_count": rr,
         "split": split,
@@ -370,7 +373,7 @@ def _cmd_minimal_scan(args: argparse.Namespace) -> int:
         raise CliError(2, "--max-pq must be at least 4")
     if args.max_pq > MAX_PQ:
         raise CliError(2, f"--max-pq {args.max_pq} exceeds the limit {MAX_PQ}")
-    models = list(map(_scan_row, valid_pairs(args.max_pq)))
+    models = list(map(_scan_row, minimal.valid_pairs(args.max_pq)))
     obj = {"max_pq": args.max_pq, "count": len(models), "models": models}
     rows = [["p", "q", "c", "NS", "R", "split"]]
     for m in models:
@@ -389,7 +392,7 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
         if args.p is None or args.q is None:
             raise CliError(2, "--p and --q go together")
         spec = _require_model(args.p, args.q)
-        c = central_charge(spec)
+        c = minimal.central_charge(spec)
         h = Fraction(0)
         degree = Fraction((args.p - 1) * (args.q - 1), 2)
     else:
@@ -417,7 +420,7 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
             f"degree {degree} exceeds the limit {cap}; raise SPINMTC_MAX_DEGREE to allow it",
         )
 
-    rep = singular_vectors(c, h, degree)
+    rep = verma.singular_vectors(c, h, degree)
     obj = rep.to_dict()
     if args.numeric and rep.lambda_coeff is not None:
         obj["numeric"] = {
@@ -445,7 +448,7 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
 
 
 def _cmd_builtin(args: argparse.Namespace) -> int:
-    sys.stdout.write(dump_fusion(builtin(args.key)))
+    sys.stdout.write(fusion.dump_fusion(builtin(args.key)))
     return 0
 
 
@@ -533,13 +536,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InconsistentDataError, VermaError) as exc:
+    except (fusion.InconsistentDataError, verma.VermaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # fusion.FormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

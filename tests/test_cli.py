@@ -13,10 +13,17 @@ import pytest
 
 import spinmtc
 
-from spinmtc.catalog import builtin
+from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.cli import MAX_PQ, MAX_PUNCTURES, ROWS_PER_WRITE, main
 from spinmtc.clifford import find_vminus
-from spinmtc.fusion import MAX_CONDUCTOR, deligne_product, dump_fusion
+from spinmtc.fusion import (
+    MAX_CONDUCTOR,
+    FormatError,
+    FusionData,
+    deligne_product,
+    dump_fusion,
+    fusion_from_dict,
+)
 from spinmtc.minimal import MinimalModelSpec, enumerate_labels
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 
@@ -169,6 +176,23 @@ def test_builtin_emits_loadable_file(capsys, tmp_path):
     assert "valid" in out2
 
 
+def test_unknown_builtin_key_is_argparse_exit_2(capsys):
+    code, out, err = run(capsys, "builtin", "nosuch")
+    assert (code, out) == (2, "")
+    choices = ", ".join(map(repr, BUILTIN_KEYS))
+    assert err.endswith(f"error: argument key: invalid choice: 'nosuch' (choose from {choices})\n")
+    assert BUILTIN_KEYS == ("trivial", "fermion", "dirac", "toric", "fibonacci")
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS)
+def test_builtin_is_the_fusion_data_of_its_file(key):
+    data = builtin(key)
+    assert isinstance(data, FusionData) and data.name == key
+    assert fusion_from_dict(json.loads(dump_fusion(data))) == data == builtin(key)
+    with pytest.raises(FormatError, match="available: trivial, fermion, dirac, toric, fibonacci"):
+        builtin(key + "x")
+
+
 def test_real_file_wins_over_builtin_key(capsys, tmp_path, monkeypatch):
     # A file literally named "fermion" in cwd takes precedence.
     code, out, _ = run(capsys, "builtin", "dirac")
@@ -264,7 +288,14 @@ def test_no_vminus_is_exit_1(capsys):
 def test_ambiguous_vminus_lists_candidates(capsys, tmp_path):
     # A product category with two odd generators requires --vminus.
     from spinmtc.catalog import builtin as make
-    from spinmtc.fusion import MAX_CONDUCTOR, deligne_product, dump_fusion
+    from spinmtc.fusion import (
+    MAX_CONDUCTOR,
+    FormatError,
+    FusionData,
+    deligne_product,
+    dump_fusion,
+    fusion_from_dict,
+)
 
     prod = deligne_product(make("fermion"), make("fermion"))
     path = tmp_path / "prod.json"
@@ -512,8 +543,8 @@ def test_minimal_bound_is_exit_2_before_enumerating(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated past the bound")
 
-    monkeypatch.setattr("spinmtc.cli.model_to_dict", refuse)
-    monkeypatch.setattr("spinmtc.cli.valid_pairs", refuse)
+    monkeypatch.setattr("spinmtc.minimal.model_to_dict", refuse)
+    monkeypatch.setattr("spinmtc.minimal.valid_pairs", refuse)
     p, q = 11, 9091  # p*q = MAX_PQ + 1
     code, out, err = run(capsys, "minimal", "--p", str(p), "--q", str(q))
     assert (code, out) == (2, "")
@@ -521,7 +552,7 @@ def test_minimal_bound_is_exit_2_before_enumerating(capsys, monkeypatch):
     code, out, err = run(capsys, "minimal-scan", "--max-pq", str(MAX_PQ + 1))
     assert (code, out) == (2, "")
     assert err == f"error: --max-pq {MAX_PQ + 1} exceeds the limit {MAX_PQ}\n"
-    monkeypatch.setattr("spinmtc.cli.valid_pairs", lambda max_pq: iter([]))
+    monkeypatch.setattr("spinmtc.minimal.valid_pairs", lambda max_pq: iter([]))
     assert run(capsys, "minimal-scan", "--max-pq", str(MAX_PQ))[0] == 0
 
 
@@ -560,6 +591,53 @@ def test_cli_import_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+# Runs ``spinmtc.cli`` as ``python -m`` does, and writes to stderr, after the
+# command's own output, the package modules whose bodies executed and whether
+# numpy was loaded.
+_MODULE_PROBE = """import json, runpy, sys
+ran = set()
+def trace(frame, event, arg):
+    spec = frame.f_globals.get("__spec__")
+    if (frame.f_code.co_name == "<module>" and spec is not None
+            and spec.name.split(".")[0] == "spinmtc" and frame.f_code.co_filename == spec.origin):
+        ran.add(spec.name)
+sys.settrace(trace)
+try:
+    runpy.run_module("spinmtc.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.settrace(None)
+    print(json.dumps([sorted(ran), "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+# Every command runs the package, exactnum, catalog (for the builtin keys) and cli.
+_ALWAYS = {"spinmtc", "spinmtc.exactnum", "spinmtc.catalog", "spinmtc.cli"}
+_CATEGORY = {"spinmtc.fusion"}
+_COMMANDS = [
+    (["--help"], set()),
+    (["singvec", "--p", "2", "--q", "8"], {"spinmtc.verma", "spinmtc.minimal"}),
+    (["minimal", "--p", "2", "--q", "8"], {"spinmtc.minimal"}),
+    (["minimal-scan", "--max-pq", "20"], {"spinmtc.minimal"}),
+    (["validate", "fermion"], _CATEGORY),
+    (["smatrix", "fermion"], _CATEGORY),
+    (["builtin", "fermion"], _CATEGORY),
+    (["classify", "fermion"], _CATEGORY | {"spinmtc.clifford"}),
+    (["sphere", "fermion", "--labels", "sigma,sigma"],
+     _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}),
+    (["torus", "fermion"], _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", [pytest.param(a, m, id=a[0]) for a, m in _COMMANDS])
+def test_each_command_executes_only_its_modules(argv, modules):
+    src = str(Path(spinmtc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    ran, numpy_loaded = json.loads(done.stderr.splitlines()[-1])
+    assert set(ran) == _ALWAYS | modules
+    assert not numpy_loaded
 
 
 # --- streamed sphere output --------------------------------------------------------

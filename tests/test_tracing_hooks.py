@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _traced() -> dict[str, tuple[str, str]]:
@@ -30,3 +35,32 @@ def test_every_traced_attribute_resolves():
             assert hasattr(owner, part), f"{name}: {module_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+# Tracing imports ``spinmtc.cli`` and then looks every traced module up in
+# ``sys.modules`` and patches its attributes there; the CLI must read them
+# from that same module object.
+_LOOKUP = """import json, sys
+import spinmtc.cli
+missing = []
+for name, (module_name, attr) in json.loads(sys.argv[1]).items():
+    module = sys.modules.get(module_name)
+    package, _, child = module_name.rpartition(".")
+    if module is None or getattr(sys.modules[package], child, None) is not module:
+        missing.append(name)
+        continue
+    owner = module
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    if not callable(owner):
+        missing.append(name)
+print(json.dumps(missing))
+"""
+
+
+def test_cli_import_leaves_every_traced_module_in_sys_modules():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", _LOOKUP, json.dumps(_traced())],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
