@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -78,34 +77,20 @@ def _load_category(arg: str) -> fusion.FusionData:
 
 
 def _load_known_category(arg: str) -> fusion.FusionData:
-    """As ``_load_category``, but fusion rules naming unknown labels,
-    ``dual``, ``twist`` or ``qdim`` maps missing a label, repeated labels, a
-    unit that is not a label and ``dual`` values that are not labels are
-    format errors.
-
-    ``validate`` reports these as violations; the other commands cannot
-    compute with them.
-    """
+    """As ``_load_category``, but data with a structure violation (see
+    ``fusion.structure_violations``) is a format error naming the first one
+    as ``validate`` prints it; the other commands cannot compute with it."""
     data = _load_category(arg)
-    unknown = {lab for key in data.fusion for lab in key} - set(data.labels)
-    if unknown:
-        names = ", ".join(map(repr, sorted(unknown)))
-        raise fusion.FormatError(f"fusion rules of {data.name!r} name unknown label {names}")
-    for name in ("dual", "twist", "qdim"):
-        missing = [lab for lab in data.labels if lab not in getattr(data, name)]
-        if missing:
-            names = ", ".join(map(repr, missing))
-            raise fusion.FormatError(f"{name} of {data.name!r} has no entry for label {names}")
-    repeated = sorted(lab for lab, n in Counter(data.labels).items() if n > 1)
-    if repeated:
-        names = ", ".join(map(repr, repeated))
-        raise fusion.FormatError(f"labels of {data.name!r} repeat label {names}")
-    if data.unit not in data.labels:
-        raise fusion.FormatError(f"unit {data.unit!r} of {data.name!r} is not a label")
-    unknown = sorted({data.dual[lab] for lab in data.labels} - set(data.labels))
-    if unknown:
-        names = ", ".join(map(repr, unknown))
-        raise fusion.FormatError(f"dual of {data.name!r} maps to unknown label {names}")
+    if violations := fusion.structure_violations(data):
+        raise fusion.FormatError(f"{data.name!r} fails validate: {violations[0]}")
+    return data
+
+
+def _load_valid_category(arg: str) -> fusion.FusionData:
+    """As ``_load_known_category``; data failing validate's axioms is inconsistent."""
+    data = _load_known_category(arg)
+    if violations := fusion.validate(data):
+        raise fusion.InconsistentDataError(f"{data.name!r} fails validate: {violations[0]}")
     return data
 
 
@@ -166,9 +151,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "violations": [v.to_dict() for v in violations],
     }
     if violations:
-        lines = [f"{data.name}: INVALID"]
-        lines += [f"  {v.check} at {v.witness}: {v.detail}" for v in violations]
-        table = "\n".join(lines)
+        table = "\n".join([f"{data.name}: INVALID"] + [f"  {v}" for v in violations])
     else:
         table = f"{data.name}: valid ({data.rank} labels)"
     _emit(obj, table, args.format)
@@ -212,7 +195,7 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    data = _load_known_category(args.category)
+    data = _load_valid_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     st = clifford.clifford_structure(data, vminus)
     if not st.is_clifford:
@@ -283,7 +266,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
     labels = _split_labels(args.labels)
     if len(labels) > MAX_PUNCTURES:
         raise CliError(2, f"{len(labels)} punctures exceed the limit {MAX_PUNCTURES}")
-    data = _load_known_category(args.category)
+    data = _load_valid_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     rep = spinfunctor.sphere_report(spinfunctor.SpinSphereSpec(data, vminus, labels))
     rows = rep.epsilon_table.rows()
@@ -315,7 +298,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 
 
 def _cmd_torus(args: argparse.Namespace) -> int:
-    data = _load_known_category(args.category)
+    data = _load_valid_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     rep = spinfunctor.torus_dims(data, vminus)
     obj = {"category": data.name, "vminus": vminus, **rep.to_dict()}
@@ -327,10 +310,10 @@ def _cmd_torus(args: argparse.Namespace) -> int:
 
 
 def _require_model(p: int, q: int) -> minimal.MinimalModelSpec:
-    reason = minimal.validate_pq(p, q)
-    if reason is not None:
-        raise CliError(2, f"not a minimal model: {reason}")
-    return minimal.MinimalModelSpec(p, q)
+    try:
+        return minimal.MinimalModelSpec(p, q)
+    except ValueError as exc:
+        raise CliError(2, f"not a minimal model: {exc}") from None
 
 
 def _cmd_minimal(args: argparse.Namespace) -> int:

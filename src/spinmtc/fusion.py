@@ -33,6 +33,7 @@ __all__ = [
     "Violation",
     "FormatError",
     "InconsistentDataError",
+    "structure_violations",
     "validate",
     "compute_smatrix",
     "check_s_squared",
@@ -63,6 +64,9 @@ class Violation:
 
     def to_dict(self) -> dict:
         return {"check": self.check, "witness": list(self.witness), "detail": self.detail}
+
+    def __str__(self) -> str:
+        return f"{self.check} at {self.witness}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -115,12 +119,9 @@ class FusionData:
 # validation
 
 
-def validate(data: FusionData) -> list[Violation]:
-    """All axiom violations, with witnesses; empty list means valid.
-
-    Structural problems (unknown labels, missing maps) short-circuit the
-    numeric checks, which would not be well-posed without them.
-    """
+def structure_violations(data: FusionData) -> list[Violation]:
+    """What validate's other checks presume: labels, unit, map entries,
+    ``dual`` values, fusion keys and multiplicities, and ``sigma_vv``."""
     out: list[Violation] = []
     labels = data.labels
     label_set = set(labels)
@@ -155,9 +156,19 @@ def validate(data: FusionData) -> list[Violation]:
 
     if data.sigma_vv not in (None, 1, -1):
         out.append(Violation("sigma_vv", (data.sigma_vv,), "sigma_vv must be +1 or -1"))
+    return out
 
+
+def validate(data: FusionData) -> list[Violation]:
+    """All axiom violations, with witnesses; empty list means valid.
+
+    Structural problems (unknown labels, missing maps) short-circuit the
+    numeric checks, which would not be well-posed without them.
+    """
+    out = structure_violations(data)
     if out:
         return out
+    labels = data.labels
 
     # dual is an involution
     for lab in labels:

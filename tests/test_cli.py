@@ -391,12 +391,16 @@ def test_sphere_puncture_cap_is_exit_2(capsys):
 
 
 def test_sphere_on_noncommuting_odd_generator_is_exit_1(capsys, tmp_path, skew):
+    # validate rejects skew, so the CLI refuses it before the sphere's own
+    # premise check (which the library tests reach directly)
     path = tmp_path / "skew.json"
     path.write_text(dump_fusion(skew))
+    first = _first_violation(capsys, path)
     code, out, err = run(capsys, "sphere", str(path), "--labels", "a,b,v")
     assert code == 1
     assert out == ""
-    assert "puncture 'a' and label 'a'" in err
+    assert err == f"error: 'skew' fails validate: {first}\n"
+    assert "Traceback" not in err
 
 
 def test_sphere_accepts_product_labels(capsys, tmp_path):
@@ -431,6 +435,15 @@ def test_sphere_unknown_label_is_exit_2(capsys):
     assert "ghost" in err
 
 
+def _first_violation(capsys, path) -> str:
+    """The first violation ``validate --format json`` reports for ``path``,
+    in the text of validate's table format."""
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1
+    first = json.loads(out)["violations"][0]
+    return f"{first['check']} at {tuple(first['witness'])}: {first['detail']}"
+
+
 def _fermion_with_unknown_label(capsys, tmp_path) -> Path:
     _, dump, _ = run(capsys, "builtin", "fermion")
     doc = json.loads(dump)
@@ -447,9 +460,10 @@ def _fermion_with_unknown_label(capsys, tmp_path) -> Path:
 )
 def test_fusion_rule_with_unknown_label_is_exit_2(capsys, tmp_path, argv):
     path = _fermion_with_unknown_label(capsys, tmp_path)
+    first = _first_violation(capsys, path)
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and out == ""
-    assert "unknown label 'zzz'" in err and "Traceback" not in err
+    assert err == f"error: 'fermion' fails validate: {first}\n" and "Traceback" not in err
 
 
 def test_validate_reports_fusion_rule_with_unknown_label(capsys, tmp_path):
@@ -480,9 +494,10 @@ def _fermion_without(capsys, tmp_path, name) -> Path:
 )
 def test_map_missing_a_label_is_exit_2(capsys, tmp_path, argv, name):
     path = _fermion_without(capsys, tmp_path, name)
+    first = _first_violation(capsys, path)
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and out == ""
-    assert f"{name} of 'fermion' has no entry for label 'sigma'" in err
+    assert err == f"error: 'fermion' fails validate: {first}\n"
     assert "Traceback" not in err
 
 
@@ -509,12 +524,14 @@ def _fermion_edited(capsys, tmp_path, edit) -> Path:
 
 # each rejected by validate; the other commands must not compute on it
 STRUCTURE_BREAKS = {
-    "duplicate-label": (lambda doc: doc["labels"].append("sigma"),
-                        "labels of 'fermion' repeat label 'sigma'"),
-    "unit-not-a-label": (lambda doc: doc.update(unit="zzz"),
-                         "unit 'zzz' of 'fermion' is not a label"),
-    "dual-not-a-label": (lambda doc: doc["dual"].update(sigma="zzz"),
-                         "dual of 'fermion' maps to unknown label 'zzz'"),
+    "duplicate-label": lambda doc: doc["labels"].append("sigma"),
+    "unit-not-a-label": lambda doc: doc.update(unit="zzz"),
+    "dual-not-a-label": lambda doc: doc["dual"].update(sigma="zzz"),
+    "whitespace-label": lambda doc: doc["labels"].append("x y"),
+    "empty-label": lambda doc: doc["labels"].append(""),
+    "extra-dual-entry": lambda doc: doc["dual"].update(zzz="zzz"),
+    "extra-twist-entry": lambda doc: doc["twist"].update(zzz="0"),
+    "extra-qdim-entry": lambda doc: doc["qdim"].update(zzz="1"),
 }
 
 
@@ -525,18 +542,89 @@ STRUCTURE_BREAKS = {
     ids=["smatrix", "classify", "torus", "sphere"],
 )
 def test_structure_that_validate_rejects_is_exit_2(capsys, tmp_path, argv, case):
-    edit, message = STRUCTURE_BREAKS[case]
-    path = _fermion_edited(capsys, tmp_path, edit)
+    path = _fermion_edited(capsys, tmp_path, STRUCTURE_BREAKS[case])
+    first = _first_violation(capsys, path)
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
-    assert err == f"error: {message}\n"
+    assert err == f"error: 'fermion' fails validate: {first}\n"
 
 
 @pytest.mark.parametrize("case", list(STRUCTURE_BREAKS))
 def test_validate_reports_structure_breaks(capsys, tmp_path, case):
-    path = _fermion_edited(capsys, tmp_path, STRUCTURE_BREAKS[case][0])
+    path = _fermion_edited(capsys, tmp_path, STRUCTURE_BREAKS[case])
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1 and "INVALID" in out and err == ""
+
+
+def _swap_duals(doc):
+    doc["dual"].update(psi="sigma", sigma="psi")
+
+
+def _drop_sigma_sigma_psi(doc):
+    doc["fusion"].remove(["sigma", "sigma", "psi", 1])
+
+
+# well-formed, but failing validate's axioms: validate's violations, in order
+AXIOM_BREAKS = {
+    "duals-swapped": (_swap_duals, ["duality at ('psi', 'psi')"]),
+    "no-sigma-sigma-psi": (_drop_sigma_sigma_psi, ["associativity at ('psi', 'sigma', 'sigma', '1')",
+                                                   "dimension_equation at ('sigma', 'sigma')"]),
+}
+
+
+@pytest.mark.parametrize("case", list(AXIOM_BREAKS))
+@pytest.mark.parametrize(
+    "argv",
+    [("classify",), ("torus",), ("sphere", "--labels", "sigma,sigma")],
+    ids=["classify", "torus", "sphere"],
+)
+def test_axioms_that_validate_rejects_are_exit_1(capsys, tmp_path, argv, case):
+    edit, violations = AXIOM_BREAKS[case]
+    path = _fermion_edited(capsys, tmp_path, edit)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert [line.split(":")[0].strip() for line in out.splitlines()[1:]] == violations
+    first = _first_violation(capsys, path)
+    assert first.startswith(violations[0] + ": ")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: 'fermion' fails validate: {first}\n"
+
+
+@pytest.mark.parametrize("case", list(AXIOM_BREAKS))
+def test_smatrix_answers_on_axioms_that_validate_rejects(capsys, tmp_path, case):
+    # its s^2 verdict already fails on these files
+    path = _fermion_edited(capsys, tmp_path, AXIOM_BREAKS[case][0])
+    code, out, err = run(capsys, "smatrix", str(path), "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["squares_to_conjugation"] is False
+
+
+def test_super_modular_svec_gets_an_answer(capsys, tmp_path):
+    # sVec: psi x psi = 1 with psi a fermion.  Its s-matrix is degenerate, so
+    # it is super-modular, not spin modular; the block checks presume a
+    # spin-modular input and fail where the R sector is empty.
+    path = tmp_path / "svec.json"
+    path.write_text(json.dumps({
+        "name": "svec", "labels": ["1", "psi"], "unit": "1", "dual": {"1": "1", "psi": "psi"},
+        "fusion": [["1", "1", "1", 1], ["1", "psi", "psi", 1], ["psi", "1", "psi", 1],
+                   ["psi", "psi", "1", 1]],
+        "twist": {"1": "0", "psi": "1/2"}, "qdim": {"1": "1", "psi": "1"},
+    }))
+    assert run(capsys, "validate", str(path)) == (0, "svec: valid (2 labels)\n", "")
+    code, out, err = run(capsys, "smatrix", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["squares_to_conjugation"] is False
+    code, out, err = run(capsys, "classify", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert {k: v["witness"] for k, v in checks.items() if not v["ok"]} == {
+        "bd_rank": ["rank", 0, "expected", 1],
+        "count_identity": [0, 1],
+    }
+    code, out, err = run(capsys, "torus", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dims"] == {"AA": 1, "AP": 0, "PA": 0, "PP": 0}
 
 
 def test_minimal_bound_is_exit_2_before_enumerating(capsys, monkeypatch):
