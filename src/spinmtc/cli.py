@@ -117,7 +117,8 @@ def _resolve_vminus(data: fusion.FusionData, requested: str | None) -> str:
 
 def _emit(obj: dict, table: str, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        _write_blocks(json.JSONEncoder(indent=2).iterencode(obj), "")
+        sys.stdout.write("\n")
     else:
         sys.stdout.write(table if table.endswith("\n") else table + "\n")
 
@@ -219,9 +220,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "structure": "clifford",
         "zeta": {lab: st.zeta[lab] for lab in data.labels},
         "classification": cls.to_dict(),
-        "blocks": report.to_dict()["blocks"],
-        "checks": {k: v.to_dict() for k, v in report.checks.items()},
-        "all_pass": report.all_pass,
+        **report.to_dict(),
     }
     lines = [f"{data.name}: clifford structure at {vminus}"]
     for name, group in cls.to_dict().items():

@@ -168,6 +168,18 @@ def clifford_structure(data: FusionData, vminus: str) -> CliffordStructure:
     return CliffordStructure(vminus=vminus, sigma_vv=sigma, involution=inv, zeta=_zeta(data, inv))
 
 
+def _clifford_case(data: FusionData, vminus: str) -> CliffordStructure:
+    """``clifford_structure``, refused unless it is the Clifford case: the
+    one refusal of the label partition and of every spin surface space."""
+    st = clifford_structure(data, vminus)
+    if not st.is_clifford:
+        raise InconsistentDataError(
+            f"{data.name!r} declares self-braiding +1 at {vminus!r}; the label "
+            f"partition applies only to the Clifford case"
+        )
+    return st
+
+
 def classify_labels(data: FusionData, vminus: str) -> LabelClassification:
     """Partition labels into NS+/NS-/R+/R-/R0 for the chosen odd generator.
 
@@ -175,12 +187,7 @@ def classify_labels(data: FusionData, vminus: str) -> LabelClassification:
     The zeta character is checked to be multiplicative across every nonzero
     fusion channel before it is trusted.
     """
-    st = clifford_structure(data, vminus)
-    if not st.is_clifford:
-        raise InconsistentDataError(
-            f"{data.name!r} declares self-braiding +1 at {vminus!r}; the label "
-            f"partition applies only to the Clifford case"
-        )
+    st = _clifford_case(data, vminus)
     zeta, inv = st.zeta, st.involution
 
     for (i, j, k), v in data.fusion.items():

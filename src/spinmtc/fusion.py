@@ -24,6 +24,7 @@ from .exactnum import (
     parse_fraction,
     _fraction_str,
     _insert_row,
+    _integer_coefficients,
     _reduce_coeffs,
 )
 
@@ -376,76 +377,43 @@ class SMatrix:
 def compute_smatrix(data: FusionData) -> SMatrix:
     """s_{ij} = theta_i^{-1} theta_j^{-1} sum_k N(i,j->k) theta_k d_k.
 
-    Each theta = e^{2 pi i t} is a root of unity, so an entry is
-    sum_k N d_k e^{2 pi i (t_k - t_i - t_j)}: at conductor n, the terms of
-    d_k shifted in exponent by n (t_k - t_i - t_j), reduced once per entry.
-    Every entry gets the conductor that the product of cyclotomic values in
-    the formula above would have: the lcm of the denominators of t_i and t_j
-    and, per channel, of t_k and the conductor of d_k.  A channel whose d_k
-    is a conductor-1 zero adds nothing, and an entry whose channels add only
-    conductor 1 and sum to zero (one without channels, say) is a conductor-1
-    zero.
+    The matrix and every entry are computed at the conductor the data
+    declare: n = lcm of the twist denominators and the ``qdim`` conductors,
+    the N that ``MAX_CONDUCTOR`` caps.  Each theta = e^{2 pi i t} is a root
+    of unity, so an entry is sum_k N d_k e^{2 pi i (t_k - t_i - t_j)}: the
+    terms of d_k shifted in exponent by n (t_k - t_i - t_j), reduced once
+    per entry.
 
     Raises InconsistentDataError if the result is not symmetric.
     """
     labels = data.labels
     twist = {lab: Fraction(data.twist[lab]) % 1 for lab in labels}
-    qdim = {lab: data.qdim[lab] for lab in labels}
-
-    channels: dict[tuple[str, str], list[tuple[str, int]]] = {}
-    for (i, j, k), v in data.fusion.items():
-        if v:
-            channels.setdefault((i, j), []).append((k, v))
-
-    # the conductor of theta_k d_k, of each entry, and of the matrix
-    term = {
-        k: 1 if d.conductor == 1 and d.is_zero else math.lcm(twist[k].denominator, d.conductor)
-        for k, d in qdim.items()
-    }
-    zero_entries: set[tuple[str, str]] = set()
-    n = 1
-    for i in labels:
-        for j in labels:
-            chans = channels.get((i, j), ())
-            cond = math.lcm(*(term[k] for k, _ in chans))
-            if cond == 1 and not sum(qdim[k].rational_value() * v for k, v in chans):
-                zero_entries.add((i, j))
-            else:
-                n = math.lcm(n, twist[i].denominator, twist[j].denominator, cond)
-
+    n = math.lcm(*(t.denominator for t in twist.values()), *(data.qdim[lab].conductor for lab in labels))
+    expo = {lab: t.numerator * (n // t.denominator) for lab, t in twist.items()}
     # theta_k d_k at conductor n: integer terms over one denominator
-    den = math.lcm(1, *(c.denominator for d in qdim.values() for c in d.coefficients().values()))
-    expo = {lab: t.numerator * (n // t.denominator) for lab, t in twist.items() if n % t.denominator == 0}
-    terms = {
-        k: [((e + expo[k]) % n, c.numerator * (den // c.denominator)) for e, c in d.rebased(n).coefficients().items()]
-        for k, d in qdim.items()
-        if not d.is_zero and n % term[k] == 0
-    }
+    ints, den, _ = _integer_coefficients([[data.qdim[lab] for lab in labels]], n)
+    terms = {k: [((e + expo[k]) % n, c) for e, c in d.items()] for k, d in zip(labels, ints[0])}
 
+    rules = data._rules
+    empty: dict[str, int] = {}
     rows = []
     for i in labels:
         row = []
         for j in labels:
-            if (i, j) in zero_entries:
-                row.append(Cyclotomic(n, {}, _canonical=True))
-                continue
             shift = -expo[i] - expo[j]
             raw: dict[int, int] = {}
-            for k, v in channels.get((i, j), ()):
-                for e, c in terms.get(k, ()):
+            for k, v in rules.get(i, empty).get(j, empty).items():
+                for e, c in terms[k]:
                     e = (e + shift) % n
                     raw[e] = raw.get(e, 0) + c * v
             coeffs = _reduce_coeffs(n, raw)
             row.append(Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True))
         rows.append(row)
     mat = CycMatrix(rows)
-    if not mat.is_symmetric():
-        bad = next(
-            (labels[i], labels[j])
-            for i in range(len(labels))
-            for j in range(len(labels))
-            if mat[i, j] != mat[j, i]
-        )
+    rank = data.rank
+    bad = next(((labels[i], labels[j]) for i in range(rank) for j in range(i + 1, rank)
+                if mat[i, j] != mat[j, i]), None)
+    if bad is not None:
         raise InconsistentDataError(f"s-matrix is not symmetric at {bad} for {data.name!r}")
     return SMatrix(data=mat, source=data.name)
 

@@ -22,7 +22,7 @@ import itertools
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
-from .clifford import CliffordAlgebraClass, classify_labels, clifford_structure
+from .clifford import CliffordAlgebraClass, _clifford_case, classify_labels
 from .fusion import FormatError, FusionData, InconsistentDataError, hom_unit_dim
 
 __all__ = [
@@ -105,15 +105,6 @@ class SpinTorusReport:
         return {"dims": {k: self.dims[k] for k in ("AA", "AP", "PA", "PP")}}
 
 
-def _require_clifford(data: FusionData, vminus: str):
-    st = clifford_structure(data, vminus)
-    if not st.is_clifford:
-        raise InconsistentDataError(
-            "square-root type structure (sigma_vv = +1): spin surface spaces are not defined"
-        )
-    return st
-
-
 def sphere_epsilon_table(spec: SpinSphereSpec) -> EpsilonTable:
     """Unit multiplicity of the twisted label chain for every sign assignment.
 
@@ -121,7 +112,7 @@ def sphere_epsilon_table(spec: SpinSphereSpec) -> EpsilonTable:
     By the parity law, once its premise is checked, two chains give every entry.
     """
     data, labels = spec.category, spec.boundary_labels
-    inv = _require_clifford(data, spec.vminus).involution
+    inv = _clifford_case(data, spec.vminus).involution
     rules = data._rules
     for x in dict.fromkeys(labels):  # (inv x) * j = x * (inv j) = inv(x * j)
         for j in data.labels:
@@ -159,7 +150,6 @@ def torus_dims(data: FusionData, vminus: str) -> SpinTorusReport:
     AA is the count of even vacua |NS+|; the three others count Ramond data:
     PP = |R+| and both mixed structures = |R+| + |R0|.
     """
-    _require_clifford(data, vminus)
     cls = classify_labels(data, vminus)
     r_plus = len(cls.r_plus)
     r_zero = len(cls.r_zero)

@@ -144,6 +144,12 @@ def test_minimal_scan(capsys):
         assert row["r_count"] == len(ramond), row
         assert {lab.split for lab in ramond} == {row["split"]}, row
 
+    # JSON is written a block of encoder chunks at a time (here about five
+    # blocks); the bytes are those of the whole dump
+    code, out, _ = run(capsys, "minimal-scan", "--max-pq", "1000", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
 
 def test_singvec_by_model(capsys):
     code, out, _ = run(capsys, "singvec", "--p", "3", "--q", "5", "--format", "json")
@@ -598,6 +604,21 @@ def test_smatrix_answers_on_axioms_that_validate_rejects(capsys, tmp_path, case)
     code, out, err = run(capsys, "smatrix", str(path), "--format", "json")
     assert code == 1 and err == ""
     assert json.loads(out)["squares_to_conjugation"] is False
+
+
+def test_square_root_case_has_one_refusal(capsys, tmp_path):
+    # validate accepts sigma_vv = +1; classify reports it, and the spin
+    # surface commands refuse it with the label partition's one message
+    path = _fermion_edited(capsys, tmp_path, lambda doc: doc.update(sigma_vv=1))
+    assert run(capsys, "validate", str(path)) == (0, "fermion: valid (3 labels)\n", "")
+    assert run(capsys, "classify", str(path))[0] == 0
+    torus = run(capsys, "torus", str(path))
+    sphere = run(capsys, "sphere", str(path), "--labels", "sigma,sigma")
+    assert torus == sphere
+    code, out, err = torus
+    assert (code, out) == (1, "")
+    assert err == ("error: 'fermion' declares self-braiding +1 at 'psi'; "
+                   "the label partition applies only to the Clifford case\n")
 
 
 def test_super_modular_svec_gets_an_answer(capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -416,23 +417,45 @@ def test_fermion_smatrix_independent_of_sigma_twist():
         assert holds and alpha == Cyclotomic.from_rational(4)
 
 
+def _declared_conductor(data: FusionData) -> int:
+    return math.lcm(*(data.twist[lab].denominator for lab in data.labels),
+                    *(data.qdim[lab].conductor for lab in data.labels))
+
+
+# the Deligne products the benchmark's category workloads run
+BENCH_PRODUCTS = [("dirac",) * 3, ("dirac", "fermion", "fermion"), ("fibonacci", "fermion", "fermion")]
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [(key,) for key in BUILTIN_KEYS] + list(itertools.product(BUILTIN_KEYS, repeat=2)) + BENCH_PRODUCTS,
+    ids="x".join,
+)
+def test_smatrix_conductor_is_the_declared_conductor(keys):
+    data = _product(*keys)
+    conductor = _declared_conductor(data)
+    s = compute_smatrix(data).data
+    assert s.conductor == conductor
+    assert all(x.conductor == conductor for row in s for x in row)
+
+
 def test_smatrix_conductor_on_degenerate_data():
-    # The printed conductor is that of the product of cyclotomic values the
-    # s-matrix formula describes, also on data validate() would reject: an
-    # entry without channels is a conductor-1 zero, and a qdim that is a
-    # conductor-1 zero drops its label's twist.
+    # The s-matrix and every entry are at the conductor the data declare,
+    # the lcm of the twist denominators and the qdim conductors, also on
+    # data validate() would reject: a label without fusion rules or with a
+    # zero qdim still adds its twist's denominator, and a qdim its conductor.
     f, t = builtin("fermion"), builtin("toric")
     no_sigma = {key: v for key, v in f.fusion.items() if "sigma" not in key[:2]}
     cases = [
-        (replace(f, fusion=no_sigma, twist={**f.twist, "sigma": Fraction(1, 3)}), 2),
-        (replace(f, qdim={lab: ZERO for lab in f.labels}), 1),
+        (replace(f, fusion=no_sigma, twist={**f.twist, "sigma": Fraction(1, 3)}), 24),
+        (replace(f, qdim={lab: ZERO for lab in f.labels}), 16),
         (replace(f, qdim={**f.qdim, "sigma": ZERO}), 16),
         (replace(f, qdim={**f.qdim, "psi": Cyclotomic(12, {})}), 48),
         (replace(t, qdim={**t.qdim, "e": Cyclotomic(5, {1: Fraction(1, 2)})}), 10),
     ]
     for data, conductor in cases:
         s = compute_smatrix(data).data
-        assert s.conductor == conductor
+        assert s.conductor == conductor == _declared_conductor(data)
         assert all(x.conductor == conductor for row in s for x in row)
 
 
@@ -454,7 +477,7 @@ def test_asymmetric_smatrix_is_rejected():
         twist={"1": Fraction(0), "a": Fraction(0), "b": Fraction(0)},
         qdim={lab: ONE for lab in ("1", "a", "b")},
     )
-    with pytest.raises(InconsistentDataError):
+    with pytest.raises(InconsistentDataError, match=r"not symmetric at \('a', 'b'\)"):
         compute_smatrix(nc)
 
 

@@ -95,9 +95,12 @@ def test_sphere_spec_validation():
 
 def test_square_root_structure_is_refused():
     sqrt = replace(builtin("fermion"), sigma_vv=1)
-    with pytest.raises(InconsistentDataError):
-        sphere_report(SpinSphereSpec(sqrt, "psi", ("sigma", "sigma")))
-    with pytest.raises(InconsistentDataError):
+    spec = SpinSphereSpec(sqrt, "psi", ("sigma", "sigma"))
+    with pytest.raises(InconsistentDataError, match="self-braiding"):
+        sphere_report(spec)
+    with pytest.raises(InconsistentDataError, match="self-braiding"):
+        sphere_epsilon_table(spec)
+    with pytest.raises(InconsistentDataError, match="self-braiding"):
         torus_dims(sqrt, "psi")
 
 
