@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactnum import CycMatrix
+from .exactnum import CycMatrix, _certified_rank, _integer_coefficients, _pack
 from .fusion import FusionData, InconsistentDataError, SMatrix
 
 __all__ = [
@@ -300,14 +300,17 @@ def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatri
     ns_labels = set(cls.ns_plus) | set(cls.ns_minus)
     checks: dict[str, CheckResult] = {}
 
+    # Each entry as one int: its integer coefficients over one denominator,
+    # packed wide enough that equal entries have equal keys and key(-x) = -key(x).
+    ints, _, top = _integer_coefficients(mat.entries, mat.conductor)
+    key = [[_pack(c, top.bit_length() + 1) for c in row] for row in ints]
+
     # (1) rows transform by the zeta sign of the column under the involution
     witness = None
     for i in labels:
         for j in labels:
             sign = 1 if j in ns_labels else -1
-            lhs = mat[idx[inv_of[i]], idx[j]]
-            rhs = mat[idx[i], idx[j]]
-            if lhs != (rhs if sign == 1 else -rhs):
+            if key[idx[inv_of[i]]][idx[j]] != sign * key[idx[i]][idx[j]]:
                 witness = (i, j)
                 break
         if witness:
@@ -343,53 +346,52 @@ def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatri
     block_c = sub("R+", "R+")
     block_d = sub("NS+", "R0")
 
-    # (3) the full 5x5 block pattern
-    bt = block_b.transpose()
-    dt = block_d.transpose()
-    n_rp, n_r0 = len(groups["R+"]), len(groups["R0"])
-    zero_rp_r0 = CycMatrix([[0] * n_r0 for _ in range(n_rp)], shape=(n_rp, n_r0))
-    zero_r0_rp = CycMatrix([[0] * n_rp for _ in range(n_r0)], shape=(n_r0, n_rp))
-    zero_r0_r0 = CycMatrix([[0] * n_r0 for _ in range(n_r0)], shape=(n_r0, n_r0))
-    pattern: dict[tuple[str, str], CycMatrix] = {
-        ("NS+", "NS+"): block_a, ("NS+", "NS-"): block_a, ("NS+", "R+"): block_b,
-        ("NS+", "R-"): block_b, ("NS+", "R0"): block_d,
-        ("NS-", "NS+"): block_a, ("NS-", "NS-"): block_a, ("NS-", "R+"): -block_b,
-        ("NS-", "R-"): -block_b, ("NS-", "R0"): -block_d,
-        ("R+", "NS+"): bt, ("R+", "NS-"): -bt, ("R+", "R+"): block_c,
-        ("R+", "R-"): -block_c, ("R+", "R0"): zero_rp_r0,
-        ("R-", "NS+"): bt, ("R-", "NS-"): -bt, ("R-", "R+"): -block_c,
-        ("R-", "R-"): block_c, ("R-", "R0"): zero_rp_r0,
-        ("R0", "NS+"): dt, ("R0", "NS-"): -dt, ("R0", "R+"): zero_r0_rp,
-        ("R0", "R-"): zero_r0_rp, ("R0", "R0"): zero_r0_r0,
-    }
-    witness = None
-    for (g1, g2), expect in pattern.items():
-        got = sub(g1, g2)
-        if got != expect:
-            witness = (g1, g2)
-            break
+    # (3) the full 5x5 block pattern, by index.  Rows and columns run NS+,
+    # NS-, R+, R-, R0; block (g1, g2) is the sign times s on the plus groups
+    # of g1 and g2 (the block its letter names), read transposed where marked
+    # t, and 0 is zero.
+    order = ("NS+", "NS-", "R+", "R-", "R0")
+    plus = dict(zip(order, ("NS+", "NS+", "R+", "R+", "R0")))
+    pattern = [row.split() for row in (
+        "A   A   B   B   D",
+        "A   A  -B  -B  -D",
+        "Bt -Bt  C  -C   0",
+        "Bt -Bt -C   C   0",
+        "Dt -Dt  0   0   0",
+    )]
+
+    def follows(g1: str, g2: str, block: str) -> bool:
+        rows, cols, src_rows, src_cols = groups[g1], groups[g2], groups[plus[g1]], groups[plus[g2]]
+        sign = 0 if block == "0" else -1 if block[0] == "-" else 1
+        t = block.endswith("t")
+        return (len(rows), len(cols)) == (len(src_rows), len(src_cols)) and all(
+            key[i][j] == sign * (key[src_cols[y]][src_rows[x]] if t else key[src_rows[x]][src_cols[y]])
+            for x, i in enumerate(rows)
+            for y, j in enumerate(cols)
+        )
+
+    witness = next(((g1, g2) for g1, row in zip(order, pattern) for g2, block in zip(order, row)
+                    if not follows(g1, g2, block)), None)
     checks["block_pattern"] = CheckResult(witness is None, witness)
 
     # (4) A and C are symmetric and nonsingular
     witness = None
-    for name, blk in (("A", block_a), ("C", block_c)):
-        if not blk.is_symmetric():
+    for name, blk, group in (("A", block_a, groups["NS+"]), ("C", block_c, groups["R+"])):
+        if any(key[i][j] != key[j][i] for i in group for j in group):
             witness = (name, "not symmetric")
-            break
-        rank, det = blk.rank_det()
-        if det is None or det.is_zero:
+        elif _certified_rank(blk) < blk.rows:
             witness = (name, "singular")
+        if witness:
             break
     checks["diagonal_blocks"] = CheckResult(witness is None, witness)
 
     # (5) [B D] has full row rank |NS+|
-    bd = block_b.hstack(block_d)
-    rank, _ = bd.rank_det()
+    rank = _certified_rank(mat.submatrix(groups["NS+"], groups["R+"] + groups["R0"]))
     ok = rank == len(cls.ns_plus)
     checks["bd_rank"] = CheckResult(ok, None if ok else ("rank", rank, "expected", len(cls.ns_plus)))
 
     # (6) B^T D = 0
-    prod = bt @ block_d
+    prod = block_b.transpose() @ block_d
     witness = None
     for i in range(prod.rows):
         for j in range(prod.cols):

@@ -1,7 +1,8 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N), plus exact linear algebra.
 
 The library's one Gaussian elimination is the sparse RREF kernel ``_rref``
-here, over Q, F_p or Q(zeta_N): ``CycMatrix.rank_det``, the
+here, over Q, F_p or Q(zeta_N): ``CycMatrix.rank_det``, the rank modulo a
+prime that certifies the block checks of :mod:`spinmtc.clifford`, the
 singular-vector solve of :mod:`spinmtc.verma` and, one row at a time through
 ``_insert_row``, the generating-set search of :mod:`spinmtc.fusion` run on it.
 
@@ -491,6 +492,27 @@ def _unpack(value: int, width: int) -> dict[int, int]:
     return out
 
 
+def _packed_operands(a: "CycMatrix", b: "CycMatrix") -> tuple[int, list[list[int]], list[list[int]], int, int]:
+    """(N, a's rows, b's rows, den, w): a and b packed for Kronecker substitution.
+
+    Both are rebased to N = lcm of their conductors and scaled by one common
+    denominator each (den is their product) to integer power-basis
+    coefficients, and every entry becomes one int: its coefficients evaluated
+    at 2^w.  An entry of a @ b, before reduction, has coefficients bounded by
+    |c| <= a.cols * phi(N) * max|a| * max|b| (at most ``a.cols`` products of
+    entries, each summing at most phi(N) coefficient products).  With
+    w = bit_length(bound) + 1 every slot, sign bit included, fits its w bits,
+    so the packed dot product of a row of a and a column of b is exact.
+    """
+    n = math.lcm(a.conductor, b.conductor)
+    a_ints, a_den, a_max = _integer_coefficients(a.entries, n)
+    b_ints, b_den, b_max = (a_ints, a_den, a_max) if b is a else _integer_coefficients(b.entries, n)
+    width = (a.cols * phi_degree(n) * a_max * b_max).bit_length() + 1
+    a_rows = [[_pack(c, width) for c in row] for row in a_ints]
+    b_rows = a_rows if b is a else [[_pack(c, width) for c in row] for row in b_ints]
+    return n, a_rows, b_rows, a_den * b_den, width
+
+
 # ---------------------------------------------------------------------------
 # sparse exact linear algebra: rows are dicts {column: nonzero entry}
 
@@ -562,6 +584,72 @@ def _insert_row(pivots: dict[int, Row], row: Row, p: int | None = None) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# word-size primes, and rank modulo a prime above p
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n > 1 below 3.3e24."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_root(n: int) -> tuple[int, int]:
+    """The least prime p = kn + 1 above 2^61, and a primitive n-th root w mod p:
+    w = g^((p-1)/n) with w^(n/q) != 1 for each prime q of n (by trial division)."""
+    p = (2**61 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    primes = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in primes):
+            return p, w
+        g += 1
+
+
+def _rank_mod_p(m: "CycMatrix") -> int:
+    """The rank of m's image under zeta_N -> w mod p, for (p, w) = ``_prime_root(N)``.
+
+    The entries are taken as integer coefficients over one common
+    denominator, so nothing is inverted mod p, and the map on them is
+    reduction at a prime above p: a ring map of Z[zeta_N], under which a
+    vanishing minor stays zero.  So the result is at most the rank of m,
+    and it is the rank when it equals min(rows, cols).
+    """
+    n = m.conductor
+    p, w = _prime_root(n)
+    powers = [pow(w, e, p) for e in range(phi_degree(n))]
+    ints, _, _ = _integer_coefficients(m.entries, n)
+    images = ([sum(c * powers[e] for e, c in coeffs.items()) % p for coeffs in row] for row in ints)
+    return len(_rref(({j: x for j, x in enumerate(row) if x} for row in images), p)[0])
+
+
+def _certified_rank(m: "CycMatrix") -> int:
+    """The exact rank of m: ``_rank_mod_p`` when that is full, else from ``rank_det``."""
+    rank = _rank_mod_p(m)
+    return rank if rank == min(m.rows, m.cols) else m.rank_det()[0]
+
+
+# ---------------------------------------------------------------------------
 
 
 class CycMatrix:
@@ -626,36 +714,13 @@ class CycMatrix:
             shape=(self.cols, self.rows),
         )
 
-    def __neg__(self) -> "CycMatrix":
-        return CycMatrix([[-x for x in row] for row in self.entries], shape=(self.rows, self.cols))
-
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        """Exact product by Kronecker substitution over Python ints.
-
-        Both operands are rebased to N = lcm of their conductors, and each is
-        scaled by one common denominator to integer power-basis coefficients
-        (phi(N) per entry).  Every entry becomes one int: its coefficients
-        evaluated at 2^w.  One output entry, as a polynomial of degree
-        < 2 phi(N) - 1 before reduction, has coefficients bounded by
-
-            |c| <= cols * phi(N) * max|a| * max|b|
-
-        (at most ``cols`` products of entries, each summing at most phi(N)
-        coefficient products).  With w = bit_length(bound) + 1 every slot,
-        sign bit included, fits its w bits, so the packed dot product of a row
-        and a column is exact and unpacks to the true coefficients.  Those are
-        folded mod x^N - 1 and reduced mod Phi_N once per entry.
-        """
+        """Exact product of the ``_packed_operands``: each packed dot product unpacks
+        to an entry's coefficients, folded mod x^N - 1 and reduced mod Phi_N once."""
         if self.cols != other.rows:
             raise ExactNumError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n = math.lcm(self.conductor, other.conductor)
-        deg = phi_degree(n)
-        a_ints, a_den, a_max = _integer_coefficients(self.entries, n)
-        b_ints, b_den, b_max = _integer_coefficients(other.entries, n)
-        width = (self.cols * deg * a_max * b_max).bit_length() + 1
-        a_rows = [[_pack(c, width) for c in row] for row in a_ints]
-        b_cols = [[_pack(row[j], width) for row in b_ints] for j in range(other.cols)]
-        den = a_den * b_den
+        n, a_rows, b_rows, den, width = _packed_operands(self, other)
+        b_cols = [[row[j] for row in b_rows] for j in range(other.cols)]
         out = []
         for a_row in a_rows:
             out_row = []
@@ -671,23 +736,8 @@ class CycMatrix:
             shape=(len(row_idx), len(col_idx)),
         )
 
-    def hstack(self, other: "CycMatrix") -> "CycMatrix":
-        if self.rows != other.rows:
-            raise ExactNumError("row count mismatch in hstack")
-        return CycMatrix(
-            [list(a) + list(b) for a, b in zip(self.entries, other.entries)],
-            shape=(self.rows, self.cols + other.cols),
-        )
-
     def is_zero(self) -> bool:
         return all(x.is_zero for row in self.entries for x in row)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
 
     def rank_det(self) -> tuple[int, Cyclotomic | None]:
         """Exact rank, and determinant for square matrices (None otherwise).

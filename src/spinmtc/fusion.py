@@ -25,7 +25,9 @@ from .exactnum import (
     _fraction_str,
     _insert_row,
     _integer_coefficients,
+    _packed_operands,
     _reduce_coeffs,
+    _unpack,
 )
 
 __all__ = [
@@ -421,21 +423,33 @@ def compute_smatrix(data: FusionData) -> SMatrix:
 def check_s_squared(s: SMatrix, data: FusionData) -> tuple[bool, Cyclotomic | None]:
     """Whether s^2 is a scalar multiple of the charge conjugation permutation.
 
-    Returns (True, scalar) on success and (False, None) otherwise.
+    Returns (True, scalar) on success and (False, None) otherwise.  The
+    entries of s^2 are packed products, as in ``CycMatrix.__matmul__``,
+    compared with the scalar in integers over their one denominator.  When s
+    is symmetric, as ``compute_smatrix`` makes it, column j of s is row j and
+    s^2 is symmetric, so only its entries i <= j are formed.
     """
-    square = s.data @ s.data
-    labels = data.labels
+    mat = s.data
+    n, rows, _, den, width = _packed_operands(mat, mat)
+    r = mat.rows
+    sym = all(rows[i][j] == rows[j][i] for i in range(r) for j in range(i + 1, r))
+    cols = rows if sym else [list(col) for col in zip(*rows)]
+
+    def entry(i: int, j: int) -> dict[int, int]:
+        return _reduce_coeffs(n, _unpack(sum(map(int.__mul__, rows[i], cols[j])), width))
+
+    labels, dual = data.labels, data.dual
     iu = data.index(data.unit)
-    alpha = square[iu, iu]  # unit is self-dual, so this is the would-be scalar
-    zero = Cyclotomic.from_rational(0)
-    for a, i in enumerate(labels):
-        for b, j in enumerate(labels):
-            want = alpha if data.dual[i] == j else zero
-            if square[a, b] != want:
-                return False, None
-    if alpha.is_zero:
+    alpha = entry(iu, iu)  # unit is self-dual, so this is the would-be scalar
+    if not alpha:
         return False, None
-    return True, alpha
+    for i, a in enumerate(labels):
+        for j in range(i if sym else 0, r):
+            hit = dual[a] == labels[j]
+            # with s^2 symmetric, the entry stands at (j, i) as well
+            if sym and hit != (dual[labels[j]] == a) or entry(i, j) != (alpha if hit else {}):
+                return False, None
+    return True, Cyclotomic(n, {e: Fraction(c, den) for e, c in alpha.items()}, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exactnum import Row, _fraction_str, _reduce, _rref
+from .exactnum import Row, _fraction_str, _is_prime, _reduce, _rref
 
 __all__ = [
     "NSMode",
@@ -545,29 +545,6 @@ def degree_basis(d: Fraction | int) -> list[PBWMonomial]:
 
 # ---------------------------------------------------------------------------
 # multimodular nullspace
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the odd word-size candidates used here."""
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _primes() -> Iterator[int]:

@@ -20,7 +20,7 @@ from spinmtc.clifford import (
     morita_parity,
     verify_block_structure,
 )
-from spinmtc.exactnum import CycMatrix
+from spinmtc.exactnum import CycMatrix, _prime_root
 from spinmtc.fusion import InconsistentDataError, SMatrix, compute_smatrix, deligne_product
 
 CLIFFORD_BUILTINS = ("fermion", "dirac", "toric")
@@ -230,6 +230,37 @@ def test_corrupted_twist_breaks_block_checks_not_the_code():
     assert report.checks["count_identity"].witness is not None
 
 
+def _refuse_rank_det(self):
+    raise AssertionError("rank_det reached on a block of full rank")
+
+
+# the builtins, their pairwise Deligne products and the benchmark's three
+# products, each with every odd generator it has, and fermion with sigma's
+# twist at 1/8008, whose conductor 8008 is near the cap
+CERTIFIED = (
+    [(key,) for key in BUILTIN_KEYS]
+    + list(itertools.product(BUILTIN_KEYS, repeat=2))
+    + [("dirac",) * 3, ("dirac", "fermion", "fermion"), ("fibonacci", "fermion", "fermion")]
+    + [("fermion_sigma_8008",)]
+)
+
+
+@pytest.mark.parametrize("keys", CERTIFIED, ids="x".join)
+def test_valid_blocks_are_certified_without_rank_det(monkeypatch, keys):
+    if keys == ("fermion_sigma_8008",):
+        f = builtin("fermion")
+        data = replace(f, twist={**f.twist, "sigma": Fraction(1, 8008)})
+    else:
+        data = builtin(keys[0])
+        for key in keys[1:]:
+            data = deligne_product(data, builtin(key))
+    s = compute_smatrix(data)
+    monkeypatch.setattr(CycMatrix, "rank_det", _refuse_rank_det)
+    for vminus in find_vminus(data):
+        report = verify_block_structure(data, classify_labels(data, vminus), s)
+        assert report.all_pass, (keys, vminus)
+
+
 def _checks_with_entry(data, cls, label_i, label_j, value):
     """Every block check's (ok, witness) on the s-matrix with one entry replaced."""
     rows = [list(row) for row in compute_smatrix(data).data]
@@ -272,6 +303,24 @@ def test_one_corrupted_entry_fails_its_block_check(case):
     assert got == want
 
 
+def test_an_entry_equal_to_the_prime_keeps_its_verdict(monkeypatch):
+    # An entry equal to the prime p of the modular rank makes A = [[p]], or
+    # D = [[p]], vanish mod p but not over Q(zeta_N); the exact rank_det runs
+    # and the block stays nonsingular, or of full rank.
+    data = builtin("fermion")
+    cls = classify_labels(data, "psi")
+    p = _prime_root(compute_smatrix(data).data.conductor)[0]
+    calls = []
+    exact = CycMatrix.rank_det
+    monkeypatch.setattr(CycMatrix, "rank_det", lambda self: calls.append(self) or exact(self))
+    passing = {name: (True, None) for name in CHECK_NAMES}
+    assert _checks_with_entry(data, cls, "1", "1", p) == {
+        **passing, "involution_rows": (False, ("1", "1")), "block_pattern": (False, ("NS+", "NS-"))}
+    assert _checks_with_entry(data, cls, "1", "sigma", p) == {
+        **passing, "involution_rows": (False, ("1", "sigma")), "block_pattern": (False, ("NS-", "R0"))}
+    assert [(m.rows, m.cols) for m in calls] == [(1, 1), (1, 1)]
+
+
 def test_one_corrupted_entry_fails_btd_zero():
     # No builtin or pairwise product has R+ and R0 labels at once, so the
     # partition is hand-built: its only NS+ row, (sigma,1), vanishes on the R0
@@ -296,6 +345,27 @@ def test_one_corrupted_entry_fails_btd_zero():
         "count_identity": (False, (4, 1)),
     }
     assert after == {**before, "btd_zero": (False, ("(1,1)", "(sigma,sigma)"))}
+
+
+def test_block_shapes_that_differ_from_the_pattern_fail_it():
+    # Hand-built partitions whose paired lists differ in length: the block the
+    # pattern names has another shape than the block it is compared with.
+    data = builtin("fermion")
+    s = compute_smatrix(data)
+    uneven_r = LabelClassification(("1",), ("psi",), ("sigma",), (), ("sigma",))
+    uneven_ns = LabelClassification(("1", "psi"), ("psi",), (), (), ("sigma",))
+    checks = {name: (r.ok, r.witness) for name, r in verify_block_structure(data, uneven_r, s).checks.items()}
+    assert checks == {
+        "involution_rows": (True, None), "nonsplit_row_vanishing": (True, None),
+        "block_pattern": (False, ("NS+", "R-")), "diagonal_blocks": (False, ("C", "singular")),
+        "bd_rank": (True, None), "btd_zero": (False, ("sigma", "sigma")), "count_identity": (False, (2, 1)),
+    }
+    checks = {name: (r.ok, r.witness) for name, r in verify_block_structure(data, uneven_ns, s).checks.items()}
+    assert checks == {
+        "involution_rows": (True, None), "nonsplit_row_vanishing": (True, None),
+        "block_pattern": (False, ("NS+", "NS-")), "diagonal_blocks": (False, ("A", "singular")),
+        "bd_rank": (False, ("rank", 1, "expected", 2)), "btd_zero": (True, None), "count_identity": (False, (1, 2)),
+    }
 
 
 # --- Clifford algebra bookkeeping ------------------------------------------------

@@ -21,7 +21,7 @@ from spinmtc.exactnum import (
     root_of_unity,
     zeta,
 )
-from spinmtc.exactnum import _reduce_coeffs
+from spinmtc.exactnum import _certified_rank, _prime_root, _rank_mod_p, _reduce_coeffs
 
 ONE = Cyclotomic.from_rational(1)
 ZERO = Cyclotomic.from_rational(0)
@@ -516,9 +516,8 @@ _KERNEL_CONDUCTORS = (1, 3, 5, 8, 80)
 _KERNEL_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_rank_det_matches_dense_reference(data):
+def _draw_kernel_matrix(data) -> CycMatrix:
+    """A sparse matrix of up to 6x6 over Q(zeta_N), sometimes with a dependent row."""
     rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
     conductor = data.draw(st.sampled_from(_KERNEL_CONDUCTORS))
     terms = st.dictionaries(st.integers(0, conductor - 1), _KERNEL_COEFFS, max_size=3)
@@ -530,7 +529,59 @@ def test_rank_det_matches_dense_reference(data):
         entries[data.draw(st.integers(2, rows - 1))] = [
             a * x + b * y for x, y in zip(entries[0], entries[1])
         ]
-    _assert_rank_det_matches_reference(CycMatrix(entries, shape=(rows, cols)))
+    return CycMatrix(entries, shape=(rows, cols))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_det_matches_dense_reference(data):
+    _assert_rank_det_matches_reference(_draw_kernel_matrix(data))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_mod_p_bounds_the_exact_rank(data):
+    m = _draw_kernel_matrix(data)
+    if m.rows and data.draw(st.booleans()):
+        # a row times p vanishes mod p, not over Q(zeta_N)
+        p = _prime_root(m.conductor)[0]
+        k = data.draw(st.integers(0, m.rows - 1))
+        m = CycMatrix([[x * p for x in row] if i == k else row for i, row in enumerate(m)],
+                      shape=(m.rows, m.cols))
+    rank, _ = m.rank_det()
+    rank_p = _rank_mod_p(m)
+    assert rank_p <= rank
+    if rank_p == min(m.rows, m.cols):
+        assert rank_p == rank
+    assert _certified_rank(m) == rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 80, 8008, 9240, 10_000])
+def test_prime_root_is_a_primitive_root_mod_a_prime_above_2_61(n):
+    p, w = _prime_root(n)
+    assert p > 2**61 and (p - 1) % n == 0
+    assert all(p % q for q in range(2, 2000))
+    assert pow(3, p - 1, p) == 1 and pow(5, p - 1, p) == 1
+    # w is a root of Phi_n mod p: the images of the power basis respect Phi_n
+    assert sum(c * pow(w, e, p) for e, c in enumerate(cyclotomic_polynomial(n))) % p == 0
+    assert pow(w, n, p) == 1
+    assert all(pow(w, n // q, p) != 1 for q in range(2, n + 1) if n % q == 0)
+
+
+def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(monkeypatch):
+    p = _prime_root(1)[0]
+    m = CycMatrix([[1, 1], [1, 1 + p]])  # determinant p
+    assert m.rank_det() == (2, Cyclotomic.from_rational(p))
+    assert _rank_mod_p(m) == 1
+    calls = []
+    exact = CycMatrix.rank_det
+    monkeypatch.setattr(CycMatrix, "rank_det", lambda self: calls.append(self) or exact(self))
+    assert _certified_rank(m) == 2 and calls == [m]
+    # a full rank mod p is the answer: the exact elimination does not run
+    assert _certified_rank(CycMatrix([[1, 1], [1, 2]])) == 2 and calls == [m]
+    # a rank that is deficient over Q(zeta_N) too gets its exact value
+    singular = CycMatrix([[zeta(8), 1], [zeta(8, 2), zeta(8)]])
+    assert _rank_mod_p(singular) == _certified_rank(singular) == 1 and calls == [m, singular]
 
 
 def test_rank_det_degenerate_shapes():
@@ -562,7 +613,10 @@ def test_rank_det_on_blocks_of_benchmark_products(factors):
     s = compute_smatrix(data)
     generators = [v for v in find_vminus(data) if clifford_structure(data, v).is_clifford]
     assert generators
+    idx = {lab: i for i, lab in enumerate(data.labels)}
     for vminus in generators:
-        report = verify_block_structure(data, classify_labels(data, vminus), s)
-        for block in (report.block_a, report.block_c, report.block_b.hstack(report.block_d)):
+        cls = classify_labels(data, vminus)
+        report = verify_block_structure(data, cls, s)
+        bd = s.data.submatrix([idx[x] for x in cls.ns_plus], [idx[x] for x in cls.r_plus + cls.r_zero])
+        for block in (report.block_a, report.block_c, bd):
             _assert_rank_det_matches_reference(block)

@@ -15,12 +15,13 @@ import pytest
 import spinmtc.fusion
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import classify_labels, clifford_structure, find_vminus, verify_block_structure
-from spinmtc.exactnum import Cyclotomic, zeta
+from spinmtc.exactnum import Cyclotomic, CycMatrix, zeta
 from spinmtc.fusion import (
     MAX_CONDUCTOR,
     FormatError,
     FusionData,
     InconsistentDataError,
+    SMatrix,
     check_s_squared,
     compute_smatrix,
     deligne_product,
@@ -479,6 +480,54 @@ def test_asymmetric_smatrix_is_rejected():
     )
     with pytest.raises(InconsistentDataError, match=r"not symmetric at \('a', 'b'\)"):
         compute_smatrix(nc)
+
+
+def _s_squared_by_full_product(s: SMatrix, data: FusionData) -> tuple[bool, Cyclotomic | None]:
+    """The s^2 check by its definition: the full s @ s, compared entry by entry."""
+    square = s.data @ s.data
+    iu = data.index(data.unit)
+    alpha = square[iu, iu]
+    for a, i in enumerate(data.labels):
+        for b, j in enumerate(data.labels):
+            if square[a, b] != (alpha if data.dual[i] == j else ZERO):
+                return False, None
+    return (False, None) if alpha.is_zero else (True, alpha)
+
+
+def _twist_mutations() -> list[FusionData]:
+    f = builtin("fermion")
+    out = [replace(f, twist={**f.twist, "sigma": Fraction(k, 16)}) for k in range(16)]
+    for key in ("dirac", "toric"):
+        data = builtin(key)
+        for lab in data.labels:
+            for shift in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
+                out.append(replace(data, twist={**data.twist, lab: (data.twist[lab] + shift) % 1}))
+    return out
+
+
+def test_s_squared_matches_the_full_product():
+    keys = [(key,) for key in BUILTIN_KEYS] + list(itertools.product(BUILTIN_KEYS, repeat=2)) + BENCH_PRODUCTS
+    f = builtin("fermion")
+    cases = [(data, compute_smatrix(data)) for data in [_product(*k) for k in keys] + _twist_mutations()]
+    # duals that are not involutions: s^2 is symmetric, the charge conjugation
+    # is not; on dirac, s^2 agrees with it on and above the diagonal
+    d = builtin("dirac")
+    for skew in (replace(f, dual={**f.dual, "psi": "sigma"}), replace(d, dual={**d.dual, "j3": "j2"})):
+        cases.append((skew, compute_smatrix(skew)))
+    # hand-built s-matrices that are not symmetric, on self-dual labels
+    two = FusionData(name="two", labels=("1", "a"), unit="1", dual={"1": "1", "a": "a"},
+                     fusion={}, twist={"1": Fraction(0), "a": Fraction(0)}, qdim={"1": ONE, "a": ONE})
+    for rows in ([[1, 0], [1, 1]], [[1, 1], [0, 1]], [[1, zeta(8)], [zeta(8, 3), -1]], [[0, 1], [-1, 0]]):
+        cases.append((two, SMatrix(CycMatrix(rows), "two")))
+    verdicts = []
+    for data, s in cases:
+        holds, alpha = check_s_squared(s, data)
+        want_holds, want_alpha = _s_squared_by_full_product(s, data)
+        assert holds == want_holds, data.name
+        assert (alpha and alpha.to_dict()) == (want_alpha and want_alpha.to_dict()), data.name
+        verdicts.append(holds)
+    assert check_s_squared(cases[-1][1], two) == (True, Cyclotomic.from_rational(-1))
+    assert True in verdicts and False in verdicts
 
 
 # --- iterated fusion -----------------------------------------------------------
