@@ -4,18 +4,63 @@ Cyclotomic s-matrices, NS/R label classification with block-structure
 verification, spin surface dimensions, N=1 minimal-model label tables, and
 singular vectors in Neveu-Schwarz Verma modules.  All checks run in exact
 arithmetic; floats appear only in explicitly non-authoritative annotations.
+
+The package itself loads nothing: the ``exactnum`` names below are read from
+it on first use, so commands that never compute with cyclotomics do not
+execute it.  It also holds the two helpers that every module shares.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .exactnum import Cyclotomic, CycMatrix, root_of_unity, zeta
+_EXACTNUM = ("Cyclotomic", "CycMatrix", "root_of_unity", "zeta")
 
-__all__ = [
-    "__version__",
-    "Cyclotomic",
-    "CycMatrix",
-    "root_of_unity",
-    "zeta",
-]
+__all__ = ["__version__", *_EXACTNUM]
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXACTNUM:
+        from . import exactnum
+
+        return getattr(exactnum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _fraction_str(q) -> str:
+    """A rational as "a/b", the form every JSON field of the package uses."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+class _Record:
+    """Base of the records that validate or cache: equality, hash and repr
+    over the attributes named in ``_fields``, which cannot be assigned.
+
+    ``__init__`` stores the fields through ``_set``; plain assignment raises
+    AttributeError.  ``functools.cached_property`` writes the instance
+    ``__dict__`` directly, so it still works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"

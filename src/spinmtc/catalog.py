@@ -3,14 +3,14 @@
 These are constructed in code (not parsed), so they double as fixtures for
 tests and as reference files via the CLI ``builtin`` subcommand.  Each
 builder returns the fields of a ``FusionData``; ``builtin`` builds the object.
+The CLI reads ``BUILTIN_KEYS`` for every command, so the builders import
+``exactnum`` (and ``builtin`` imports ``fusion``) only when they run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import TYPE_CHECKING
-
-from .exactnum import Cyclotomic, zeta
 
 if TYPE_CHECKING:
     from .fusion import FusionData
@@ -22,6 +22,8 @@ BUILTIN_KEYS = ("trivial", "fermion", "dirac", "toric", "fibonacci")
 
 def _group_category(name: str, elements: list[str], add, neg, twist) -> dict:
     """Pointed category on an abelian group given by index arithmetic."""
+    from .exactnum import Cyclotomic
+
     one = Cyclotomic.from_rational(1)
     labels = tuple(elements)
     fusion = {}
@@ -46,6 +48,8 @@ def _trivial() -> dict:
 
 def _fermion() -> dict:
     """Rank-3 Ising-type data: an invertible fermion psi and a spin label sigma."""
+    from .exactnum import Cyclotomic, zeta
+
     one = Cyclotomic.from_rational(1)
     sqrt2 = zeta(8) + zeta(8) ** 7
     labels = ("1", "psi", "sigma")
@@ -97,6 +101,8 @@ def _toric() -> dict:
 
 def _fibonacci() -> dict:
     """Rank-2 data with tau x tau = 1 + tau and golden-ratio dimension."""
+    from .exactnum import Cyclotomic, zeta
+
     one = Cyclotomic.from_rational(1)
     golden = -(zeta(5) ** 2) - zeta(5) ** 3
     return dict(
@@ -127,8 +133,6 @@ _BUILDERS = {
 
 def builtin(key: str) -> FusionData:
     """One of the built-in categories, by key; raises FormatError for unknown keys."""
-    # Imported here: the CLI reads BUILTIN_KEYS for every command, and most
-    # commands never run ``fusion``.
     from .fusion import FormatError, FusionData
 
     try:

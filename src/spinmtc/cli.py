@@ -17,10 +17,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from . import _fraction_str
 from .catalog import BUILTIN_KEYS, builtin
-from .exactnum import embed_numeric, parse_fraction, _fraction_str
 
 
 def _lazy(name: str) -> ModuleType:
@@ -44,6 +44,7 @@ def _lazy(name: str) -> ModuleType:
 
 
 clifford = _lazy("clifford")
+exactnum = _lazy("exactnum")
 fusion = _lazy("fusion")
 minimal = _lazy("minimal")
 spinfunctor = _lazy("spinfunctor")
@@ -132,11 +133,16 @@ def _fmt_complex(z: complex, digits: int) -> str:
     return f"{re}{sign}{abs(z.imag):.{digits}g}j"
 
 
+def _grid_lines(rows: Iterable[Sequence[str]], widths: Sequence[int]) -> Iterator[str]:
+    """Each row's cells left-justified to the column widths, two spaces apart."""
+    return ("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows)
+
+
 def _grid(rows: list[list[str]]) -> str:
     if not rows:
         return ""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows)
+    return "\n".join(_grid_lines(rows, widths))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +183,8 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
     lines = [_grid(grid)]
     if args.numeric:
         digits = args.numeric
-        numeric = [[_fmt_complex(embed_numeric(x, digits), digits) for x in row] for row in s.data]
+        numeric = [[_fmt_complex(exactnum.embed_numeric(x, digits), digits) for x in row]
+                   for row in s.data]
         obj["numeric"] = {
             "digits": digits,
             "note": "floating-point annotations; not authoritative",
@@ -261,6 +268,15 @@ def _write_blocks(parts: Iterator[str], sep: str) -> None:
         lead = sep
 
 
+def _write_json_last(obj: dict, key: str, brackets: str, items: Iterator[str]) -> None:
+    """Write ``json.dumps({**obj, key: value}, indent=2)`` and a newline, for a
+    nonempty ``obj`` and a nonempty list or dict ``value`` (as ``brackets``
+    says) given as its items, each already encoded at the value's indent."""
+    sys.stdout.write(json.dumps(obj, indent=2)[:-2] + f',\n  "{key}": {brackets[0]}\n')
+    _write_blocks(items, ",\n")
+    sys.stdout.write(f"\n  {brackets[1]}\n}}\n")
+
+
 def _cmd_sphere(args: argparse.Namespace) -> int:
     labels = _split_labels(args.labels)
     if len(labels) > MAX_PUNCTURES:
@@ -276,10 +292,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
             "boundary_labels": list(labels),
             **rep.to_dict(table=False),
         }
-        # as json.dumps(obj, indent=2) with the table, its last key, spliced in
-        sys.stdout.write(json.dumps(obj, indent=2)[:-2] + ',\n  "epsilon_table": {\n')
-        _write_blocks((f'    "{bits}": {val}' for bits, val in rows), ",\n")
-        sys.stdout.write("\n  }\n}\n")
+        _write_json_last(obj, "epsilon_table", "{}", (f'    "{bits}": {val}' for bits, val in rows))
         return 0
     lines = [
         f"{data.name}: sphere with punctures {list(labels)}",
@@ -319,35 +332,43 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
     spec = _require_model(args.p, args.q)
     if spec.p * spec.q > MAX_PQ:
         raise CliError(2, f"p*q = {spec.p * spec.q} exceeds the limit {MAX_PQ}")
-    obj = minimal.model_to_dict(spec)
+    labels = minimal.enumerate_labels(spec)
     c = minimal.central_charge(spec)
-    if args.numeric:
-        obj["numeric"] = {
-            "digits": args.numeric,
-            "note": "floating-point annotations; not authoritative",
-            "c": f"{float(c):.{args.numeric}g}",
-        }
+    # only the requested form is built: at the cap each holds every label
+    if args.format == "json":
+        obj = minimal.model_to_dict(spec, labels)
+        if args.numeric:
+            obj["numeric"] = {
+                "digits": args.numeric,
+                "note": "floating-point annotations; not authoritative",
+                "c": f"{float(c):.{args.numeric}g}",
+            }
+        _emit(obj, "", args.format)
+        return 0
     rows = [["sector", "(r,s)", "h", "split"]]
-    for sector, key in (("NS", "ns"), ("R", "r")):
-        for lab in obj[key]:
-            split = str(lab.get("split", "")).lower()
-            rows.append([sector, f"({lab['r']},{lab['s']})", str(parse_fraction(lab["h"])), split])
-    table = f"minimal model ({spec.p},{spec.q}): c = {c}\n" + _grid(rows)
-    _emit(obj, table, args.format)
+    for lab in labels:
+        split = "" if lab.split is None else str(lab.split).lower()
+        rows.append([lab.sector, f"({lab.r},{lab.s})", str(lab.h), split])
+    _emit({}, f"minimal model ({spec.p},{spec.q}): c = {c}\n" + _grid(rows), args.format)
     return 0
 
 
-def _scan_row(spec: minimal.MinimalModelSpec) -> dict:
+def _scan_row(spec: minimal.MinimalModelSpec) -> tuple[int, int, Fraction, int, int, bool]:
+    """p, q, c, the NS and R label counts, and whether R labels split."""
     ns, rr = minimal.sector_counts(spec)
     split = ((spec.p - 1) * (spec.q - 1)) % 2 == 0
-    return {
-        "p": spec.p,
-        "q": spec.q,
-        "c": _fraction_str(minimal.central_charge(spec)),
-        "ns_count": ns,
-        "r_count": rr,
-        "split": split,
-    }
+    return spec.p, spec.q, minimal.central_charge(spec), ns, rr, split
+
+
+# one model of minimal-scan's JSON "models" list, as json.dumps(..., indent=2) writes it
+_SCAN_JSON_ROW = """    {{
+      "p": {},
+      "q": {},
+      "c": "{}",
+      "ns_count": {},
+      "r_count": {},
+      "split": {}
+    }}"""
 
 
 def _cmd_minimal_scan(args: argparse.Namespace) -> int:
@@ -355,13 +376,29 @@ def _cmd_minimal_scan(args: argparse.Namespace) -> int:
         raise CliError(2, "--max-pq must be at least 4")
     if args.max_pq > MAX_PQ:
         raise CliError(2, f"--max-pq {args.max_pq} exceeds the limit {MAX_PQ}")
-    models = list(map(_scan_row, minimal.valid_pairs(args.max_pq)))
-    obj = {"max_pq": args.max_pq, "count": len(models), "models": models}
-    rows = [["p", "q", "c", "NS", "R", "split"]]
-    for m in models:
-        rows.append([str(m["p"]), str(m["q"]), str(parse_fraction(m["c"])), str(m["ns_count"]),
-                     str(m["r_count"]), str(m["split"]).lower()])
-    _emit(obj, f"{len(models)} models with p*q <= {args.max_pq}\n" + _grid(rows), args.format)
+    specs = list(minimal.valid_pairs(args.max_pq))
+    # rows are formatted as they are written, never all held
+    if args.format == "json":
+        obj = {"max_pq": args.max_pq, "count": len(specs)}
+        if not specs:
+            _emit({**obj, "models": []}, "", "json")
+        else:
+            _write_json_last(obj, "models", "[]", (
+                _SCAN_JSON_ROW.format(p, q, _fraction_str(c), ns, rr, str(split).lower())
+                for p, q, c, ns, rr, split in map(_scan_row, specs)))
+        return 0
+
+    def cells() -> Iterator[list[str]]:
+        yield ["p", "q", "c", "NS", "R", "split"]
+        for row in map(_scan_row, specs):
+            yield [*map(str, row[:5]), str(row[5]).lower()]
+
+    widths = [0] * 6
+    for row in cells():
+        widths = list(map(max, widths, map(len, row)))
+    sys.stdout.write(f"{len(specs)} models with p*q <= {args.max_pq}\n")
+    _write_blocks(_grid_lines(cells(), widths), "\n")
+    sys.stdout.write("\n")
     return 0
 
 
@@ -381,9 +418,9 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
         if args.c is None or args.h is None or args.degree is None:
             raise CliError(2, "--c, --h and --degree go together")
         try:
-            c = parse_fraction(args.c)
-            h = parse_fraction(args.h)
-            degree = parse_fraction(args.degree)
+            c = exactnum.parse_fraction(args.c)
+            h = exactnum.parse_fraction(args.h)
+            degree = exactnum.parse_fraction(args.degree)
         except ValueError as exc:
             raise CliError(2, str(exc)) from exc
         if degree <= 0 or degree.denominator > 2:

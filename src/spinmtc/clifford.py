@@ -10,10 +10,10 @@ which grades under graded tensor product by generator count mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
+from . import _Record
 from .exactnum import CycMatrix, _certified_rank, _integer_coefficients, _pack
 from .fusion import FusionData, InconsistentDataError, SMatrix
 
@@ -31,19 +31,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CliffordAlgebraClass:
+class CliffordAlgebraClass(_Record):
     """Complex Clifford algebra on a number of odd generators.
 
     Only the generator count matters here; its parity is the class in the
     graded Brauer group of the complex numbers, which is Z/2.
     """
 
-    generators: int
+    _fields = ("generators",)
 
-    def __post_init__(self) -> None:
-        if self.generators < 0:
+    def __init__(self, generators: int):
+        if generators < 0:
             raise ValueError("generator count must be nonnegative")
+        self._set(generators=generators)
 
     @property
     def parity(self) -> int:
@@ -58,8 +58,7 @@ def morita_parity(factors: Iterable[CliffordAlgebraClass]) -> CliffordAlgebraCla
     return CliffordAlgebraClass(sum(f.generators for f in factors))
 
 
-@dataclass(frozen=True)
-class CliffordStructure:
+class CliffordStructure(NamedTuple):
     """A chosen odd generator together with its derived structure maps."""
 
     vminus: str
@@ -72,8 +71,7 @@ class CliffordStructure:
         return self.sigma_vv == -1
 
 
-@dataclass(frozen=True)
-class LabelClassification:
+class LabelClassification(NamedTuple):
     """Five-way label partition.
 
     ``ns_minus`` and ``r_minus`` are aligned elementwise with ``ns_plus`` and
@@ -225,8 +223,7 @@ def classify_labels(data: FusionData, vminus: str) -> LabelClassification:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: tuple | None = None
 
@@ -237,8 +234,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     """Result of the s-matrix block-structure checks.
 
     Blocks are cut from the s-matrix after reordering rows and columns to

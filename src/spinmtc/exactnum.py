@@ -27,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
+from . import _fraction_str
+
 __all__ = [
     "Cyclotomic",
     "CycMatrix",
@@ -259,12 +261,6 @@ class Cyclotomic:
         inv = _poly_inverse_mod(a, b)
         return Cyclotomic(n, {i: c for i, c in enumerate(inv) if c}, _canonical=True)
 
-    def __truediv__(self, other: Scalar) -> "Cyclotomic":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
     def __rtruediv__(self, other: Scalar) -> "Cyclotomic":
         return self._coerce(other) * self.inverse()
 
@@ -281,11 +277,6 @@ class Cyclotomic:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugate (zeta -> zeta^{-1})."""
-        n = self.conductor
-        return Cyclotomic(n, {(n - e) % n: c for e, c in self._coeffs.items()})
 
     # -- comparison / hashing
 
@@ -398,10 +389,6 @@ def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fracti
         raise ExactNumError("element is a zero divisor; cyclotomic modulus not coprime")
     g = r0[0]
     return [c / g for c in s0]
-
-
-def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def parse_fraction(text: object) -> Fraction:
@@ -760,9 +747,6 @@ class CycMatrix:
         cols = list(pivots)
         inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
         return rank, -det if inversions % 2 else det
-
-    def to_lists(self) -> list[list[Cyclotomic]]:
-        return [list(row) for row in self.entries]
 
     def to_dict(self) -> dict:
         return {

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+from . import _fraction_str, _Record
 from .exactnum import (
     Cyclotomic,
     CycMatrix,
     Row,
     parse_fraction,
-    _fraction_str,
     _insert_row,
     _integer_coefficients,
     _packed_operands,
@@ -57,8 +56,7 @@ class InconsistentDataError(ValueError):
     """Well-formed input whose numbers contradict the structure they claim."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed validation check, with a witness locating the failure."""
 
     check: str
@@ -72,8 +70,7 @@ class Violation:
         return f"{self.check} at {self.witness}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class FusionData:
+class FusionData(_Record):
     """Numerical shadow of a modular tensor category.
 
     ``fusion`` is sparse: absent triples mean multiplicity zero.  ``sigma_vv``
@@ -81,14 +78,21 @@ class FusionData:
     when the input declares one (-1 is the Clifford case).
     """
 
-    name: str
-    labels: tuple[str, ...]
-    unit: str
-    dual: Mapping[str, str]
-    fusion: Mapping[tuple[str, str, str], int]
-    twist: Mapping[str, Fraction]
-    qdim: Mapping[str, Cyclotomic]
-    sigma_vv: int | None = None
+    _fields = ("name", "labels", "unit", "dual", "fusion", "twist", "qdim", "sigma_vv")
+
+    def __init__(
+        self,
+        name: str,
+        labels: tuple[str, ...],
+        unit: str,
+        dual: Mapping[str, str],
+        fusion: Mapping[tuple[str, str, str], int],
+        twist: Mapping[str, Fraction],
+        qdim: Mapping[str, Cyclotomic],
+        sigma_vv: int | None = None,
+    ):
+        self._set(name=name, labels=labels, unit=unit, dual=dual, fusion=fusion,
+                  twist=twist, qdim=qdim, sigma_vv=sigma_vv)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -368,8 +372,7 @@ def _associativity_witness(
 # s-matrix
 
 
-@dataclass(frozen=True)
-class SMatrix:
+class SMatrix(NamedTuple):
     """Exact s-matrix of a category, tagged with its source name."""
 
     data: CycMatrix
@@ -386,7 +389,10 @@ def compute_smatrix(data: FusionData) -> SMatrix:
     terms of d_k shifted in exponent by n (t_k - t_i - t_j), reduced once
     per entry.
 
-    Raises InconsistentDataError if the result is not symmetric.
+    Raises InconsistentDataError if the result is not symmetric, naming the
+    first pair i < j in row-major order where it is not.  Symmetry is decided
+    on integer coefficients before any entry is built, and each entry i <= j
+    is built once and shared by (j, i).
     """
     labels = data.labels
     twist = {lab: Fraction(data.twist[lab]) % 1 for lab in labels}
@@ -398,25 +404,28 @@ def compute_smatrix(data: FusionData) -> SMatrix:
 
     rules = data._rules
     empty: dict[str, int] = {}
-    rows = []
-    for i in labels:
-        row = []
-        for j in labels:
-            shift = -expo[i] - expo[j]
-            raw: dict[int, int] = {}
-            for k, v in rules.get(i, empty).get(j, empty).items():
-                for e, c in terms[k]:
-                    e = (e + shift) % n
-                    raw[e] = raw.get(e, 0) + c * v
-            coeffs = _reduce_coeffs(n, raw)
-            row.append(Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True))
-        rows.append(row)
-    mat = CycMatrix(rows)
-    rank = data.rank
-    bad = next(((labels[i], labels[j]) for i in range(rank) for j in range(i + 1, rank)
-                if mat[i, j] != mat[j, i]), None)
-    if bad is not None:
-        raise InconsistentDataError(f"s-matrix is not symmetric at {bad} for {data.name!r}")
+
+    def entry(i: str, j: str) -> dict[int, int]:
+        shift = -expo[i] - expo[j]
+        raw: dict[int, int] = {}
+        for k, v in rules.get(i, empty).get(j, empty).items():
+            for e, c in terms[k]:
+                e = (e + shift) % n
+                raw[e] = raw.get(e, 0) + c * v
+        return _reduce_coeffs(n, raw)
+
+    index = range(data.rank)
+    upper = {(i, j): entry(labels[i], labels[j]) for i in index for j in index if i <= j}
+    # s_ji = s_ij wherever N(i,j -> k) = N(j,i -> k) for every k; the other
+    # pairs compare integer coefficients, in row-major order for the witness
+    for (i, j), coeffs in upper.items():
+        a, b = labels[i], labels[j]
+        commute = rules.get(a, empty).get(b, empty) == rules.get(b, empty).get(a, empty)
+        if not commute and entry(b, a) != coeffs:
+            raise InconsistentDataError(f"s-matrix is not symmetric at {(a, b)} for {data.name!r}")
+    built = {key: Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True)
+             for key, coeffs in upper.items()}
+    mat = CycMatrix([[built[min(i, j), max(i, j)] for j in index] for i in index])
     return SMatrix(data=mat, source=data.name)
 
 

@@ -10,11 +10,10 @@ and conformal weights are exact rationals throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .exactnum import _fraction_str
+from . import _fraction_str, _Record
 
 __all__ = [
     "MinimalModelSpec",
@@ -42,23 +41,22 @@ def validate_pq(p: int, q: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class MinimalModelSpec:
+class MinimalModelSpec(_Record):
     """A validated (p, q) pair; construction rejects non-models."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        reason = validate_pq(self.p, self.q)
+    def __init__(self, p: int, q: int):
+        reason = validate_pq(p, q)
         if reason is not None:
             raise ValueError(reason)
+        self._set(p=p, q=q)
 
 
 def central_charge(spec: MinimalModelSpec) -> Fraction:
-    """c = (3/2) (1 - 2 (p-q)^2 / (p q)), exactly."""
+    """c = (3/2) (1 - 2 (p-q)^2 / (p q)) = (3pq - 6 (p-q)^2) / (2pq), exactly."""
     p, q = spec.p, spec.q
-    return Fraction(3, 2) * (1 - Fraction(2 * (p - q) ** 2, p * q))
+    return Fraction(3 * p * q - 6 * (p - q) ** 2, 2 * p * q)
 
 
 def conformal_weight(spec: MinimalModelSpec, r: int, s: int) -> Fraction:
@@ -75,8 +73,7 @@ def conformal_weight(spec: MinimalModelSpec, r: int, s: int) -> Fraction:
     return h
 
 
-@dataclass(frozen=True)
-class MinimalLabel:
+class MinimalLabel(NamedTuple):
     """One irreducible label: sector, canonical grid position, weight.
 
     ``split`` is None in the NS sector; in the R sector it records whether
@@ -146,8 +143,8 @@ def valid_pairs(max_product: int) -> Iterator[MinimalModelSpec]:
     return iter(found)
 
 
-def model_to_dict(spec: MinimalModelSpec) -> dict:
-    labels = enumerate_labels(spec)
+def model_to_dict(spec: MinimalModelSpec, labels: list[MinimalLabel]) -> dict:
+    """The JSON form of a model whose ``enumerate_labels`` are ``labels``."""
     return {
         "p": spec.p,
         "q": spec.q,

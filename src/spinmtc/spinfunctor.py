@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import _Record
 from .clifford import CliffordAlgebraClass, _clifford_case, classify_labels
 from .fusion import FormatError, FusionData, InconsistentDataError, hom_unit_dim
 
@@ -36,20 +37,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpinSphereSpec:
+class SpinSphereSpec(_Record):
     """A labelled spin sphere: category, odd generator, ordered puncture labels."""
 
-    category: FusionData
-    vminus: str
-    boundary_labels: tuple[str, ...]
+    _fields = ("category", "vminus", "boundary_labels")
 
-    def __post_init__(self) -> None:
-        if not self.boundary_labels:
+    def __init__(self, category: FusionData, vminus: str, boundary_labels: tuple[str, ...]):
+        if not boundary_labels:
             raise FormatError("a sphere report needs at least one puncture")
-        for lab in self.boundary_labels:
-            if lab not in self.category.labels:
+        for lab in boundary_labels:
+            if lab not in category.labels:
                 raise FormatError(f"unknown puncture label {lab!r}")
+        self._set(category=category, vminus=vminus, boundary_labels=boundary_labels)
 
 
 class EpsilonTable(Mapping):
@@ -76,8 +75,7 @@ class EpsilonTable(Mapping):
         return ((format(i, f"0{n}b"), vals[i.bit_count() & 1]) for i in range(1 << n))
 
 
-@dataclass(frozen=True)
-class SpinSphereReport:
+class SpinSphereReport(NamedTuple):
     total_dim: int
     component_dim: int
     lambda_rank: int
@@ -97,8 +95,7 @@ class SpinSphereReport:
         return out
 
 
-@dataclass(frozen=True)
-class SpinTorusReport:
+class SpinTorusReport(NamedTuple):
     dims: Mapping[str, int]
 
     def to_dict(self) -> dict:

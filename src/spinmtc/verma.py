@@ -23,12 +23,12 @@ normal words, and ``straighten`` stays as that action's independent oracle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exactnum import Row, _fraction_str, _is_prime, _reduce, _rref
+from . import _fraction_str, _Record
+from .exactnum import Row, _is_prime, _reduce, _rref
 
 __all__ = [
     "NSMode",
@@ -77,30 +77,29 @@ def G(r: Fraction | str) -> NSMode:
 # PBW monomials
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
+class PBWMonomial(_Record):
     """Normal word acting on the highest-weight vector.
 
     ``g_part``: strictly increasing half-odd indices <= -1/2.
     ``l_part``: weakly decreasing integer indices <= -1.
     """
 
-    g_part: tuple[Fraction, ...] = ()
-    l_part: tuple[int, ...] = ()
+    _fields = ("g_part", "l_part")
 
-    def __post_init__(self) -> None:
-        for r in self.g_part:
+    def __init__(self, g_part: tuple[Fraction, ...] = (), l_part: tuple[int, ...] = ()):
+        for r in g_part:
             if not isinstance(r, Fraction) or r.denominator != 2 or r > Fraction(-1, 2):
                 raise VermaError(f"bad G index {r!r} in monomial")
-        for a, b in zip(self.g_part, self.g_part[1:]):
+        for a, b in zip(g_part, g_part[1:]):
             if not a < b:
-                raise VermaError(f"G indices must strictly increase, got {self.g_part}")
-        for n in self.l_part:
+                raise VermaError(f"G indices must strictly increase, got {g_part}")
+        for n in l_part:
             if not isinstance(n, int) or n > -1:
                 raise VermaError(f"bad L index {n!r} in monomial")
-        for a, b in zip(self.l_part, self.l_part[1:]):
+        for a, b in zip(l_part, l_part[1:]):
             if not a >= b:
-                raise VermaError(f"L indices must weakly decrease, got {self.l_part}")
+                raise VermaError(f"L indices must weakly decrease, got {l_part}")
+        self._set(g_part=g_part, l_part=l_part)
 
     @property
     def degree(self) -> Fraction:
@@ -181,8 +180,7 @@ def filtration_key(mon: PBWMonomial, width: int | None = None) -> tuple[int, ...
 # vectors
 
 
-@dataclass(frozen=True)
-class VermaVector:
+class VermaVector(NamedTuple):
     """Exact element of the Verma module with parameters (c, h).
 
     ``terms`` maps PBW monomials to nonzero rational coefficients; treat it
@@ -656,8 +654,7 @@ def _annihilated(int_rows: list[Row], vec: list[Fraction]) -> bool:
 # singular vectors
 
 
-@dataclass(frozen=True)
-class SingularVectorReport:
+class SingularVectorReport(NamedTuple):
     """Singular vectors of one degree slice, before and after the quotient.
 
     ``vector`` is the quotient representative on the restricted monomial

@@ -1,4 +1,4 @@
-"""Fixtures shared by the spin-sphere and minimal-model tests."""
+"""Fixtures shared by the spin-sphere and minimal-model tests, and ``replace``."""
 
 from __future__ import annotations
 
@@ -11,6 +11,11 @@ from spinmtc.clifford import involution_from_vminus
 from spinmtc.exactnum import Cyclotomic
 from spinmtc.fusion import FusionData, hom_unit_dim
 from spinmtc.verma import PBWMonomial
+
+
+def replace(record, **changes):
+    """A copy of a record with the named fields changed; the rest are shared."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
 
 
 def _brute_force_epsilon_table(data, vminus, chain):

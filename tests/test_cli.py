@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,13 @@ from spinmtc.fusion import (
     dump_fusion,
     fusion_from_dict,
 )
-from spinmtc.minimal import MinimalModelSpec, enumerate_labels
+from spinmtc.minimal import (
+    MinimalModelSpec,
+    central_charge,
+    enumerate_labels,
+    sector_counts,
+    valid_pairs,
+)
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 
 
@@ -149,6 +156,45 @@ def test_minimal_scan(capsys):
     code, out, _ = run(capsys, "minimal-scan", "--max-pq", "1000", "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _scan_oracles(max_pq: int) -> tuple[str, str]:
+    """minimal-scan's JSON and table output, from the whole report at once
+    (``test_minimal_scan`` checks the counts against the enumerated labels)."""
+    models = []
+    for spec in valid_pairs(max_pq):
+        c = central_charge(spec)
+        ns, rr = sector_counts(spec)
+        models.append({"p": spec.p, "q": spec.q, "c": f"{c.numerator}/{c.denominator}",
+                       "ns_count": ns, "r_count": rr, "split": (spec.p - 1) * (spec.q - 1) % 2 == 0})
+    obj = {"max_pq": max_pq, "count": len(models), "models": models}
+    rows = [["p", "q", "c", "NS", "R", "split"]] + [
+        [str(m["p"]), str(m["q"]), str(Fraction(m["c"])), str(m["ns_count"]), str(m["r_count"]),
+         str(m["split"]).lower()] for m in models]
+    widths = [max(len(row[i]) for row in rows) for i in range(6)]
+    lines = ["  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip() for row in rows]
+    table = f"{len(models)} models with p*q <= {max_pq}\n" + "\n".join(lines) + "\n"
+    return json.dumps(obj, indent=2) + "\n", table
+
+
+@pytest.mark.parametrize("max_pq", [4, 8, 50, 6000])
+def test_streamed_minimal_scan_equals_whole_dump(capsys, max_pq):
+    # 6000 has 6116 models: more than one block of ROWS_PER_WRITE rows
+    json_text, table = _scan_oracles(max_pq)
+    assert run(capsys, "minimal-scan", "--max-pq", str(max_pq), "--format", "json") == (0, json_text, "")
+    assert run(capsys, "minimal-scan", "--max-pq", str(max_pq)) == (0, table, "")
+
+
+def test_minimal_table_from_labels(capsys):
+    for p, q in ((2, 4), (3, 5), (4, 6), (5, 9)):
+        spec = MinimalModelSpec(p, q)
+        code, out, _ = run(capsys, "minimal", "--p", str(p), "--q", str(q))
+        assert code == 0
+        labels = enumerate_labels(spec)
+        rows = [row.split() for row in out.splitlines()[2:]]
+        assert [row[:3] for row in rows] == [[lab.sector, f"({lab.r},{lab.s})", str(lab.h)] for lab in labels]
+        assert [row[3:] for row in rows] == [[] if lab.split is None else [str(lab.split).lower()]
+                                             for lab in labels]
 
 
 def test_singvec_by_model(capsys):
@@ -652,6 +698,7 @@ def test_minimal_bound_is_exit_2_before_enumerating(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated past the bound")
 
+    monkeypatch.setattr("spinmtc.minimal.enumerate_labels", refuse)
     monkeypatch.setattr("spinmtc.minimal.model_to_dict", refuse)
     monkeypatch.setattr("spinmtc.minimal.valid_pairs", refuse)
     p, q = 11, 9091  # p*q = MAX_PQ + 1
@@ -703,8 +750,8 @@ def test_cli_import_does_not_load_numpy():
 
 
 # Runs ``spinmtc.cli`` as ``python -m`` does, and writes to stderr, after the
-# command's own output, the package modules whose bodies executed and whether
-# numpy was loaded.
+# command's own output, the package modules whose bodies executed and which of
+# numpy, dataclasses and inspect were loaded.
 _MODULE_PROBE = """import json, runpy, sys
 ran = set()
 def trace(frame, event, arg):
@@ -717,15 +764,17 @@ try:
     runpy.run_module("spinmtc.cli", run_name="__main__", alter_sys=True)
 finally:
     sys.settrace(None)
-    print(json.dumps([sorted(ran), "numpy" in sys.modules]), file=sys.stderr)
+    heavy = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+    print(json.dumps([sorted(ran), heavy]), file=sys.stderr)
 """
 
-# Every command runs the package, exactnum, catalog (for the builtin keys) and cli.
-_ALWAYS = {"spinmtc", "spinmtc.exactnum", "spinmtc.catalog", "spinmtc.cli"}
-_CATEGORY = {"spinmtc.fusion"}
+# Every command runs the package, catalog (for the builtin keys) and cli; only
+# the category commands and singvec, which compute with its kernels, run exactnum.
+_ALWAYS = {"spinmtc", "spinmtc.catalog", "spinmtc.cli"}
+_CATEGORY = {"spinmtc.fusion", "spinmtc.exactnum"}
 _COMMANDS = [
     (["--help"], set()),
-    (["singvec", "--p", "2", "--q", "8"], {"spinmtc.verma", "spinmtc.minimal"}),
+    (["singvec", "--p", "2", "--q", "8"], {"spinmtc.verma", "spinmtc.minimal", "spinmtc.exactnum"}),
     (["minimal", "--p", "2", "--q", "8"], {"spinmtc.minimal"}),
     (["minimal-scan", "--max-pq", "20"], {"spinmtc.minimal"}),
     (["validate", "fermion"], _CATEGORY),
@@ -744,9 +793,9 @@ def test_each_command_executes_only_its_modules(argv, modules):
     done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
-    ran, numpy_loaded = json.loads(done.stderr.splitlines()[-1])
+    ran, heavy = json.loads(done.stderr.splitlines()[-1])
     assert set(ran) == _ALWAYS | modules
-    assert not numpy_loaded
+    assert heavy == []
 
 
 # --- streamed sphere output --------------------------------------------------------

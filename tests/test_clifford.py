@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import replace
 
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import (

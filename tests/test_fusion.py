@@ -5,12 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
 import pytest
+from conftest import replace
 
 import spinmtc.fusion
 from spinmtc.catalog import BUILTIN_KEYS, builtin
@@ -580,7 +580,7 @@ def _verlinde_dims(keys: tuple[str, ...], length: int) -> dict[tuple[str, ...], 
     dims = {}
     level = {(): [ONE] * rank}  # chain -> prod_i s_{a_i x}, by x
     for n in range(1, length + 1):
-        weight = [s0[x] ** (2 - n) / alpha for x in range(rank)]
+        weight = [s0[x] ** (2 - n) * alpha.inverse() for x in range(rank)]
         nxt = {}
         for chain, prod in level.items():
             for a, row in zip(data.labels, s.data):

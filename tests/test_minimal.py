@@ -200,7 +200,8 @@ def test_twists_are_constructible_roots_of_unity():
 
 
 def test_model_to_dict_shape():
-    d = model_to_dict(MinimalModelSpec(3, 5))
+    spec = MinimalModelSpec(3, 5)
+    d = model_to_dict(spec, enumerate_labels(spec))
     assert d["p"] == 3 and d["q"] == 5
     assert d["c"] == "7/10"
     assert d["ns"] == [

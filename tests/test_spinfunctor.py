@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
+from conftest import replace
 
 import spinmtc.spinfunctor
 from spinmtc.catalog import builtin
