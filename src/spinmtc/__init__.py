@@ -7,10 +7,13 @@ arithmetic; floats appear only in explicitly non-authoritative annotations.
 
 The package itself loads nothing: the ``exactnum`` names below are read from
 it on first use, so commands that never compute with cyclotomics do not
-execute it.  It also holds the two helpers that every module shares.
+execute it.  It also holds the helpers that every module shares: the
+rational reader and writer of the JSON fields, and the record base class.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 __version__ = "0.1.0"
 
@@ -30,6 +33,18 @@ def __getattr__(name: str) -> object:
 def _fraction_str(q) -> str:
     """A rational as "a/b", the form every JSON field of the package uses."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def parse_fraction(text: object) -> Fraction:
+    """Parse 'a/b' or 'a', or take an int; floats and bools are ValueErrors."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, str):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed rational: {text!r}") from exc
+    raise ValueError(f"malformed rational: {text!r}")
 
 
 class _Record:

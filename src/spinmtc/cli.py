@@ -19,7 +19,7 @@ from pathlib import Path
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import _fraction_str
+from . import _fraction_str, parse_fraction
 from .catalog import BUILTIN_KEYS, builtin
 
 
@@ -418,9 +418,9 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
         if args.c is None or args.h is None or args.degree is None:
             raise CliError(2, "--c, --h and --degree go together")
         try:
-            c = exactnum.parse_fraction(args.c)
-            h = exactnum.parse_fraction(args.h)
-            degree = exactnum.parse_fraction(args.degree)
+            c = parse_fraction(args.c)
+            h = parse_fraction(args.h)
+            degree = parse_fraction(args.degree)
         except ValueError as exc:
             raise CliError(2, str(exc)) from exc
         if degree <= 0 or degree.denominator > 2:
@@ -555,12 +555,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (fusion.InconsistentDataError, verma.VermaError) as exc:
+    except ValueError as exc:
+        # fusion.InconsistentDataError and verma.VermaError carry exit_code 1;
+        # read from the exception, so that no other command's module executes
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # fusion.FormatError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,5 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N), plus exact linear algebra.
 
-The library's one Gaussian elimination is the sparse RREF kernel ``_rref``
-here, over Q, F_p or Q(zeta_N): ``CycMatrix.rank_det``, the rank modulo a
-prime that certifies the block checks of :mod:`spinmtc.clifford`, the
-singular-vector solve of :mod:`spinmtc.verma` and, one row at a time through
-``_insert_row``, the generating-set search of :mod:`spinmtc.fusion` run on it.
-
 Elements are kept in the power basis of Q[x]/Phi_N(x), so zero tests and
 equality are exact coefficient comparisons.  Values of different conductor
 are rebased to the least common multiple before they are combined.  All
@@ -15,6 +9,11 @@ Reduction modulo Phi_N folds exponents mod N (x^N = 1), then divides out the
 monic Phi_N from the top exponent down, in integers over one common
 denominator.  Phi_N is built prime by prime, and each conductor caches only
 Phi_N and its nonzero lower terms: O(phi(N)) ints.
+
+The linear algebra is matrix products by Kronecker substitution, and rank
+and determinant through the sparse elimination of :mod:`spinmtc.sparse`:
+over Q(zeta_N) for ``CycMatrix.rank_det``, and modulo a prime above p for
+the rank that certifies the block checks of :mod:`spinmtc.clifford`.
 
 Floating-point only ever appears in :func:`embed_numeric`, which is a
 display/diagnostic aid and never feeds a correctness decision.
@@ -27,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
-from . import _fraction_str
+from . import _fraction_str, parse_fraction
+from .sparse import _is_prime, _rref
 
 __all__ = [
     "Cyclotomic",
@@ -330,11 +330,12 @@ class Cyclotomic:
             terms = obj["terms"]
         except (KeyError, TypeError) as exc:
             raise ExactNumError(f"malformed cyclotomic value: {obj!r}") from exc
-        if not isinstance(conductor, int) or not isinstance(terms, list):
+        if not isinstance(conductor, int) or isinstance(conductor, bool) or not isinstance(terms, list):
             raise ExactNumError(f"malformed cyclotomic value: {obj!r}")
         raw: dict[int, Fraction] = {}
         for item in terms:
-            if not isinstance(item, (list, tuple)) or len(item) != 2 or not isinstance(item[0], int):
+            if (not isinstance(item, (list, tuple)) or len(item) != 2
+                    or not isinstance(item[0], int) or isinstance(item[0], bool)):
                 raise ExactNumError(f"malformed cyclotomic term: {item!r}")
             e, coef = item
             raw[e] = raw.get(e, Fraction(0)) + parse_fraction(coef)
@@ -389,18 +390,6 @@ def _poly_inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fracti
         raise ExactNumError("element is a zero divisor; cyclotomic modulus not coprime")
     g = r0[0]
     return [c / g for c in s0]
-
-
-def parse_fraction(text: object) -> Fraction:
-    """Parse 'a/b' or 'a' (also accepts ints); rejects floats."""
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExactNumError(f"malformed rational: {text!r}") from exc
-    raise ExactNumError(f"malformed rational: {text!r}")
 
 
 def zeta(n: int, e: int = 1) -> Cyclotomic:
@@ -501,100 +490,7 @@ def _packed_operands(a: "CycMatrix", b: "CycMatrix") -> tuple[int, list[list[int
 
 
 # ---------------------------------------------------------------------------
-# sparse exact linear algebra: rows are dicts {column: nonzero entry}
-
-Row = dict[int, Any]
-
-
-def _subtract(row: Row, f: Any, prow: Row, p: int | None) -> None:
-    """row -= f * prow in place, over a field (p None) or mod p; drops zeros."""
-    for k, x in prow.items():
-        y = row.get(k, 0) - f * x
-        if p:
-            y %= p
-        if y:
-            row[k] = y
-        else:
-            del row[k]
-
-
-def _reduce(row: Row, pivots: Mapping[int, Row], p: int | None = None) -> Row:
-    """Reduce a copy of row by reduced-echelon pivot rows (keyed by pivot column).
-
-    Pivot rows vanish on the other pivot columns, so one subtraction per
-    pivot column present in the row suffices, in any order.
-    """
-    row = dict(row)
-    for col in [k for k in row if k in pivots]:
-        _subtract(row, row[col], pivots[col], p)
-    return row
-
-
-def _rref(rows: Iterable[Row], p: int | None = None) -> tuple[dict[int, Row], list[Any]]:
-    """Sparse reduced row echelon form over Q, Q(zeta_N) or mod a prime p.
-
-    Entries are ``Fraction`` or ``Cyclotomic`` values (p None), or ints mod
-    p.  Returns the nonzero rows keyed by pivot column, in the order their
-    pivots were found, and the pivot values before normalisation in that
-    order.  Each row has a unit pivot, no entries left of it and none on
-    other pivot columns.  The rows are the unique RREF of the row space.
-    """
-    pivots: dict[int, Row] = {}
-    raw: list[Any] = []
-    for row in rows:
-        pivot = _insert_row(pivots, row, p)
-        if pivot is not None:
-            raw.append(pivot)
-    return pivots, raw
-
-
-def _insert_row(pivots: dict[int, Row], row: Row, p: int | None = None) -> Any:
-    """One step of ``_rref``: add row to the reduced-echelon pivots in place.
-
-    The row is reduced, normalised to a unit pivot and substituted back into
-    the other pivot rows.  Returns its pivot value before normalisation, or
-    None when the row lies in the span of the pivots (nothing is added).
-    Entries of row must be nonzero.
-    """
-    row = _reduce(row, pivots, p)
-    if not row:
-        return None
-    col = min(row)
-    pivot = row[col]
-    inv = pow(pivot, -1, p) if p else 1 / pivot
-    row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
-    for prow in pivots.values():
-        if col in prow:
-            _subtract(prow, prow[col], row, p)
-    pivots[col] = row
-    return pivot
-
-
-# ---------------------------------------------------------------------------
-# word-size primes, and rank modulo a prime above p
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n > 1 below 3.3e24."""
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# rank modulo a prime above p
 
 
 @lru_cache(maxsize=None)

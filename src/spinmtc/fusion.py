@@ -16,18 +16,16 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from . import _fraction_str, _Record
+from . import _fraction_str, _Record, parse_fraction
 from .exactnum import (
     Cyclotomic,
     CycMatrix,
-    Row,
-    parse_fraction,
-    _insert_row,
     _integer_coefficients,
     _packed_operands,
     _reduce_coeffs,
     _unpack,
 )
+from .sparse import Row, _insert_row
 
 __all__ = [
     "FusionData",
@@ -54,6 +52,8 @@ class FormatError(ValueError):
 
 class InconsistentDataError(ValueError):
     """Well-formed input whose numbers contradict the structure they claim."""
+
+    exit_code = 1  # the CLI's exit status; malformed input (FormatError) exits 2
 
 
 class Violation(NamedTuple):
@@ -158,10 +158,10 @@ def structure_violations(data: FusionData) -> list[Violation]:
     for key, v in data.fusion.items():
         if len(key) != 3 or any(lab not in label_set for lab in key):
             out.append(Violation("fusion", key, "fusion key mentions unknown labels"))
-        elif not isinstance(v, int) or v < 0:
+        elif not isinstance(v, int) or isinstance(v, bool) or v < 0:
             out.append(Violation("fusion", key, f"multiplicity must be a nonnegative integer, got {v!r}"))
 
-    if data.sigma_vv not in (None, 1, -1):
+    if data.sigma_vv is not None and (isinstance(data.sigma_vv, bool) or data.sigma_vv not in (1, -1)):
         out.append(Violation("sigma_vv", (data.sigma_vv,), "sigma_vv must be +1 or -1"))
     return out
 
@@ -554,6 +554,7 @@ def fusion_from_dict(obj: object) -> FusionData:
             or len(item) != 4
             or not all(isinstance(x, str) for x in item[:3])
             or not isinstance(item[3], int)
+            or isinstance(item[3], bool)
         ):
             raise FormatError(f"malformed fusion entry: {item!r}")
         i, j, k, v = item
@@ -595,7 +596,7 @@ def fusion_from_dict(obj: object) -> FusionData:
                 raise FormatError(f"malformed qdim for {lab!r}: {v!r}") from exc
 
     sigma_vv = obj.get("sigma_vv")
-    if sigma_vv is not None and sigma_vv not in (1, -1):
+    if sigma_vv is not None and (isinstance(sigma_vv, bool) or sigma_vv not in (1, -1)):
         raise FormatError(f"sigma_vv must be 1 or -1, got {sigma_vv!r}")
 
     return FusionData(

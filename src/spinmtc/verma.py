@@ -11,13 +11,16 @@ acting on a highest-weight vector v with L_0 v = h v and L_n v = G_r v = 0
 for n, r > 0.  Vectors are stored on the PBW basis: words
 G_{g_1}..G_{g_k} L_{n_1}..L_{n_l} v with g_1 < .. < g_k <= -1/2 strictly
 increasing half-odd indices and -1 >= n_1 >= .. >= n_l weakly decreasing
-integers.  Everything is exact rational arithmetic.
+integers.  Everything is exact.
 
-Straightening is a terminating rewriting system on words; any admissible
-choice of rewrite position yields the same normal form, which tests exploit
-by shuffling the choice.  ``singular_vectors`` does not straighten: it takes
-its images from ``_action``, a memoized action of one mode on int-encoded
-normal words, and ``straighten`` stays as that action's independent oracle.
+Straightening is a terminating rewriting system on words, in rational
+arithmetic; any admissible choice of rewrite position yields the same normal
+form, which tests exploit by shuffling the choice.  ``singular_vectors`` does
+not straighten: it takes its images from ``_action``, a memoized action of
+one mode on int-encoded normal words in integers scaled by powers of one
+D, and ``straighten`` stays as that action's independent oracle.  Values
+are divided back to rationals only where they leave the action, as rows for
+the eliminations.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import _fraction_str, _Record
-from .exactnum import Row, _is_prime, _reduce, _rref
+from . import _fraction_str, _Record, parse_fraction
+from .sparse import Row, _is_prime, _reduce, _rref
 
 __all__ = [
     "NSMode",
@@ -51,6 +54,8 @@ __all__ = [
 
 class VermaError(ValueError):
     """Bad mode indices, malformed monomials, or failed structure assertions."""
+
+    exit_code = 1  # the CLI's exit status
 
 
 class NSMode(NamedTuple):
@@ -252,8 +257,6 @@ class VermaVector(NamedTuple):
 
     @classmethod
     def from_json_list(cls, c: Fraction, h: Fraction, items: Iterable[Mapping]) -> "VermaVector":
-        from .exactnum import parse_fraction
-
         terms: dict[PBWMonomial, Fraction] = {}
         for item in items:
             mon = parse_monomial(item["monomial"])
@@ -419,7 +422,7 @@ def _int_word(mon: PBWMonomial) -> IntWord:
     return tuple(int(2 * r) for r in mon.g_part) + tuple(2 * n for n in mon.l_part)
 
 
-def _add_scaled(out: dict[IntWord, Fraction], vec: Mapping[IntWord, Fraction], f: Fraction) -> None:
+def _add_scaled(out: dict[IntWord, int], vec: Mapping[IntWord, int], f: int) -> None:
     """out += f * vec in place, dropping zeros."""
     for w, cf in vec.items():
         s = out.get(w, 0) + f * cf
@@ -429,65 +432,84 @@ def _add_scaled(out: dict[IntWord, Fraction], vec: Mapping[IntWord, Fraction], f
             out.pop(w, None)
 
 
-def _action(c: Fraction, h: Fraction) -> Callable[[int, IntWord], Mapping[IntWord, Fraction]]:
-    """The NS action of one mode on normal words, memoized on (mode, word).
+def _action(c: Fraction, h: Fraction) -> tuple[int, Callable[[int, IntWord], Mapping[IntWord, int]]]:
+    """The NS action of one mode on normal words, memoized on (mode, word),
+    in integers: returns (D, act), with D derived from c and h.
 
     A mode is the int m = 2 * index: G_{m/2} for odd m, L_{m/2} for even m.
     A normal word is a tuple of negative modes in ``_mode_key`` order: odd
-    ones strictly increasing, then even ones weakly decreasing.  ``act(x, w)``
-    is x w v on the PBW basis, as {normal word: coefficient}.  It prepends x
-    where it may stand, folds G_a G_a into L_{2a}, and otherwise uses
+    ones strictly increasing, then even ones weakly decreasing.  x w v on
+    the PBW basis is {normal word u: act(x, w)[u] / D^(len(w) + 1 - len(u))},
+    and every act(x, w)[u] is an int.  ``act`` prepends x where it may
+    stand, folds G_a G_a into L_{2a}, and otherwise uses
     x y rest = (-1)^{|x||y|} y (x rest) + [x, y} rest, where [x, y} is the
     bracket of the module docstring (the anticommutator for two G's).
-    Results are shared between calls: treat them as read-only.  The memo
-    lives as long as the returned function.
-    """
-    memo: dict[tuple[int, IntWord], Mapping[IntWord, Fraction]] = {}
 
-    def act(x: int, w: IntWord) -> Mapping[IntWord, Fraction]:
+    Scaling.  Each structure constant is an integer multiple of 1/2 (the
+    bracket coefficients 2, a - b/2, a/2 - b and a - b), of c/6 (the central
+    terms (c/3)(a^2 - 1/4) = ((x^2 - 1)/2)(c/6) and (c/12)(a^3 - a) =
+    ((x^3 - 4x)/16)(c/6)) or of h (L_0 on v).  So D = lcm(2, den(c/6),
+    den(h)) clears every one, and the scale is exact by induction on w:
+    prepending x keeps the value 1 at exponent 0, h lands at exponent 1,
+    y (x rest) multiplies two scaled values whose exponents add up to the
+    one required, and the fold G_a G_a = L_{2a}, the bracket term (one
+    length lost) and the central term (two lost) each take one more factor
+    D, times their constant.  Results are shared between calls: treat them
+    as read-only.  The memo lives as long as the returned function.
+    """
+    scale = lcm(2, (c / 6).denominator, h.denominator)
+    c6, hd = int(c * scale / 6), int(h * scale)
+    memo: dict[tuple[int, IntWord], Mapping[IntWord, int]] = {}
+
+    def act(x: int, w: IntWord) -> Mapping[IntWord, int]:
         out = memo.get((x, w))
         if out is not None:
             return out
         if not w:
-            out = {(x,): Fraction(1)} if x < 0 else {(): h} if x == 0 and h else {}
+            out = {(x,): 1} if x < 0 else {(): hd} if x == 0 and hd else {}
         else:
             y, rest = w[0], w[1:]
             # a negative x stands first when it keeps the word normal
             if x < 0 and (not y & 1 or x < y if x & 1 else not y & 1 and x >= y):
-                out = {(x,) + w: Fraction(1)}
+                out = {(x,) + w: 1}
             elif x == y and x & 1:
-                out = act(2 * x, rest)  # G_a G_a = L_{2a}; no central term at a < 0
+                # G_a G_a = L_{2a}; no central term at a < 0
+                out = {u: scale * cf for u, cf in act(2 * x, rest).items()}
             else:
                 out = {}
                 sign = -1 if x & 1 and y & 1 else 1
                 for w2, cf in act(x, rest).items():
                     _add_scaled(out, act(y, w2), sign * cf)
                 # the bracket's mode is x + y; with a = x/2 and b = y/2 its
-                # coefficient is 2, a - b/2, a/2 - b or a - b
+                # coefficient is 2, a - b/2, a/2 - b or a - b, times D
                 if x & 1:
-                    coef = Fraction(2) if y & 1 else Fraction(2 * x - y, 4)
+                    coef = 2 * scale if y & 1 else (2 * x - y) * scale // 4
                 else:
-                    coef = Fraction(x - 2 * y, 4) if y & 1 else Fraction((x - y) // 2)
+                    coef = (x - 2 * y) * scale // 4 if y & 1 else (x - y) // 2 * scale
                 if coef:
                     _add_scaled(out, act(x + y, rest), coef)
                 if x + y == 0:
-                    # (c/3)(a^2 - 1/4) for two G's, (c/12)(a^3 - a) for two L's
-                    central = Fraction(x * x - 1, 12) if x & 1 else Fraction(x**3 - 4 * x, 96)
-                    _add_scaled(out, {rest: central}, c)
+                    # (c/3)(a^2 - 1/4) for two G's, (c/12)(a^3 - a) for two L's, times D^2
+                    central = (x * x - 1) // 2 if x & 1 else (x**3 - 4 * x) // 16
+                    _add_scaled(out, {rest: central}, c6 * scale)
         memo[(x, w)] = out
         return out
 
-    return act
+    return scale, act
 
 
 def _fold(
-    act: Callable[[int, IntWord], Mapping[IntWord, Fraction]],
+    act: Callable[[int, IntWord], Mapping[IntWord, int]],
     modes: IntWord,
-    vec: Mapping[IntWord, Fraction],
-) -> Mapping[IntWord, Fraction]:
-    """modes[0] .. modes[-1] applied to vec through ``act``, rightmost first."""
+    vec: Mapping[IntWord, int],
+) -> Mapping[IntWord, int]:
+    """modes[0] .. modes[-1] applied to vec through ``act``, rightmost first.
+
+    The exponents of ``_action``'s scale telescope: an entry of vec at word u
+    scaled by D^(k - len(u)) gives entries scaled by D^(k + len(modes) - len(u)).
+    """
     for x in reversed(modes):
-        out: dict[IntWord, Fraction] = {}
+        out: dict[IntWord, int] = {}
         for w, cf in vec.items():
             _add_scaled(out, act(x, w), cf)
         vec = out
@@ -593,7 +615,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     int_rows = []
     for row in rows:
         den = lcm(*(x.denominator for x in row if x))
-        entries = {j: int(x * den) for j, x in enumerate(row) if x}
+        entries = {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
         if entries:
             int_rows.append(entries)
     int_rows.sort(key=len)  # sparse rows first: far less fill-in
@@ -722,9 +744,11 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
     basis = degree_basis(d)
     words = [_int_word(mon) for mon in basis]
     ncols = len(basis)
-    act = _action(c, h)
+    scale, act = _action(c, h)
+    power = [scale**k for k in range(int(2 * d) + 2)]  # words are at most 2d long
 
-    # constraint matrix: rows indexed by target words of G_{1/2} and G_{3/2}
+    # constraint matrix: rows indexed by target words of G_{1/2} and G_{3/2};
+    # act's integers leave the action here, divided back to their values
     rows: list[list[Fraction]] = []
     row_of: dict[tuple[int, IntWord], int] = {}
     for op in (1, 3):
@@ -734,7 +758,7 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
                 if key not in row_of:
                     row_of[key] = len(rows)
                     rows.append([Fraction(0)] * ncols)
-                rows[row_of[key]][j] = cf
+                rows[row_of[key]][j] = Fraction(cf, power[len(word) + 1 - len(target)])
     null = _nullspace(rows, ncols)
     full_dim = len(null)
 
@@ -745,10 +769,12 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
     ]
     n_outside = sum(1 for mon in basis if not mon.in_vprime)
     pos_of = {words[j]: pos for pos, j in enumerate(perm)}
-    sub_rows = [
-        {pos_of[w]: cf for w, cf in _fold(act, _int_word(u), {(-1,): Fraction(1)}).items()}
-        for u in degree_basis(d - Fraction(1, 2))
-    ]
+    # u G_{-1/2} v, scaled by D^(1 + len(u) - len(w)) at word w
+    sub_rows = []
+    for u in degree_basis(d - Fraction(1, 2)):
+        mu = _int_word(u)
+        image = _fold(act, mu, {(-1,): 1})
+        sub_rows.append({pos_of[w]: Fraction(cf, power[1 + len(mu) - len(w)]) for w, cf in image.items()})
     sub, _ = _rref(sorted(sub_rows, key=len))
 
     reduced = [

@@ -608,6 +608,31 @@ def test_validate_reports_structure_breaks(capsys, tmp_path, case):
     assert code == 1 and "INVALID" in out and err == ""
 
 
+# JSON booleans where the format needs an integer or a rational: bool is an
+# int subclass in Python, so each used to pass as 1 or 0
+BOOLEAN_FIELDS = {
+    "multiplicity": (lambda doc: doc["fusion"][0].__setitem__(3, True),
+                     "malformed fusion entry: ['1', '1', '1', True]"),
+    "multiplicity-false": (lambda doc: doc["fusion"][0].__setitem__(3, False),
+                           "malformed fusion entry: ['1', '1', '1', False]"),
+    "sigma_vv": (lambda doc: doc.update(sigma_vv=True), "sigma_vv must be 1 or -1, got True"),
+    "twist": (lambda doc: doc["twist"].update(psi=True), "malformed rational: True"),
+    "qdim": (lambda doc: doc["qdim"].update(psi=True), "malformed qdim for 'psi': True"),
+    "qdim-conductor": (lambda doc: doc["qdim"]["psi"].update(conductor=True),
+                       "malformed cyclotomic value: {'conductor': True, 'terms': [[0, '1/1']]}"),
+    "qdim-exponent": (lambda doc: doc["qdim"]["psi"]["terms"][0].__setitem__(0, False),
+                      "malformed cyclotomic term: [False, '1/1']"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_FIELDS))
+def test_json_booleans_are_exit_2(capsys, tmp_path, case):
+    edit, message = BOOLEAN_FIELDS[case]
+    path = _fermion_edited(capsys, tmp_path, edit)
+    for command in ("validate", "smatrix", "torus"):
+        assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n"), command
+
+
 def _swap_duals(doc):
     doc["dual"].update(psi="sigma", sigma="psi")
 
@@ -768,31 +793,43 @@ finally:
     print(json.dumps([sorted(ran), heavy]), file=sys.stderr)
 """
 
-# Every command runs the package, catalog (for the builtin keys) and cli; only
-# the category commands and singvec, which compute with its kernels, run exactnum.
+# Every command runs the package, catalog (for the builtin keys) and cli.  The
+# category commands run fusion and exactnum, and both of those the sparse
+# elimination kernel; singvec runs the kernel without exactnum.  An error exit
+# runs only the modules its command reached: "{bad}" is a category file that
+# fails validate's axioms, "{missing}" a path that does not exist.
 _ALWAYS = {"spinmtc", "spinmtc.catalog", "spinmtc.cli"}
-_CATEGORY = {"spinmtc.fusion", "spinmtc.exactnum"}
+_CATEGORY = {"spinmtc.fusion", "spinmtc.exactnum", "spinmtc.sparse"}
 _COMMANDS = [
-    (["--help"], set()),
-    (["singvec", "--p", "2", "--q", "8"], {"spinmtc.verma", "spinmtc.minimal", "spinmtc.exactnum"}),
-    (["minimal", "--p", "2", "--q", "8"], {"spinmtc.minimal"}),
-    (["minimal-scan", "--max-pq", "20"], {"spinmtc.minimal"}),
-    (["validate", "fermion"], _CATEGORY),
-    (["smatrix", "fermion"], _CATEGORY),
-    (["builtin", "fermion"], _CATEGORY),
-    (["classify", "fermion"], _CATEGORY | {"spinmtc.clifford"}),
+    (["--help"], set(), 0),
+    (["singvec", "--p", "2", "--q", "8"], {"spinmtc.verma", "spinmtc.minimal", "spinmtc.sparse"}, 0),
+    (["minimal", "--p", "2", "--q", "8"], {"spinmtc.minimal"}, 0),
+    (["minimal-scan", "--max-pq", "20"], {"spinmtc.minimal"}, 0),
+    (["validate", "fermion"], _CATEGORY, 0),
+    (["smatrix", "fermion"], _CATEGORY, 0),
+    (["builtin", "fermion"], _CATEGORY, 0),
+    (["classify", "fermion"], _CATEGORY | {"spinmtc.clifford"}, 0),
     (["sphere", "fermion", "--labels", "sigma,sigma"],
-     _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}),
-    (["torus", "fermion"], _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}),
+     _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
+    (["torus", "fermion"], _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
 ]
+_ERROR_EXITS = {
+    "torus-inconsistent": (["torus", "{bad}"], _CATEGORY, 1),
+    "classify-missing": (["classify", "{missing}"], _CATEGORY, 2),
+    "singvec-malformed": (["singvec", "--c", "1/0", "--h", "0", "--degree", "2"], set(), 2),
+    "singvec-over-cap": (["singvec", "--c", "1", "--h", "0", "--degree", "40"], set(), 2),
+}
 
 
-@pytest.mark.parametrize("argv, modules", [pytest.param(a, m, id=a[0]) for a, m in _COMMANDS])
-def test_each_command_executes_only_its_modules(argv, modules):
+@pytest.mark.parametrize("argv, modules, code", [pytest.param(*case, id=case[0][0]) for case in _COMMANDS]
+                         + [pytest.param(*case, id=name) for name, case in _ERROR_EXITS.items()])
+def test_each_command_executes_only_its_modules(capsys, tmp_path, argv, modules, code):
+    bad = _fermion_edited(capsys, tmp_path, _drop_sigma_sigma_psi)
+    argv = [a.format(bad=bad, missing=tmp_path / "missing.json") for a in argv]
     src = str(Path(spinmtc.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
     ran, heavy = json.loads(done.stderr.splitlines()[-1])
     assert set(ran) == _ALWAYS | modules
     assert heavy == []

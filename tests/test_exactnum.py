@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinmtc
+
 from spinmtc.exactnum import (
     Cyclotomic,
     CycMatrix,
@@ -261,6 +263,10 @@ def test_parse_fraction():
         parse_fraction("1/0")
     with pytest.raises(ValueError):
         parse_fraction("abc")
+    for flag in (True, False, 1.5):
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_fraction(flag)
+    assert parse_fraction is spinmtc.parse_fraction
 
 
 # --- exact matrices ----------------------------------------------------------

@@ -30,6 +30,7 @@ from spinmtc.fusion import (
     fusion_to_dict,
     hom_unit_dim,
     load_fusion,
+    structure_violations,
     validate,
 )
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
@@ -338,6 +339,16 @@ def test_validate_reports_dual_value_outside_the_labels():
     assert [v.to_dict() for v in vs] == [
         {"check": "dual", "witness": ["sigma"], "detail": "dual maps these labels to unknown labels"}
     ]
+
+
+def test_structure_violations_reject_booleans():
+    # bool is an int subclass; neither True nor False is a multiplicity or a sign
+    f = builtin("fermion")
+    for flag in (True, False):
+        vs = structure_violations(replace(f, fusion={**f.fusion, ("1", "1", "1"): flag}))
+        assert [(v.check, v.witness) for v in vs] == [("fusion", ("1", "1", "1"))]
+        vs = structure_violations(replace(f, sigma_vv=flag))
+        assert [(v.check, v.witness) for v in vs] == [("sigma_vv", (flag,))]
 
 
 def test_validate_reports_unit_normalizations():

@@ -25,7 +25,7 @@ from spinmtc.verma import (
     straighten,
     verify_minimal_singular_vector,
 )
-from spinmtc.exactnum import _rref
+from spinmtc.sparse import _rref
 from spinmtc.minimal import MinimalModelSpec, central_charge, sector_counts
 from spinmtc.verma import _action, _fold, _int_word, _nullspace, _primes
 
@@ -430,25 +430,46 @@ _ACTION_POINTS = [
 def test_action_matches_straighten_on_solver_images(c, h, shuffled):
     # Every image singular_vectors takes from the memoized action, up to
     # degree 8: G_{1/2} and G_{3/2} on each basis word, and u G_{-1/2} v
-    # folded mode by mode.  At the generic points straighten also runs
-    # with a shuffled rewrite order.
-    act = _action(c, h)
+    # folded mode by mode.  The action holds ints, the straightened value
+    # at word u of an image of a length-n word scaled by D^(n - len(u)).
+    # At the generic points straighten also runs with a shuffled rewrite
+    # order.
+    scale, act = _action(c, h)
     rng = Random(17)
     picks = [None, lambda n: rng.randrange(n)] if shuffled else [None]
 
     def expected(word, pick):
-        return {_int_word(mon): cf for mon, cf in straighten(word, c, h, pick).terms.items()}
+        terms = straighten(word, c, h, pick).terms
+        return {_int_word(u): cf * scale ** (len(word) - len(_int_word(u))) for u, cf in terms.items()}
 
     for twice in range(17):
         for mon in degree_basis(Fraction(twice, 2)):
             for op in (1, 3):
                 image = act(op, _int_word(mon))
+                assert all(type(cf) is int for cf in image.values()), (op, mon)
                 for pick in picks:
                     assert image == expected((G(Fraction(op, 2)),) + mon.word(), pick), (op, mon)
             if twice < 16:
-                image = _fold(act, _int_word(mon), {(-1,): Fraction(1)})
+                image = _fold(act, _int_word(mon), {(-1,): 1})
+                assert all(type(cf) is int for cf in image.values()), mon
                 for pick in picks:
                     assert image == expected(mon.word() + (G("-1/2"),), pick), mon
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.integers(-9, 9), twice=st.integers(0, 10), which=st.integers(0, 2**20), c=_charge, h=_charge)
+def test_action_coefficients_are_ints_for_every_mode(x, twice, which, c, h):
+    # Raising modes, L_0 and lowering modes alike: act(x, w) holds ints,
+    # x w v scaled by D^(len(w) + 1 - len(u)) at word u.
+    basis = degree_basis(Fraction(twice, 2))
+    mon = basis[which % len(basis)]
+    w = _int_word(mon)
+    scale, act = _action(c, h)
+    image = act(x, w)
+    assert all(type(cf) is int for cf in image.values())
+    mode = G(Fraction(x, 2)) if x & 1 else L(x // 2)
+    want = straighten((mode,) + mon.word(), c, h).terms
+    assert image == {_int_word(u): cf * scale ** (len(w) + 1 - len(_int_word(u))) for u, cf in want.items()}
 
 
 # --- sparse exact linear algebra ------------------------------------------------------
