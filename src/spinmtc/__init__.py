@@ -5,9 +5,8 @@ verification, spin surface dimensions, N=1 minimal-model label tables, and
 singular vectors in Neveu-Schwarz Verma modules.  All checks run in exact
 arithmetic; floats appear only in explicitly non-authoritative annotations.
 
-The package itself loads nothing: the ``exactnum`` names below are read from
-it on first use, so commands that never compute with cyclotomics do not
-execute it.  It also holds the helpers that every module shares: the
+The package itself loads no submodule; the cyclotomic arithmetic lives in
+``spinmtc.exactnum``.  It holds the helpers that every module shares: the
 rational reader and writer of the JSON fields, and the record base class.
 """
 
@@ -17,17 +16,7 @@ from fractions import Fraction
 
 __version__ = "0.1.0"
 
-_EXACTNUM = ("Cyclotomic", "CycMatrix", "root_of_unity", "zeta")
-
-__all__ = ["__version__", *_EXACTNUM]
-
-
-def __getattr__(name: str) -> object:
-    if name in _EXACTNUM:
-        from . import exactnum
-
-        return getattr(exactnum, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["__version__"]
 
 
 def _fraction_str(q) -> str:

@@ -4,6 +4,9 @@ Subcommands mirror the library: validate, smatrix, classify, sphere, torus,
 minimal, minimal-scan, singvec, builtin.  Category arguments accept a file
 path or a builtin key (a real file with the same name wins).  Exit codes:
 0 success, 1 failed checks or inconsistent data, 2 malformed input or flags.
+Every error is a ``ValueError``: the status is the exception's ``exit_code``,
+2 when it sets none (``fusion.InconsistentDataError`` and ``verma.VermaError``
+set 1).
 """
 
 from __future__ import annotations
@@ -59,14 +62,6 @@ ROWS_PER_WRITE = 4096  # sphere writes its rows in blocks of this many
 MAX_DIGITS = 17  # a float holds about 17 significant digits
 
 
-class CliError(Exception):
-    """Error with a chosen process exit code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_category(arg: str) -> fusion.FusionData:
     """A path, or a builtin key when no such file exists."""
     path = Path(arg)
@@ -99,20 +94,16 @@ def _resolve_vminus(data: fusion.FusionData, requested: str | None) -> str:
     candidates = clifford.find_vminus(data)
     if requested is not None:
         if requested not in candidates:
-            raise CliError(
-                2,
-                f"--vminus {requested!r} is not an admissible odd generator; "
-                f"candidates: {candidates or 'none'}",
-            )
+            raise ValueError(f"--vminus {requested!r} is not an admissible odd generator; "
+                             f"candidates: {candidates or 'none'}")
         return requested
     if not candidates:
-        raise CliError(1, f"{data.name!r} has no admissible odd generator; not fermionic data")
+        raise fusion.InconsistentDataError(
+            f"{data.name!r} has no admissible odd generator; not fermionic data")
     if len(candidates) > 1:
-        raise CliError(
-            1,
+        raise fusion.InconsistentDataError(
             f"{data.name!r} has several admissible odd generators {candidates}; "
-            f"choose one with --vminus",
-        )
+            f"choose one with --vminus")
     return candidates[0]
 
 
@@ -250,12 +241,12 @@ def _split_labels(text: str) -> tuple[str, ...]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise CliError(2, f"unbalanced ')' at position {i} of --labels {text!r}")
+                raise ValueError(f"unbalanced ')' at position {i} of --labels {text!r}")
         elif ch == "," and depth == 0:
             pieces.append(text[start:i])
             start = i + 1
     if depth:
-        raise CliError(2, f"unbalanced '(' in --labels {text!r}")
+        raise ValueError(f"unbalanced '(' in --labels {text!r}")
     pieces.append(text[start:])
     return tuple(x for x in pieces if x)
 
@@ -280,7 +271,7 @@ def _write_json_last(obj: dict, key: str, brackets: str, items: Iterator[str]) -
 def _cmd_sphere(args: argparse.Namespace) -> int:
     labels = _split_labels(args.labels)
     if len(labels) > MAX_PUNCTURES:
-        raise CliError(2, f"{len(labels)} punctures exceed the limit {MAX_PUNCTURES}")
+        raise ValueError(f"{len(labels)} punctures exceed the limit {MAX_PUNCTURES}")
     data = _load_valid_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     rep = spinfunctor.sphere_report(spinfunctor.SpinSphereSpec(data, vminus, labels))
@@ -325,13 +316,13 @@ def _require_model(p: int, q: int) -> minimal.MinimalModelSpec:
     try:
         return minimal.MinimalModelSpec(p, q)
     except ValueError as exc:
-        raise CliError(2, f"not a minimal model: {exc}") from None
+        raise ValueError(f"not a minimal model: {exc}") from None
 
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
     spec = _require_model(args.p, args.q)
     if spec.p * spec.q > MAX_PQ:
-        raise CliError(2, f"p*q = {spec.p * spec.q} exceeds the limit {MAX_PQ}")
+        raise ValueError(f"p*q = {spec.p * spec.q} exceeds the limit {MAX_PQ}")
     labels = minimal.enumerate_labels(spec)
     c = minimal.central_charge(spec)
     # only the requested form is built: at the cap each holds every label
@@ -373,9 +364,9 @@ _SCAN_JSON_ROW = """    {{
 
 def _cmd_minimal_scan(args: argparse.Namespace) -> int:
     if args.max_pq < 4:
-        raise CliError(2, "--max-pq must be at least 4")
+        raise ValueError("--max-pq must be at least 4")
     if args.max_pq > MAX_PQ:
-        raise CliError(2, f"--max-pq {args.max_pq} exceeds the limit {MAX_PQ}")
+        raise ValueError(f"--max-pq {args.max_pq} exceeds the limit {MAX_PQ}")
     specs = list(minimal.valid_pairs(args.max_pq))
     # rows are formatted as they are written, never all held
     if args.format == "json":
@@ -406,25 +397,22 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
     by_pq = args.p is not None or args.q is not None
     by_ch = args.c is not None or args.h is not None or args.degree is not None
     if by_pq == by_ch:
-        raise CliError(2, "give either --p/--q or --c/--h/--degree")
+        raise ValueError("give either --p/--q or --c/--h/--degree")
     if by_pq:
         if args.p is None or args.q is None:
-            raise CliError(2, "--p and --q go together")
+            raise ValueError("--p and --q go together")
         spec = _require_model(args.p, args.q)
         c = minimal.central_charge(spec)
         h = Fraction(0)
         degree = Fraction((args.p - 1) * (args.q - 1), 2)
     else:
         if args.c is None or args.h is None or args.degree is None:
-            raise CliError(2, "--c, --h and --degree go together")
-        try:
-            c = parse_fraction(args.c)
-            h = parse_fraction(args.h)
-            degree = parse_fraction(args.degree)
-        except ValueError as exc:
-            raise CliError(2, str(exc)) from exc
+            raise ValueError("--c, --h and --degree go together")
+        c = parse_fraction(args.c)
+        h = parse_fraction(args.h)
+        degree = parse_fraction(args.degree)
         if degree <= 0 or degree.denominator > 2:
-            raise CliError(2, f"--degree must be a positive integer or half-integer, got {degree}")
+            raise ValueError(f"--degree must be a positive integer or half-integer, got {degree}")
 
     cap = DEFAULT_MAX_DEGREE
     env = os.environ.get("SPINMTC_MAX_DEGREE")
@@ -432,12 +420,10 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
         try:
             cap = int(env)
         except ValueError:
-            raise CliError(2, f"SPINMTC_MAX_DEGREE must be an integer, got {env!r}") from None
+            raise ValueError(f"SPINMTC_MAX_DEGREE must be an integer, got {env!r}") from None
     if degree > cap:
-        raise CliError(
-            2,
-            f"degree {degree} exceeds the limit {cap}; raise SPINMTC_MAX_DEGREE to allow it",
-        )
+        raise ValueError(f"degree {degree} exceeds the limit {cap}; "
+                         "raise SPINMTC_MAX_DEGREE to allow it")
 
     rep = verma.singular_vectors(c, h, degree)
     obj = rep.to_dict()
@@ -485,17 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="table",
                         help="output format (default table)")
-    common.add_argument("--numeric", type=int, choices=range(MAX_DIGITS + 1), metavar="DIGITS",
-                        default=0, help=f"add floating-point annotations to 0-{MAX_DIGITS} "
-                        "significant digits (never authoritative)")
+    numeric = argparse.ArgumentParser(add_help=False)
+    numeric.add_argument("--numeric", type=int, choices=range(MAX_DIGITS + 1), metavar="DIGITS",
+                         default=0, help=f"add floating-point annotations to 0-{MAX_DIGITS} "
+                         "significant digits (never authoritative)")
 
-    def cat_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def cat_cmd(name: str, help_text: str, *extra: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *extra], help=help_text)
         p.add_argument("category", help="category file or builtin key")
         return p
 
     cat_cmd("validate", "check the fusion-ring axioms")
-    cat_cmd("smatrix", "exact s-matrix and its square")
+    cat_cmd("smatrix", "exact s-matrix and its square", numeric)
 
     p = cat_cmd("classify", "NS/R label partition and block checks")
     p.add_argument("--vminus", help="odd generator to use when several qualify")
@@ -511,20 +498,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = cat_cmd("torus", "spin torus state-space dimensions")
     p.add_argument("--vminus", help="odd generator to use when several qualify")
 
-    p = sub.add_parser("minimal", parents=[common], help="one minimal-model label table")
+    p = sub.add_parser("minimal", parents=[common, numeric], help="one minimal-model label table")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
     p = sub.add_parser("minimal-scan", parents=[common], help="all models with p*q bounded")
     p.add_argument("--max-pq", type=int, required=True, metavar="M")
 
-    p = sub.add_parser("singvec", parents=[common], help="singular vectors in an NS Verma module")
+    p = sub.add_parser("singvec", parents=[common, numeric], help="singular vectors in an NS Verma module")
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--c", help="central charge as a/b")
     p.add_argument("--h", help="highest weight as a/b")
     p.add_argument("--degree", help="degree as a/b or integer")
 
+    # builtin always writes the file format, which is JSON; it takes --format as
+    # every other command does, so that a caller may append "--format json" to any
     p = sub.add_parser("builtin", parents=[common], help="emit a builtin category file")
     p.add_argument("key", choices=BUILTIN_KEYS)
 
@@ -552,12 +541,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
-        # fusion.InconsistentDataError and verma.VermaError carry exit_code 1;
-        # read from the exception, so that no other command's module executes
+        # the code is read from the exception, so that no other command's module executes
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
 

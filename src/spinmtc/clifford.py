@@ -11,7 +11,7 @@ which grades under graded tensor product by generator count mod 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import _Record
 from .exactnum import CycMatrix, _certified_rank, _integer_coefficients, _pack
@@ -51,11 +51,6 @@ class CliffordAlgebraClass(_Record):
 
     def to_dict(self) -> dict:
         return {"generators": self.generators, "parity": self.parity}
-
-
-def morita_parity(factors: Iterable[CliffordAlgebraClass]) -> CliffordAlgebraClass:
-    """Graded tensor product of Clifford algebras: generator counts add."""
-    return CliffordAlgebraClass(sum(f.generators for f in factors))
 
 
 class CliffordStructure(NamedTuple):

@@ -36,7 +36,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "phi_degree",
     "zeta",
-    "root_of_unity",
     "embed_numeric",
 ]
 
@@ -399,12 +398,6 @@ def zeta(n: int, e: int = 1) -> Cyclotomic:
     return Cyclotomic(n, {e % n: Fraction(1)})
 
 
-def root_of_unity(t: Fraction | int) -> Cyclotomic:
-    """e^{2 pi i t} for rational t, as an exact cyclotomic value."""
-    t = Fraction(t) % 1
-    return zeta(t.denominator, t.numerator)
-
-
 def embed_numeric(value: Cyclotomic, digits: int = 15) -> complex:
     """Floating approximation at the principal embedding zeta_N = e^{2 pi i/N}.
 
@@ -618,9 +611,6 @@ class CycMatrix:
             [[self.entries[i][j] for j in col_idx] for i in row_idx],
             shape=(len(row_idx), len(col_idx)),
         )
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero for row in self.entries for x in row)
 
     def rank_det(self) -> tuple[int, Cyclotomic | None]:
         """Exact rank, and determinant for square matrices (None otherwise).

@@ -104,9 +104,6 @@ class FusionData(_Record):
         except KeyError:
             raise FormatError(f"unknown label {label!r} in category {self.name!r}") from None
 
-    def n(self, i: str, j: str, k: str) -> int:
-        return self.fusion.get((i, j, k), 0)
-
     @cached_property
     def rank(self) -> int:
         return len(self.labels)
@@ -161,7 +158,7 @@ def structure_violations(data: FusionData) -> list[Violation]:
         elif not isinstance(v, int) or isinstance(v, bool) or v < 0:
             out.append(Violation("fusion", key, f"multiplicity must be a nonnegative integer, got {v!r}"))
 
-    if data.sigma_vv is not None and (isinstance(data.sigma_vv, bool) or data.sigma_vv not in (1, -1)):
+    if data.sigma_vv is not None and (type(data.sigma_vv) is not int or data.sigma_vv not in (1, -1)):
         out.append(Violation("sigma_vv", (data.sigma_vv,), "sigma_vv must be +1 or -1"))
     return out
 
@@ -596,7 +593,7 @@ def fusion_from_dict(obj: object) -> FusionData:
                 raise FormatError(f"malformed qdim for {lab!r}: {v!r}") from exc
 
     sigma_vv = obj.get("sigma_vv")
-    if sigma_vv is not None and (isinstance(sigma_vv, bool) or sigma_vv not in (1, -1)):
+    if sigma_vv is not None and (type(sigma_vv) is not int or sigma_vv not in (1, -1)):
         raise FormatError(f"sigma_vv must be 1 or -1, got {sigma_vv!r}")
 
     return FusionData(

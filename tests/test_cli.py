@@ -15,7 +15,7 @@ import pytest
 import spinmtc
 
 from spinmtc.catalog import BUILTIN_KEYS, builtin
-from spinmtc.cli import MAX_PQ, MAX_PUNCTURES, ROWS_PER_WRITE, main
+from spinmtc.cli import _HANDLERS, MAX_PQ, MAX_PUNCTURES, ROWS_PER_WRITE, build_parser, main
 from spinmtc.clifford import find_vminus
 from spinmtc.fusion import (
     MAX_CONDUCTOR,
@@ -82,6 +82,36 @@ def test_smatrix_numeric_annotation(capsys):
         assert "Traceback" not in err and "specifier" not in err
     code, _, _ = run(capsys, "smatrix", "fermion", "--numeric", "17")
     assert code == 0
+
+
+# the least arguments each subcommand parses
+_MINIMAL_ARGV = {
+    "validate": ["fermion"], "smatrix": ["fermion"], "classify": ["fermion"],
+    "sphere": ["fermion", "--labels", "sigma"], "torus": ["fermion"],
+    "minimal": ["--p", "3", "--q", "5"], "minimal-scan": ["--max-pq", "20"],
+    "singvec": [], "builtin": ["fermion"],
+}
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads(capsys):
+    assert set(_MINIMAL_ARGV) == set(_HANDLERS)
+    parser = build_parser()
+    accepts = {}
+    for flag, value in (("--numeric", "3"), ("--format", "json")):
+        for command, argv in _MINIMAL_ARGV.items():
+            try:
+                parser.parse_args([command, *argv, flag, value])
+            except SystemExit as exc:
+                assert exc.code == 2
+            else:
+                accepts.setdefault(flag, set()).add(command)
+    assert accepts == {"--numeric": {"smatrix", "minimal", "singvec"}, "--format": set(_HANDLERS)}
+    capsys.readouterr()
+    code, out, err = run(capsys, "builtin", "fermion", "--numeric", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: spinmtc") and err.endswith("unrecognized arguments: --numeric 2\n")
+    # builtin writes the file format whatever --format says
+    assert run(capsys, "builtin", "fermion", "--format", "json") == run(capsys, "builtin", "fermion")
 
 
 def test_classify_fermion(capsys):
@@ -616,6 +646,9 @@ BOOLEAN_FIELDS = {
     "multiplicity-false": (lambda doc: doc["fusion"][0].__setitem__(3, False),
                            "malformed fusion entry: ['1', '1', '1', False]"),
     "sigma_vv": (lambda doc: doc.update(sigma_vv=True), "sigma_vv must be 1 or -1, got True"),
+    # not booleans, but floats that compare equal to the signs
+    "sigma_vv-float-minus": (lambda doc: doc.update(sigma_vv=-1.0), "sigma_vv must be 1 or -1, got -1.0"),
+    "sigma_vv-float-plus": (lambda doc: doc.update(sigma_vv=1.0), "sigma_vv must be 1 or -1, got 1.0"),
     "twist": (lambda doc: doc["twist"].update(psi=True), "malformed rational: True"),
     "qdim": (lambda doc: doc["qdim"].update(psi=True), "malformed qdim for 'psi': True"),
     "qdim-conductor": (lambda doc: doc["qdim"]["psi"].update(conductor=True),
@@ -797,7 +830,8 @@ finally:
 # category commands run fusion and exactnum, and both of those the sparse
 # elimination kernel; singvec runs the kernel without exactnum.  An error exit
 # runs only the modules its command reached: "{bad}" is a category file that
-# fails validate's axioms, "{missing}" a path that does not exist.
+# fails validate's axioms, "{ambiguous}" one with two admissible odd
+# generators, "{missing}" a path that does not exist.
 _ALWAYS = {"spinmtc", "spinmtc.catalog", "spinmtc.cli"}
 _CATEGORY = {"spinmtc.fusion", "spinmtc.exactnum", "spinmtc.sparse"}
 _COMMANDS = [
@@ -815,6 +849,12 @@ _COMMANDS = [
 ]
 _ERROR_EXITS = {
     "torus-inconsistent": (["torus", "{bad}"], _CATEGORY, 1),
+    "classify-ambiguous": (["classify", "{ambiguous}"], _CATEGORY | {"spinmtc.clifford"}, 1),
+    "torus-not-fermionic": (["torus", "fibonacci"], _CATEGORY | {"spinmtc.clifford"}, 1),
+    "classify-vminus": (["classify", "fermion", "--vminus", "sigma"], _CATEGORY | {"spinmtc.clifford"}, 2),
+    "sphere-unbalanced": (["sphere", "fermion", "--labels", "(sigma"], set(), 2),
+    "minimal-scan-small": (["minimal-scan", "--max-pq", "3"], set(), 2),
+    "minimal-not-a-model": (["minimal", "--p", "2", "--q", "2"], {"spinmtc.minimal"}, 2),
     "classify-missing": (["classify", "{missing}"], _CATEGORY, 2),
     "singvec-malformed": (["singvec", "--c", "1/0", "--h", "0", "--degree", "2"], set(), 2),
     "singvec-over-cap": (["singvec", "--c", "1", "--h", "0", "--degree", "40"], set(), 2),
@@ -825,7 +865,9 @@ _ERROR_EXITS = {
                          + [pytest.param(*case, id=name) for name, case in _ERROR_EXITS.items()])
 def test_each_command_executes_only_its_modules(capsys, tmp_path, argv, modules, code):
     bad = _fermion_edited(capsys, tmp_path, _drop_sigma_sigma_psi)
-    argv = [a.format(bad=bad, missing=tmp_path / "missing.json") for a in argv]
+    ambiguous = tmp_path / "fermion2.json"
+    ambiguous.write_text(dump_fusion(deligne_product(builtin("fermion"), builtin("fermion"))))
+    argv = [a.format(bad=bad, ambiguous=ambiguous, missing=tmp_path / "missing.json") for a in argv]
     src = str(Path(spinmtc.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)

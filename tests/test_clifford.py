@@ -17,7 +17,6 @@ from spinmtc.clifford import (
     clifford_structure,
     find_vminus,
     involution_from_vminus,
-    morita_parity,
     verify_block_structure,
 )
 from spinmtc.exactnum import CycMatrix, _prime_root
@@ -374,17 +373,3 @@ def test_block_shapes_that_differ_from_the_pattern_fail_it():
 def test_clifford_algebra_class_and_parity():
     assert CliffordAlgebraClass(0).parity == 0
     assert CliffordAlgebraClass(3).parity == 1
-    combined = morita_parity([CliffordAlgebraClass(3), CliffordAlgebraClass(2)])
-    assert combined.generators == 5
-    assert combined.parity == 1
-
-
-def test_morita_parity_is_a_monoid_homomorphism():
-    for xs, ys in itertools.product(
-        [[], [CliffordAlgebraClass(1)], [CliffordAlgebraClass(2), CliffordAlgebraClass(3)]],
-        repeat=2,
-    ):
-        whole = morita_parity(xs + ys)
-        left, right = morita_parity(xs), morita_parity(ys)
-        assert whole.parity == (left.parity + right.parity) % 2
-        assert whole.generators == left.generators + right.generators

@@ -126,7 +126,7 @@ def test_fermion_axioms_by_independent_brute_force():
     # loop that shares no code with validate().
     data = builtin("fermion")
     labs = data.labels
-    n = data.n
+    n = _multiplicity(data)
     for i, j in itertools.product(labs, repeat=2):
         assert n("1", i, j) == (1 if i == j else 0)
         assert n(i, "1", j) == (1 if i == j else 0)
@@ -175,8 +175,13 @@ def _ring_xy(big: int) -> FusionData:
     )
 
 
+def _multiplicity(data):
+    """N_ij^k of ``data`` as a function of (i, j, k); absent triples are 0."""
+    return lambda i, j, k: data.fusion.get((i, j, k), 0)
+
+
 def _first_associativity_failure(data):
-    labs, n = data.labels, data.n
+    labs, n = data.labels, _multiplicity(data)
     for i, j, k, l in itertools.product(labs, repeat=4):
         lhs = sum(n(i, j, m) * n(m, k, l) for m in labs)
         rhs = sum(n(j, k, m) * n(i, m, l) for m in labs)
@@ -212,7 +217,7 @@ def _mutations(rng: Random, bases, count: int):
         labels = data.labels
         if n % 3 == 0:
             key = tuple(rng.choice(labels) for _ in range(3))
-            v = data.n(*key) + rng.choice((-1, 1))
+            v = data.fusion.get(key, 0) + rng.choice((-1, 1))
             fusion = {k: m for k, m in data.fusion.items() if k != key}
             if v:
                 fusion[key] = abs(v)
@@ -347,6 +352,8 @@ def test_structure_violations_reject_booleans():
     for flag in (True, False):
         vs = structure_violations(replace(f, fusion={**f.fusion, ("1", "1", "1"): flag}))
         assert [(v.check, v.witness) for v in vs] == [("fusion", ("1", "1", "1"))]
+    # nor is a float, though 1.0 == 1 and -1.0 == -1
+    for flag in (True, False, 1.0, -1.0):
         vs = structure_violations(replace(f, sigma_vv=flag))
         assert [(v.check, v.witness) for v in vs] == [("sigma_vv", (flag,))]
 
@@ -367,7 +374,8 @@ def test_fusion_matrices_commute_on_builtins():
     # Fusion matrices of a commutative associative ring commute pairwise.
     for key in BUILTIN_KEYS:
         data = builtin(key)
-        mats = [[[data.n(lab, j, k) for k in data.labels] for j in data.labels] for lab in data.labels]
+        mats = [[[data.fusion.get((lab, j, k), 0) for k in data.labels] for j in data.labels]
+                for lab in data.labels]
         for a in mats:
             for b in mats:
                 assert _int_matmul(a, b) == _int_matmul(b, a)

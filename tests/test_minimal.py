@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmtc.exactnum import root_of_unity
+from spinmtc.exactnum import zeta
 from spinmtc.minimal import (
     MinimalModelSpec,
     central_charge,
@@ -192,7 +192,8 @@ def test_even_case_fixed_point_is_ramond():
 def test_twists_are_constructible_roots_of_unity():
     for spec in valid_pairs(120):
         for lab in enumerate_labels(spec):
-            z = root_of_unity(lab.h % 1)
+            t = lab.h % 1
+            z = zeta(t.denominator, t.numerator)
             assert z.conductor >= 1
 
 
