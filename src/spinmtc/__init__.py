@@ -12,6 +12,7 @@ rational reader and writer of the JSON fields, and the record base class.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __version__ = "0.1.0"
@@ -25,10 +26,15 @@ def _fraction_str(q) -> str:
 
 
 def parse_fraction(text: object) -> Fraction:
-    """Parse 'a/b' or 'a', or take an int; floats and bools are ValueErrors."""
+    """Parse 'a/b' or 'a' (optionally signed digits), or take an int.
+
+    Floats, bools, decimals such as '0.5' and exponents such as '1e3' are
+    ValueErrors: an exponent of a few characters can make a rational
+    millions of bits long.
+    """
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, str):
+    if isinstance(text, str) and re.fullmatch(r"\s*[-+]?\d+(/\d+)?\s*", text):
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -160,27 +160,32 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
     data = _load_known_category(args.category)
     s = fusion.compute_smatrix(data)
     holds, alpha = fusion.check_s_squared(s, data)
-    obj = {
-        "category": data.name,
-        "labels": list(data.labels),
-        "conductor": s.data.conductor,
-        "entries": [[x.to_dict() for x in row] for row in s.data],
-        "squares_to_conjugation": holds,
-        "scalar": alpha.to_dict() if alpha is not None else None,
-    }
+    digits = args.numeric
+    numeric = digits and [[_fmt_complex(exactnum.embed_numeric(x, digits), digits) for x in row]
+                          for row in s.data]
+    # only the requested form is built
+    if args.format == "json":
+        obj = {
+            "category": data.name,
+            "labels": list(data.labels),
+            "conductor": s.data.conductor,
+            "entries": [[x.to_dict() for x in row] for row in s.data],
+            "squares_to_conjugation": holds,
+            "scalar": alpha.to_dict() if alpha is not None else None,
+        }
+        if numeric:
+            obj["numeric"] = {
+                "digits": digits,
+                "note": "floating-point annotations; not authoritative",
+                "entries": numeric,
+            }
+        _emit(obj, "", args.format)
+        return 0 if holds else 1
     grid = [[""] + list(data.labels)]
     for lab, row in zip(data.labels, s.data):
         grid.append([lab] + [str(x) for x in row])
     lines = [_grid(grid)]
-    if args.numeric:
-        digits = args.numeric
-        numeric = [[_fmt_complex(exactnum.embed_numeric(x, digits), digits) for x in row]
-                   for row in s.data]
-        obj["numeric"] = {
-            "digits": digits,
-            "note": "floating-point annotations; not authoritative",
-            "entries": numeric,
-        }
+    if numeric:
         ngrid = [[""] + list(data.labels)]
         for lab, row in zip(data.labels, numeric):
             ngrid.append([lab] + [f"~{x}" for x in row])
@@ -189,7 +194,7 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
         lines.append(f"s^2 = alpha * conjugation with alpha = {alpha}")
     else:
         lines.append("s^2 is NOT a scalar multiple of the conjugation permutation")
-    _emit(obj, "\n".join(lines), args.format)
+    _emit({}, "\n".join(lines), args.format)
     return 0 if holds else 1
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from . import _Record
-from .exactnum import CycMatrix, _certified_rank, _integer_coefficients, _pack
+from .exactnum import CycMatrix, _certified_rank, _max_abs, _pack
 from .fusion import FusionData, InconsistentDataError, SMatrix
 
 __all__ = [
@@ -293,8 +293,8 @@ def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatri
 
     # Each entry as one int: its integer coefficients over one denominator,
     # packed wide enough that equal entries have equal keys and key(-x) = -key(x).
-    ints, _, top = _integer_coefficients(mat.entries, mat.conductor)
-    key = [[_pack(c, top.bit_length() + 1) for c in row] for row in ints]
+    width = _max_abs(mat.ints).bit_length() + 1
+    key = [[_pack(c, width) for c in row] for row in mat.ints]
 
     # (1) rows transform by the zeta sign of the column under the involution
     witness = None
@@ -309,15 +309,8 @@ def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatri
     checks["involution_rows"] = CheckResult(witness is None, witness)
 
     # (2) fixed-point rows vanish against every Ramond column
-    witness = None
     r_all = list(cls.r_plus) + list(cls.r_minus) + list(cls.r_zero)
-    for i in cls.r_zero:
-        for j in r_all:
-            if not mat[idx[i], idx[j]].is_zero:
-                witness = (i, j)
-                break
-        if witness:
-            break
+    witness = next(((i, j) for i in cls.r_zero for j in r_all if mat.ints[idx[i]][idx[j]]), None)
     checks["nonsplit_row_vanishing"] = CheckResult(witness is None, witness)
 
     # block extraction in the canonical order
@@ -383,14 +376,8 @@ def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatri
 
     # (6) B^T D = 0
     prod = block_b.transpose() @ block_d
-    witness = None
-    for i in range(prod.rows):
-        for j in range(prod.cols):
-            if not prod[i, j].is_zero:
-                witness = (cls.r_plus[i], cls.r_zero[j])
-                break
-        if witness:
-            break
+    witness = next(((cls.r_plus[i], cls.r_zero[j]) for i, row in enumerate(prod.ints)
+                    for j, coeffs in enumerate(row) if coeffs), None)
     checks["btd_zero"] = CheckResult(witness is None, witness)
 
     # (7) |R+| + |R0| = |NS+|

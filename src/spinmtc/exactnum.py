@@ -10,10 +10,13 @@ monic Phi_N from the top exponent down, in integers over one common
 denominator.  Phi_N is built prime by prime, and each conductor caches only
 Phi_N and its nonzero lower terms: O(phi(N)) ints.
 
-The linear algebra is matrix products by Kronecker substitution, and rank
-and determinant through the sparse elimination of :mod:`spinmtc.sparse`:
-over Q(zeta_N) for ``CycMatrix.rank_det``, and modulo a prime above p for
-the rank that certifies the block checks of :mod:`spinmtc.clifford`.
+A ``CycMatrix`` keeps its entries as integer coefficients over one
+denominator, and only this module converts between that form and
+``Cyclotomic`` values.  The linear algebra is matrix products by Kronecker
+substitution, and rank and determinant through the sparse elimination of
+:mod:`spinmtc.sparse`: over Q(zeta_N) for ``CycMatrix.rank_det``, and modulo
+a prime above p for the rank that certifies the block checks of
+:mod:`spinmtc.clifford`.
 
 Floating-point only ever appears in :func:`embed_numeric`, which is a
 display/diagnostic aid and never feeds a correctness decision.
@@ -418,24 +421,6 @@ def embed_numeric(value: Cyclotomic, digits: int = 15) -> complex:
 # packed integer products (Kronecker substitution)
 
 
-def _integer_coefficients(
-    entries: Sequence[Sequence[Cyclotomic]], n: int
-) -> tuple[list[list[dict[int, int]]], int, int]:
-    """Entries at conductor n as sparse integer power-basis coefficients.
-
-    Returns (coefficients, den, max_abs): every entry equals its integer
-    coefficients divided by the one common denominator ``den``.
-    """
-    grid = [[x.rebased(n)._coeffs for x in row] for row in entries]
-    den = math.lcm(1, *(c.denominator for row in grid for coeffs in row for c in coeffs.values()))
-    ints = [
-        [{e: c.numerator * (den // c.denominator) for e, c in coeffs.items()} for coeffs in row]
-        for row in grid
-    ]
-    max_abs = max((abs(v) for row in ints for coeffs in row for v in coeffs.values()), default=0)
-    return ints, den, max_abs
-
-
 def _pack(coeffs: Mapping[int, int], width: int) -> int:
     """The polynomial with these coefficients evaluated at 2^width."""
     return sum(c << (width * e) for e, c in coeffs.items())
@@ -461,25 +446,9 @@ def _unpack(value: int, width: int) -> dict[int, int]:
     return out
 
 
-def _packed_operands(a: "CycMatrix", b: "CycMatrix") -> tuple[int, list[list[int]], list[list[int]], int, int]:
-    """(N, a's rows, b's rows, den, w): a and b packed for Kronecker substitution.
-
-    Both are rebased to N = lcm of their conductors and scaled by one common
-    denominator each (den is their product) to integer power-basis
-    coefficients, and every entry becomes one int: its coefficients evaluated
-    at 2^w.  An entry of a @ b, before reduction, has coefficients bounded by
-    |c| <= a.cols * phi(N) * max|a| * max|b| (at most ``a.cols`` products of
-    entries, each summing at most phi(N) coefficient products).  With
-    w = bit_length(bound) + 1 every slot, sign bit included, fits its w bits,
-    so the packed dot product of a row of a and a column of b is exact.
-    """
-    n = math.lcm(a.conductor, b.conductor)
-    a_ints, a_den, a_max = _integer_coefficients(a.entries, n)
-    b_ints, b_den, b_max = (a_ints, a_den, a_max) if b is a else _integer_coefficients(b.entries, n)
-    width = (a.cols * phi_degree(n) * a_max * b_max).bit_length() + 1
-    a_rows = [[_pack(c, width) for c in row] for row in a_ints]
-    b_rows = a_rows if b is a else [[_pack(c, width) for c in row] for row in b_ints]
-    return n, a_rows, b_rows, a_den * b_den, width
+def _max_abs(ints: Iterable[Iterable[Mapping[int, int]]]) -> int:
+    """The largest |coefficient| of a grid of integer coefficients, 0 if none."""
+    return max((abs(v) for row in ints for coeffs in row for v in coeffs.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +474,8 @@ def _prime_root(n: int) -> tuple[int, int]:
 def _rank_mod_p(m: "CycMatrix") -> int:
     """The rank of m's image under zeta_N -> w mod p, for (p, w) = ``_prime_root(N)``.
 
-    The entries are taken as integer coefficients over one common
-    denominator, so nothing is inverted mod p, and the map on them is
+    The entries are taken as their integer coefficients ``m.ints`` over the
+    one denominator, so nothing is inverted mod p, and the map on them is
     reduction at a prime above p: a ring map of Z[zeta_N], under which a
     vanishing minor stays zero.  So the result is at most the rank of m,
     and it is the rank when it equals min(rows, cols).
@@ -514,8 +483,7 @@ def _rank_mod_p(m: "CycMatrix") -> int:
     n = m.conductor
     p, w = _prime_root(n)
     powers = [pow(w, e, p) for e in range(phi_degree(n))]
-    ints, _, _ = _integer_coefficients(m.entries, n)
-    images = ([sum(c * powers[e] for e, c in coeffs.items()) % p for coeffs in row] for row in ints)
+    images = ([sum(c * powers[e] for e, c in coeffs.items()) % p for coeffs in row] for row in m.ints)
     return len(_rref(({j: x for j, x in enumerate(row) if x} for row in images), p)[0])
 
 
@@ -529,9 +497,16 @@ def _certified_rank(m: "CycMatrix") -> int:
 
 
 class CycMatrix:
-    """Dense matrix over a single cyclotomic field, with exact rank and det."""
+    """Dense matrix over a single cyclotomic field Q(zeta_N), with exact rank and det.
 
-    __slots__ = ("rows", "cols", "conductor", "entries")
+    Entry (i, j) is ``ints[i][j] / den``: ``ints[i][j]`` maps each exponent
+    below phi(N) to a nonzero integer power-basis coefficient, and ``den``
+    is one positive denominator for the whole matrix.  Products, blocks and
+    the modular rank work on this integer form.  The grid of
+    :class:`Cyclotomic` values, ``entries``, is built on first read and kept.
+    """
+
+    __slots__ = ("rows", "cols", "conductor", "den", "ints", "_entries")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]], shape: tuple[int, int] | None = None):
         grid = [[Cyclotomic._coerce(x) for x in row] for row in entries]
@@ -556,13 +531,40 @@ class CycMatrix:
             for x in row:
                 conductor = math.lcm(conductor, x.conductor)
         grid = [tuple(x.rebased(conductor) for x in row) for row in grid]
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "entries", tuple(grid))
+        den = math.lcm(1, *(c.denominator for row in grid for x in row for c in x._coeffs.values()))
+        ints = tuple(
+            tuple({e: c.numerator * (den // c.denominator) for e, c in x._coeffs.items()} for x in row)
+            for row in grid
+        )
+        for name, value in zip(self.__slots__, (rows, cols, conductor, den, ints, tuple(grid))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_ints(cls, conductor: int, den: int, ints: Sequence[Sequence[dict[int, int]]],
+                   shape: tuple[int, int]) -> "CycMatrix":
+        """The matrix of reduced integer coefficients ``ints`` over ``den`` > 0 at ``conductor``."""
+        m = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (*shape, conductor, den, tuple(map(tuple, ints)), None)):
+            object.__setattr__(m, name, value)
+        return m
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycMatrix is immutable")
+
+    @property
+    def entries(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        if self._entries is None:
+            n, den, made = self.conductor, self.den, {}
+
+            def value(coeffs: dict[int, int]) -> Cyclotomic:
+                # entries that share a coefficient dict (s_ij and s_ji) share one value
+                key = id(coeffs)
+                if key not in made:
+                    made[key] = Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True)
+                return made[key]
+
+            object.__setattr__(self, "_entries", tuple(tuple(map(value, row)) for row in self.ints))
+        return self._entries
 
     def __getitem__(self, key: tuple[int, int]) -> Cyclotomic:
         i, j = key
@@ -585,32 +587,50 @@ class CycMatrix:
     __hash__ = None  # type: ignore[assignment]
 
     def transpose(self) -> "CycMatrix":
-        return CycMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            shape=(self.cols, self.rows),
-        )
+        ints = [[row[j] for row in self.ints] for j in range(self.cols)]
+        return CycMatrix._from_ints(self.conductor, self.den, ints, (self.cols, self.rows))
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        """Exact product of the ``_packed_operands``: each packed dot product unpacks
-        to an entry's coefficients, folded mod x^N - 1 and reduced mod Phi_N once."""
+        """Exact product by Kronecker substitution.
+
+        Both operands are rebased to N = lcm of their conductors, and each
+        entry's integer coefficients become one int: the polynomial evaluated
+        at 2^w.  An entry of the product, before reduction and over the
+        denominator ``self.den * other.den``, has coefficients bounded by
+        |c| <= self.cols * phi(N) * max|a| * max|b| (at most ``self.cols``
+        products of entries, each summing at most phi(N) coefficient
+        products).  With w = bit_length(bound) + 1 every slot, sign bit
+        included, fits its w bits, so each packed dot product unpacks exactly
+        to an entry's coefficients, which are folded mod x^N - 1 and reduced
+        mod Phi_N once.  The square ``m @ m`` of a symmetric m is symmetric:
+        column j of m is row j, and only the entries i <= j are formed.
+        """
         if self.cols != other.rows:
             raise ExactNumError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n, a_rows, b_rows, den, width = _packed_operands(self, other)
-        b_cols = [[row[j] for row in b_rows] for j in range(other.cols)]
-        out = []
-        for a_row in a_rows:
-            out_row = []
-            for b_col in b_cols:
-                coeffs = _reduce_coeffs(n, _unpack(sum(map(int.__mul__, a_row, b_col)), width))
-                out_row.append(Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True))
-            out.append(out_row)
-        return CycMatrix(out, shape=(self.rows, other.cols))
+        n = math.lcm(self.conductor, other.conductor)
+
+        def rebased(m: CycMatrix) -> Sequence[Sequence[dict[int, int]]]:
+            k = n // m.conductor
+            return m.ints if k == 1 else [
+                [_reduce_coeffs(n, {e * k: c for e, c in coeffs.items()}) for coeffs in row] for row in m.ints
+            ]
+
+        a, b = rebased(self), rebased(other)
+        width = (self.cols * phi_degree(n) * _max_abs(a) * _max_abs(b)).bit_length() + 1
+        a_rows = [[_pack(c, width) for c in row] for row in a]
+        sym = other is self and all(a_rows[i][j] == a_rows[j][i] for i in range(self.rows) for j in range(i))
+        b_cols = a_rows if sym else [[_pack(row[j], width) for row in b] for j in range(other.cols)]
+        out = [[{}] * other.cols for _ in range(self.rows)]
+        for i, a_row in enumerate(a_rows):
+            for j in range(i if sym else 0, other.cols):
+                out[i][j] = _reduce_coeffs(n, _unpack(sum(map(int.__mul__, a_row, b_cols[j])), width))
+                if sym:
+                    out[j][i] = out[i][j]
+        return CycMatrix._from_ints(n, self.den * other.den, out, (self.rows, other.cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "CycMatrix":
-        return CycMatrix(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx],
-            shape=(len(row_idx), len(col_idx)),
-        )
+        ints = [[self.ints[i][j] for j in col_idx] for i in row_idx]
+        return CycMatrix._from_ints(self.conductor, self.den, ints, (len(row_idx), len(col_idx)))
 
     def rank_det(self) -> tuple[int, Cyclotomic | None]:
         """Exact rank, and determinant for square matrices (None otherwise).

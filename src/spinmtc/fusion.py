@@ -17,14 +17,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from . import _fraction_str, _Record, parse_fraction
-from .exactnum import (
-    Cyclotomic,
-    CycMatrix,
-    _integer_coefficients,
-    _packed_operands,
-    _reduce_coeffs,
-    _unpack,
-)
+from .exactnum import Cyclotomic, CycMatrix, _reduce_coeffs
 from .sparse import Row, _insert_row
 
 __all__ = [
@@ -387,17 +380,17 @@ def compute_smatrix(data: FusionData) -> SMatrix:
     per entry.
 
     Raises InconsistentDataError if the result is not symmetric, naming the
-    first pair i < j in row-major order where it is not.  Symmetry is decided
-    on integer coefficients before any entry is built, and each entry i <= j
-    is built once and shared by (j, i).
+    first pair i < j in row-major order where it is not.  Every entry is
+    kept as the matrix's integer coefficients over one denominator: each
+    entry i <= j is computed once, and (j, i) shares it.
     """
     labels = data.labels
     twist = {lab: Fraction(data.twist[lab]) % 1 for lab in labels}
     n = math.lcm(*(t.denominator for t in twist.values()), *(data.qdim[lab].conductor for lab in labels))
     expo = {lab: t.numerator * (n // t.denominator) for lab, t in twist.items()}
     # theta_k d_k at conductor n: integer terms over one denominator
-    ints, den, _ = _integer_coefficients([[data.qdim[lab] for lab in labels]], n)
-    terms = {k: [((e + expo[k]) % n, c) for e, c in d.items()] for k, d in zip(labels, ints[0])}
+    qdims = CycMatrix([[data.qdim[lab].rebased(n) for lab in labels]])
+    terms = {k: [((e + expo[k]) % n, c) for e, c in d.items()] for k, d in zip(labels, qdims.ints[0])}
 
     rules = data._rules
     empty: dict[str, int] = {}
@@ -420,42 +413,27 @@ def compute_smatrix(data: FusionData) -> SMatrix:
         commute = rules.get(a, empty).get(b, empty) == rules.get(b, empty).get(a, empty)
         if not commute and entry(b, a) != coeffs:
             raise InconsistentDataError(f"s-matrix is not symmetric at {(a, b)} for {data.name!r}")
-    built = {key: Cyclotomic(n, {e: Fraction(c, den) for e, c in coeffs.items()}, _canonical=True)
-             for key, coeffs in upper.items()}
-    mat = CycMatrix([[built[min(i, j), max(i, j)] for j in index] for i in index])
+    ints = [[upper[min(i, j), max(i, j)] for j in index] for i in index]
+    mat = CycMatrix._from_ints(n, qdims.den, ints, (data.rank, data.rank))
     return SMatrix(data=mat, source=data.name)
 
 
 def check_s_squared(s: SMatrix, data: FusionData) -> tuple[bool, Cyclotomic | None]:
     """Whether s^2 is a scalar multiple of the charge conjugation permutation.
 
-    Returns (True, scalar) on success and (False, None) otherwise.  The
-    entries of s^2 are packed products, as in ``CycMatrix.__matmul__``,
-    compared with the scalar in integers over their one denominator.  When s
-    is symmetric, as ``compute_smatrix`` makes it, column j of s is row j and
-    s^2 is symmetric, so only its entries i <= j are formed.
+    Returns (True, scalar) on success and (False, None) otherwise.  s^2 is
+    the packed product ``s.data @ s.data``, which forms only the entries
+    i <= j of a symmetric s, as ``compute_smatrix`` makes it.  Its entries
+    are compared with the scalar in integers over their one denominator.
     """
-    mat = s.data
-    n, rows, _, den, width = _packed_operands(mat, mat)
-    r = mat.rows
-    sym = all(rows[i][j] == rows[j][i] for i in range(r) for j in range(i + 1, r))
-    cols = rows if sym else [list(col) for col in zip(*rows)]
-
-    def entry(i: int, j: int) -> dict[int, int]:
-        return _reduce_coeffs(n, _unpack(sum(map(int.__mul__, rows[i], cols[j])), width))
-
+    sq = s.data @ s.data
     labels, dual = data.labels, data.dual
     iu = data.index(data.unit)
-    alpha = entry(iu, iu)  # unit is self-dual, so this is the would-be scalar
-    if not alpha:
+    alpha = sq.ints[iu][iu]  # unit is self-dual, so this is the would-be scalar
+    if not alpha or any(sq.ints[i][j] != (alpha if dual[a] == b else {})
+                        for i, a in enumerate(labels) for j, b in enumerate(labels)):
         return False, None
-    for i, a in enumerate(labels):
-        for j in range(i if sym else 0, r):
-            hit = dual[a] == labels[j]
-            # with s^2 symmetric, the entry stands at (j, i) as well
-            if sym and hit != (dual[labels[j]] == a) or entry(i, j) != (alpha if hit else {}):
-                return False, None
-    return True, Cyclotomic(n, {e: Fraction(c, den) for e, c in alpha.items()}, _canonical=True)
+    return True, sq.submatrix([iu], [iu])[0, 0]  # builds only this entry
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import _fraction_str, _Record, parse_fraction
+from . import _fraction_str, _Record
 from .sparse import Row, _is_prime, _reduce, _rref
 
 __all__ = [
@@ -254,16 +254,6 @@ class VermaVector(NamedTuple):
             {"monomial": mon.to_text(), "coeff": _fraction_str(cf)}
             for mon, cf in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_list(cls, c: Fraction, h: Fraction, items: Iterable[Mapping]) -> "VermaVector":
-        terms: dict[PBWMonomial, Fraction] = {}
-        for item in items:
-            mon = parse_monomial(item["monomial"])
-            cf = parse_fraction(item["coeff"])
-            if cf:
-                terms[mon] = terms.get(mon, Fraction(0)) + cf
-        return cls(Fraction(c), Fraction(h), {m: cf for m, cf in terms.items() if cf})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -664,6 +665,48 @@ def test_json_booleans_are_exit_2(capsys, tmp_path, case):
     path = _fermion_edited(capsys, tmp_path, edit)
     for command in ("validate", "smatrix", "torus"):
         assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n"), command
+
+
+def _exit_2_at_once(capsys, argv, value):
+    # an exponent of a few characters would be a rational millions of bits long
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", f"error: malformed rational: {value!r}\n")
+    assert time.perf_counter() - start < 5
+
+
+def test_exponent_rational_flag_is_exit_2_at_once(capsys):
+    _exit_2_at_once(capsys, ["singvec", "--c", "1e-3000000", "--h", "0", "--degree", "1"], "1e-3000000")
+
+
+def test_exponent_rational_twist_is_exit_2_at_once(capsys, tmp_path):
+    path = _fermion_edited(capsys, tmp_path, lambda doc: doc["twist"].update(psi="1e-2000000"))
+    _exit_2_at_once(capsys, ["validate", str(path)], "1e-2000000")
+
+
+def test_classify_table_and_s_squared_never_read_the_smatrix_entries(capsys, tmp_path, monkeypatch):
+    import spinmtc.fusion as fusion
+    from spinmtc.exactnum import CycMatrix
+
+    made = []
+    compute, entries = fusion.compute_smatrix, CycMatrix.entries
+
+    def recorded(data):
+        made.append(compute(data))
+        return made[-1]
+
+    def guarded(self):
+        assert not any(self is s.data for s in made), "the s-matrix's entries were read"
+        return entries.fget(self)
+
+    monkeypatch.setattr(fusion, "compute_smatrix", recorded)
+    monkeypatch.setattr(CycMatrix, "entries", property(guarded))
+    prod = deligne_product(builtin("fibonacci"), builtin("fermion"))
+    path = tmp_path / "prod.json"
+    path.write_text(dump_fusion(prod))
+    code, out, err = run(capsys, "classify", str(path), "--format", "table")
+    assert (code, err) == (0, "") and "all checks pass: True" in out
+    holds, _ = fusion.check_s_squared(fusion.compute_smatrix(prod), prod)
+    assert holds and len(made) == 2
 
 
 def _swap_duals(doc):

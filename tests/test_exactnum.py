@@ -257,6 +257,11 @@ def test_parse_fraction():
     for flag in (True, False, 1.5):
         with pytest.raises(ValueError, match="malformed rational"):
             parse_fraction(flag)
+    # decimals and exponents are not the documented forms; "1e-3000000" would
+    # otherwise be a rational with a denominator of about ten million bits
+    for text in ("1e3", "0.5", "1e-3000000"):
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_fraction(text)
     assert parse_fraction is spinmtc.parse_fraction
 
 
@@ -384,6 +389,12 @@ def test_packed_matmul_matches_reference_loop(data):
     a = _cyc_matrix(data.draw, rows, inner)
     b = _cyc_matrix(data.draw, inner, cols)
     _assert_matmul_matches_reference(a, b)
+    # m @ m, also for a symmetric m, whose square forms only its entries i <= j
+    m = _cyc_matrix(data.draw, inner, inner)
+    sym = CycMatrix([[m[min(i, j), max(i, j)] for j in range(inner)] for i in range(inner)],
+                    shape=(inner, inner))
+    _assert_matmul_matches_reference(m, m)
+    _assert_matmul_matches_reference(sym, sym)
 
 
 @pytest.mark.parametrize("n", _CONDUCTORS)
@@ -400,6 +411,9 @@ def test_packed_matmul_mixed_conductors():
     assert (a.conductor, b.conductor) == (48, 240)
     _assert_matmul_matches_reference(a, b)
     _assert_matmul_matches_reference(b, a)
+    _assert_matmul_matches_reference(a, a)
+    sym = CycMatrix([[b[0, 0], b[0, 1]], [b[0, 1], b[1, 1]]])
+    _assert_matmul_matches_reference(sym, sym)
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -431,6 +445,21 @@ def test_packed_matmul_zero_and_empty_shapes():
         assert all(x.is_zero for row in prod.entries for x in row)
     with pytest.raises(ExactNumError):
         tall @ tall
+
+
+def test_submatrix_and_transpose_keep_degenerate_shapes():
+    m = CycMatrix([[zeta(8), 1, 0], [Fraction(1, 3), zeta(8, 3), 2]])
+    for rows, cols in (([], []), ([], [0, 2]), ([1], []), ([1, 0], [2, 0])):
+        sub = m.submatrix(rows, cols)
+        t = sub.transpose()
+        assert (sub.rows, sub.cols, t.rows, t.cols) == (len(rows), len(cols), len(cols), len(rows))
+        assert sub == CycMatrix([[m[i, j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
+        assert [list(row) for row in t] == [[sub[i, j] for i in range(sub.rows)] for j in range(sub.cols)]
+        assert t.transpose() == sub
+        for x in (sub, t):
+            assert len(x.ints) == x.rows and all(len(row) == x.cols for row in x.ints)
+        _assert_matmul_matches_reference(sub, t)
+        _assert_matmul_matches_reference(t, sub)
 
 
 def test_packed_s_squared_on_builtins_and_rank_36_product():

@@ -64,3 +64,21 @@ def test_cli_import_leaves_every_traced_module_in_sys_modules():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_counters_read_attributes_the_package_keeps():
+    # After a pass, ``perfbench/tracing.py`` reads the s-matrix's
+    # ``data.conductor`` and ``data.entries``, and each product operand's
+    # ``rows``, ``cols`` and ``entries``, through every entry's ``is_zero``
+    # and ``coefficients()``.  These are its reads, on the Ising s-matrix.
+    from spinmtc.catalog import builtin
+    from spinmtc.fusion import compute_smatrix
+
+    s = compute_smatrix(builtin("fermion"))
+    a = b = s.data
+    col_nnz = [sum(1 for i in range(a.rows) if not a.entries[i][k].is_zero) for k in range(a.cols)]
+    row_nnz = [sum(1 for x in b.entries[k] if not x.is_zero) for k in range(b.rows)]
+    terms = [len(x.coefficients()) for row in s.data.entries for x in row if not x.is_zero]
+    assert s.data.conductor == 16
+    assert sum(c * r for c, r in zip(col_nnz, row_nnz)) == 22
+    assert sorted(terms) == [1] * 4 + [2] * 4
