@@ -84,9 +84,10 @@ def _load_known_category(arg: str) -> fusion.FusionData:
 
 def _load_valid_category(arg: str) -> fusion.FusionData:
     """As ``_load_known_category``; data failing validate's axioms is inconsistent."""
-    data = _load_known_category(arg)
+    data = _load_category(arg)
     if violations := fusion.validate(data):
-        raise fusion.InconsistentDataError(f"{data.name!r} fails validate: {violations[0]}")
+        error = fusion.FormatError if fusion.structure_violations(data) else fusion.InconsistentDataError
+        raise error(f"{data.name!r} fails validate: {violations[0]}")
     return data
 
 
@@ -109,10 +110,28 @@ def _resolve_vminus(data: fusion.FusionData, requested: str | None) -> str:
 
 def _emit(obj: dict, table: str, fmt: str) -> None:
     if fmt == "json":
-        _write_blocks(json.JSONEncoder(indent=2).iterencode(obj), "")
+        _write_blocks(_json_parts(obj), "")
         sys.stdout.write("\n")
     else:
         sys.stdout.write(table if table.endswith("\n") else table + "\n")
+
+
+def _json_parts(value: object, pad: str = "") -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in parts, nested at indent ``pad``: dicts
+    (string keys) are walked, a ``CycMatrix`` writes itself (found by its method,
+    so that commands without one never execute exactnum), json does the rest."""
+    if hasattr(value, "json_parts"):
+        yield from value.json_parts(pad)
+    elif isinstance(value, dict) and value:
+        sep = "{\n"
+        for key, item in value.items():
+            yield f"{sep}{pad}  {json.dumps(key)}: "
+            yield from _json_parts(item, pad + "  ")
+            sep = ",\n"
+        yield f"\n{pad}}}"
+    else:
+        for chunk in json.JSONEncoder(indent=2).iterencode(value):
+            yield chunk.replace("\n", "\n" + pad)
 
 
 def _fmt_complex(z: complex, digits: int) -> str:
@@ -169,7 +188,7 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
             "category": data.name,
             "labels": list(data.labels),
             "conductor": s.data.conductor,
-            "entries": [[x.to_dict() for x in row] for row in s.data],
+            "entries": s.data,
             "squares_to_conjugation": holds,
             "scalar": alpha.to_dict() if alpha is not None else None,
         }

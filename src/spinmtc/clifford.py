@@ -248,13 +248,11 @@ class BlockReport(NamedTuple):
         return all(r.ok for r in self.checks.values())
 
     def to_dict(self) -> dict:
+        """The report for JSON; each block's ``entries`` is the ``CycMatrix``
+        itself, which ``CycMatrix.json_parts`` writes."""
+        blocks = zip("ABCD", (self.block_a, self.block_b, self.block_c, self.block_d))
         return {
-            "blocks": {
-                "A": self.block_a.to_dict(),
-                "B": self.block_b.to_dict(),
-                "C": self.block_c.to_dict(),
-                "D": self.block_d.to_dict(),
-            },
+            "blocks": {name: {"rows": m.rows, "cols": m.cols, "entries": m} for name, m in blocks},
             "checks": {name: r.to_dict() for name, r in self.checks.items()},
             "all_pass": self.all_pass,
         }

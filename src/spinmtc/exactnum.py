@@ -24,6 +24,7 @@ display/diagnostic aid and never feeds a correctness decision.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -654,12 +655,22 @@ class CycMatrix:
         inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
         return rank, -det if inversions % 2 else det
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[x.to_dict() for x in row] for row in self.entries],
-        }
+    def json_parts(self, pad: str) -> Iterator[str]:
+        """``json.dumps(..., indent=2)`` of the rows of the entries' ``to_dict()`` at
+        indent ``pad``, an entry at a time; each distinct entry is formatted once."""
+        inner = pad + "    "
+
+        @lru_cache(maxsize=None)
+        def cell(key: tuple[tuple[int, int], ...]) -> str:
+            x = Cyclotomic(self.conductor, {e: Fraction(c, self.den) for e, c in key}, _canonical=True)
+            return inner + json.dumps(x.to_dict(), indent=2).replace("\n", "\n" + inner)
+
+        for i, row in enumerate(self.ints):
+            yield ("," if i else "[") + f"\n{pad}  ["
+            for j, coeffs in enumerate(row):
+                yield ("," if j else "") + "\n" + cell(tuple(coeffs.items()))
+            yield f"\n{pad}  ]" if row else "]"
+        yield f"\n{pad}]" if self.rows else "[]"
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in row) for row in self.entries)

@@ -146,7 +146,7 @@ def structure_violations(data: FusionData) -> list[Violation]:
         out.append(Violation("dual", tuple(unknown), "dual maps these labels to unknown labels"))
 
     for key, v in data.fusion.items():
-        if len(key) != 3 or any(lab not in label_set for lab in key):
+        if len(key) != 3 or not label_set.issuperset(key):
             out.append(Violation("fusion", key, "fusion key mentions unknown labels"))
         elif not isinstance(v, int) or isinstance(v, bool) or v < 0:
             out.append(Violation("fusion", key, f"multiplicity must be a nonnegative integer, got {v!r}"))
@@ -187,7 +187,7 @@ def validate(data: FusionData) -> list[Violation]:
         return min(witnesses, key=lambda w: tuple(pos[x] for x in w))
 
     def mismatches(got: Mapping[str, int], want: Mapping[str, int]) -> list[str]:
-        return [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
+        return [] if got == want else [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
 
     # unit constraint: fusing with the unit is the identity permutation
     bad = [(j, k) for j in labels for k in mismatches(rules.get(unit, empty).get(j, empty), {j: 1})]
@@ -312,16 +312,22 @@ def _dimension_witness(
     """The first (i, j) in row-major label order where d(i) d(j) differs from
     the sum of N(i,j -> k) d(k); None if the dimension equation holds.
 
-    ``left`` restricts i to those labels (all labels by default).
+    ``left`` restricts i to those labels (all labels by default).  With qdims as
+    a(x) = D d(x) in ``CycMatrix`` form, a(i) a(j) - D sum N a(k) is reduced mod Phi_n.
     """
-    empty: dict[str, int] = {}
+    dims = CycMatrix([[qdim[lab] for lab in labels]])
+    n, den, empty = dims.conductor, dims.den, {}
+    a = dict(zip(labels, dims.ints[0]))
     for i in labels if left is None else left:
-        di = qdim[i]
         for j in labels:
-            rhs = Cyclotomic.from_rational(0)
+            raw: dict[int, int] = {}
             for k, m in rules.get(i, empty).get(j, empty).items():
-                rhs = rhs + qdim[k] * m
-            if di * qdim[j] != rhs:
+                for e, c in a[k].items():
+                    raw[e] = raw.get(e, 0) - den * m * c
+            for e1, c1 in a[i].items():
+                for e2, c2 in a[j].items():
+                    raw[e1 + e2] = raw.get(e1 + e2, 0) + c1 * c2
+            if _reduce_coeffs(n, raw):
                 return (i, j)
     return None
 
@@ -335,7 +341,8 @@ def _associativity_witness(
     """The first (i, j, k, l) in row-major label order where the multiplicity
     of l in (i x j) x k differs from that in i x (j x k); None if associative.
 
-    ``left`` restricts i to those labels (all labels by default).
+    ``left`` restricts i to those labels (all labels by default).  A product
+    with one channel m of multiplicity 1 is read from ``rules`` as m itself.
     """
     empty: dict[str, int] = {}
     for i in labels if left is None else left:
@@ -343,15 +350,23 @@ def _associativity_witness(
         for j in labels:
             ij = left_i.get(j, empty)
             left_j = rules.get(j, empty)
+            m_row = rules.get(*ij, empty) if len(ij) == 1 and 1 in ij.values() else None
             for k in labels:
-                lhs: dict[str, int] = {}
-                for m, a in ij.items():
-                    for l, b in rules.get(m, empty).get(k, empty).items():
-                        lhs[l] = lhs.get(l, 0) + a * b
-                rhs: dict[str, int] = {}
-                for m, a in left_j.get(k, empty).items():
-                    for l, b in left_i.get(m, empty).items():
-                        rhs[l] = rhs.get(l, 0) + a * b
+                if m_row is not None:
+                    lhs = m_row.get(k, empty)
+                else:
+                    lhs = {}
+                    for m, a in ij.items():
+                        for l, b in rules.get(m, empty).get(k, empty).items():
+                            lhs[l] = lhs.get(l, 0) + a * b
+                jk = left_j.get(k, empty)
+                if len(jk) == 1 and 1 in jk.values():
+                    rhs = left_i.get(*jk, empty)
+                else:
+                    rhs = {}
+                    for m, a in jk.items():
+                        for l, b in left_i.get(m, empty).items():
+                            rhs[l] = rhs.get(l, 0) + a * b
                 if lhs != rhs:
                     bad = (x for x in lhs.keys() | rhs.keys() if lhs.get(x) != rhs.get(x))
                     return i, j, k, min(bad, key=pos.__getitem__)
@@ -620,4 +635,11 @@ def load_fusion(path: str | Path) -> FusionData:
 
 
 def dump_fusion(data: FusionData) -> str:
-    return json.dumps(fusion_to_dict(data), indent=2) + "\n"
+    """``json.dumps(fusion_to_dict(data), indent=2)`` and a newline, with each
+    ``fusion`` row, most of the file, written by one format string."""
+    doc = fusion_to_dict(data)
+    enc = {lab: json.dumps(lab) for lab in data.labels}
+    rows = ",\n".join(f"    [\n      {enc[i]},\n      {enc[j]},\n      {enc[k]},\n      "
+                       f"{v if type(v) is int else json.dumps(v)}\n    ]" for i, j, k, v in doc["fusion"])
+    text = json.dumps({**doc, "fusion": []}, indent=2)
+    return (text.replace('\n  "fusion": []', f'\n  "fusion": [\n{rows}\n  ]', 1) if rows else text) + "\n"

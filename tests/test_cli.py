@@ -12,16 +12,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinmtc
 
 from spinmtc.catalog import BUILTIN_KEYS, builtin
-from spinmtc.cli import _HANDLERS, MAX_PQ, MAX_PUNCTURES, ROWS_PER_WRITE, build_parser, main
-from spinmtc.clifford import find_vminus
+from spinmtc.cli import _HANDLERS, MAX_PQ, MAX_PUNCTURES, ROWS_PER_WRITE, _json_parts, build_parser, main
+from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
+from spinmtc.exactnum import Cyclotomic, CycMatrix
 from spinmtc.fusion import (
     MAX_CONDUCTOR,
     FormatError,
     FusionData,
+    compute_smatrix,
     deligne_product,
     dump_fusion,
     fusion_from_dict,
@@ -993,6 +996,80 @@ def test_streamed_sphere_table_keeps_its_line_format(capsys):
         code, out, _ = run(capsys, "sphere", key, "--labels", ",".join(chain))
         assert code == 0
         assert out == _sphere_table_oracle(data, chain), (key, chain)
+
+
+# --- matrix JSON writer --------------------------------------------------------------
+
+
+def _plain(value):
+    """``value`` with each ``CycMatrix`` replaced by its rows of entry dicts."""
+    if isinstance(value, CycMatrix):
+        return [[x.to_dict() for x in row] for row in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+@st.composite
+def _matrices(draw):
+    # entries drawn from a small pool, so that equal entries repeat
+    values = st.builds(Cyclotomic, st.sampled_from((1, 5, 8, 16)),
+                       st.dictionaries(st.integers(0, 15), st.fractions(-3, 3, max_denominator=4), max_size=3))
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return CycMatrix([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)], (rows, cols))
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+_JSON_PLAIN = st.recursive(_JSON_SCALARS, lambda kids: st.lists(kids, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=10)
+# the writer walks dicts to reach the matrices, which are dict values
+_JSON_WALKED = st.recursive(_JSON_PLAIN | _matrices(), lambda kids: st.dictionaries(
+    st.text(max_size=3), kids, max_size=3), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_WALKED, _JSON_WALKED)
+def test_json_parts_equal_json_dumps(tree, shared):
+    # the same object sits at two depths
+    obj = {"x": shared, "y": {"z": shared, "w": tree}, "": []}
+    assert "".join(_json_parts(obj)) == json.dumps(_plain(obj), indent=2)
+    assert "".join(_json_parts(tree)) == json.dumps(_plain(tree), indent=2)
+
+
+def _builtins_and_pairs():
+    for key in BUILTIN_KEYS:
+        yield key, builtin(key)
+    for a, b in itertools.combinations_with_replacement(BUILTIN_KEYS, 2):
+        yield f"{a}.{b}", deligne_product(builtin(a), builtin(b))
+
+
+def test_matrix_json_equals_json_dumps(capsys, tmp_path):
+    # Every output equals json.dumps of the same document with the matrices
+    # as the library's entry dicts; fermion's blocks B and C are empty.
+    classified = set()
+    for name, data in _builtins_and_pairs():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_fusion(data))
+        s = compute_smatrix(data)
+        for numeric in ((), ("--numeric", "3")):
+            _, out, err = run(capsys, "smatrix", str(path), "--format", "json", *numeric)
+            doc = json.loads(out)
+            assert err == ""
+            assert out == json.dumps({**doc, "entries": _plain(s.data)}, indent=2) + "\n"
+        for vminus in find_vminus(data):
+            _, out, err = run(capsys, "classify", str(path), "--vminus", vminus, "--format", "json")
+            doc = json.loads(out)
+            assert err == ""
+            if doc.get("structure") != "clifford":
+                continue
+            report = verify_block_structure(data, classify_labels(data, vminus), s)
+            assert out == json.dumps({**doc, **_plain(report.to_dict())}, indent=2) + "\n", (name, vminus)
+            classified.add(name)
+            if name == "fermion":
+                assert doc["blocks"]["B"] == {"rows": 1, "cols": 0, "entries": [[]]}
+                assert doc["blocks"]["C"] == {"rows": 0, "cols": 0, "entries": []}
+    assert {"fermion", "dirac", "toric", "fermion.fermion", "dirac.fibonacci"} <= classified
 
 
 # A child's ru_maxrss counts its parent's resident set at the fork, so the

@@ -20,7 +20,15 @@ from spinmtc.clifford import (
     verify_block_structure,
 )
 from spinmtc.exactnum import CycMatrix, _prime_root
-from spinmtc.fusion import InconsistentDataError, SMatrix, compute_smatrix, deligne_product
+from spinmtc.fusion import (
+    InconsistentDataError,
+    SMatrix,
+    check_s_squared,
+    compute_smatrix,
+    deligne_product,
+    validate,
+)
+from spinmtc.minimal import MinimalModelSpec, enumerate_labels
 
 CLIFFORD_BUILTINS = ("fermion", "dirac", "toric")
 
@@ -373,3 +381,32 @@ def test_block_shapes_that_differ_from_the_pattern_fail_it():
 def test_clifford_algebra_class_and_parity():
     assert CliffordAlgebraClass(0).parity == 0
     assert CliffordAlgebraClass(3).parity == 1
+
+
+# --- the N=1 minimal model SM(3,5) from the builtins ---------------------------
+
+
+def test_sm35_from_fibonacci_and_fermion_matches_the_minimal_model():
+    # Fibonacci with tau's twist at 3/5, times fermion with sigma's at 7/16:
+    # spin modular data whose NS+ twists are SM(3,5)'s NS weights mod 1/2 and
+    # whose R0 twists are its R weights mod 1.
+    fib, fer = builtin("fibonacci"), builtin("fermion")
+    data = deligne_product(replace(fib, twist={**fib.twist, "tau": Fraction(3, 5)}),
+                           replace(fer, twist={**fer.twist, "sigma": Fraction(7, 16)}))
+    assert validate(data) == []
+    s = compute_smatrix(data)
+    assert check_s_squared(s, data)[0]
+    assert find_vminus(data) == ["(1,psi)"]
+    cls = classify_labels(data, "(1,psi)")
+    report = verify_block_structure(data, cls, s)
+    assert report.all_pass and set(report.checks) == set(CHECK_NAMES)
+    assert cls.r_plus == ()
+    ns_twists = sorted(data.twist[x] for x in cls.ns_plus)
+    r_twists = sorted(data.twist[x] for x in cls.r_zero)
+    assert (ns_twists, r_twists) == ([0, Fraction(3, 5)], [Fraction(3, 80), Fraction(7, 16)])
+    labels = enumerate_labels(MinimalModelSpec(3, 5))
+    ns_weights = sorted(lab.h for lab in labels if lab.sector == "NS")
+    r_weights = sorted(lab.h for lab in labels if lab.sector == "R")
+    assert (ns_weights, r_weights) == ([0, Fraction(1, 10)], [Fraction(3, 80), Fraction(7, 16)])
+    assert sorted(t % Fraction(1, 2) for t in ns_twists) == sorted(h % Fraction(1, 2) for h in ns_weights)
+    assert sorted(t % 1 for t in r_twists) == sorted(h % 1 for h in r_weights)

@@ -70,6 +70,21 @@ def test_dump_load_round_trip(tmp_path):
         assert dump_fusion(again) == dump_fusion(data)
 
 
+def test_dump_fusion_equals_json_dumps():
+    # the rows' format string against json itself, on every builtin and
+    # pairwise product, no fusion rules at all, labels json must escape, and
+    # a multiplicity that is not an int
+    x = 'x"\\\u00e9'
+    odd = FusionData(name=x, labels=("1", x), unit="1", dual={"1": "1", x: x},
+                     fusion={("1", "1", "1"): 1, ("1", x, x): 1, (x, "1", x): 1, (x, x, "1"): 1},
+                     twist={"1": Fraction(0), x: Fraction(1, 2)}, qdim={"1": ONE, x: ONE})
+    cases = [builtin(key) for key in BUILTIN_KEYS] + [odd, replace(odd, fusion={})]
+    cases += [_product(a, b) for a, b in itertools.combinations_with_replacement(BUILTIN_KEYS, 2)]
+    cases.append(replace(builtin("fermion"), fusion={**builtin("fermion").fusion, ("1", "1", "1"): True}))
+    for data in cases:
+        assert dump_fusion(data) == json.dumps(fusion_to_dict(data), indent=2) + "\n", data.name
+
+
 def test_dict_round_trip_is_canonical():
     for key in BUILTIN_KEYS:
         d = fusion_to_dict(builtin(key))
@@ -307,6 +322,82 @@ def test_validate_dimension_witness_when_the_span_differs_mod_p(monkeypatch):
     assert fast == full
     assert [v.check for v in fast] == ["duality", "dimension_equation"]
     assert fast[1].witness == ("b", "b")
+
+
+def _dimension_witness_reference(qdim, labels, rules, left=None):
+    """The dimension equation pair by pair in ``Cyclotomic`` arithmetic."""
+    for i in labels if left is None else left:
+        for j in labels:
+            rhs = ZERO
+            for k, m in rules.get(i, {}).get(j, {}).items():
+                rhs = rhs + qdim[k] * m
+            if qdim[i] * qdim[j] != rhs:
+                return (i, j)
+    return None
+
+
+def _associativity_witness_reference(labels, rules, pos, left=None):
+    """Both sides of every triple summed into fresh dicts."""
+    for i in labels if left is None else left:
+        for j in labels:
+            for k in labels:
+                lhs, rhs = {}, {}
+                for m, a in rules.get(i, {}).get(j, {}).items():
+                    for l, b in rules.get(m, {}).get(k, {}).items():
+                        lhs[l] = lhs.get(l, 0) + a * b
+                for m, a in rules.get(j, {}).get(k, {}).items():
+                    for l, b in rules.get(i, {}).get(m, {}).items():
+                        rhs[l] = rhs.get(l, 0) + a * b
+                if lhs != rhs:
+                    return i, j, k, min((x for x in lhs.keys() | rhs.keys() if lhs.get(x) != rhs.get(x)),
+                                        key=pos.__getitem__)
+    return None
+
+
+def _rep_a4() -> FusionData:
+    """The representation ring of A4: t x t = 1 + a + b + 2 t, a multiplicity-2 channel."""
+    labels = ("1", "a", "b", "t")
+    fusion = {("1", x, x): 1 for x in labels} | {(x, "1", x): 1 for x in labels}
+    fusion |= {("a", "a", "b"): 1, ("a", "b", "1"): 1, ("b", "a", "1"): 1, ("b", "b", "a"): 1}
+    fusion |= {(x, "t", "t"): 1 for x in "ab"} | {("t", x, "t"): 1 for x in "ab"}
+    fusion |= {("t", "t", x): 1 for x in "1ab"} | {("t", "t", "t"): 2}
+    return FusionData(
+        name="rep_a4",
+        labels=labels,
+        unit="1",
+        dual={"1": "1", "a": "b", "b": "a", "t": "t"},
+        fusion=fusion,
+        twist={x: Fraction(0) for x in labels},
+        qdim=dict(zip(labels, map(Cyclotomic.from_rational, (1, 1, 1, 3)))),
+    )
+
+
+def test_witnesses_match_the_cyclotomic_and_summing_references():
+    # The integer dimension equation and the single-channel associativity
+    # reads must name the references' witnesses, on every generator set and
+    # on the full loops, for valid rings, one corrupted qdim and one moved
+    # multiplicity.
+    rng = Random(20261019)
+    cases = [builtin(key) for key in BUILTIN_KEYS] + [_rep_a4(), _ring_xy(2)]
+    cases += [_product(a, b) for a, b in itertools.combinations_with_replacement(BUILTIN_KEYS, 2)]
+    assert validate(_rep_a4()) == []
+    verdicts = set()
+    for data in cases:
+        lab, key = rng.choice(data.labels), rng.choice(sorted(data.fusion))
+        broken = [{**data.qdim, lab: data.qdim[lab] + x} for x in (Fraction(1, 3), rng.choice((1, zeta(8))))]
+        moved = replace(data, fusion={**data.fusion, key: data.fusion[key] + 1})
+        for ring in (data, moved):
+            rules, pos = ring._rules, ring._index
+            gens = spinmtc.fusion._span_generators(ring.labels, rules, ring.unit)
+            for left in (None, gens):
+                got = spinmtc.fusion._associativity_witness(ring.labels, rules, pos, left)
+                assert got == _associativity_witness_reference(ring.labels, rules, pos, left), ring.name
+                verdicts.add(("associativity", got is None))
+                for qdim in (data.qdim, *broken):
+                    got = spinmtc.fusion._dimension_witness(qdim, ring.labels, rules, left)
+                    assert got == _dimension_witness_reference(qdim, ring.labels, rules, left), ring.name
+                    verdicts.add(("dimension_equation", got is None))
+    assert len(verdicts) == 4
 
 
 def test_span_generators_are_small_on_products():
