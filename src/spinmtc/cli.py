@@ -180,8 +180,16 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
     s = fusion.compute_smatrix(data)
     holds, alpha = fusion.check_s_squared(s, data)
     digits = args.numeric
-    numeric = digits and [[_fmt_complex(exactnum.embed_numeric(x, digits), digits) for x in row]
-                          for row in s.data]
+    numeric = None
+    if digits:
+        # one evaluation per distinct entry, keyed by its integer coefficients
+        text: dict[tuple[tuple[int, int], ...], str] = {}
+        for coeff_row, row in zip(s.data.ints, s.data):
+            for coeffs, x in zip(coeff_row, row):
+                key = tuple(coeffs.items())
+                if key not in text:
+                    text[key] = _fmt_complex(exactnum.embed_numeric(x, digits), digits)
+        numeric = [[text[tuple(coeffs.items())] for coeffs in coeff_row] for coeff_row in s.data.ints]
     # only the requested form is built
     if args.format == "json":
         obj = {

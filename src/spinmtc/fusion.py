@@ -603,17 +603,18 @@ def fusion_from_dict(obj: object) -> FusionData:
 
 def fusion_to_dict(data: FusionData) -> dict:
     """Canonical (deterministically ordered) dict form of a category."""
-    order = {lab: i for i, lab in enumerate(data.labels)}
-    fus = sorted(
-        ((i, j, k, v) for (i, j, k), v in data.fusion.items() if v),
-        key=lambda item: (order[item[0]], order[item[1]], order[item[2]]),
-    )
+    # entries in label order of (i, j, k), sorted by the one integer that
+    # reads the three label positions as digits base len(labels)
+    n = len(data.labels)
+    order = {lab: pos for pos, lab in enumerate(data.labels)}
+    keyed = {(order[i] * n + order[j]) * n + order[k]: [i, j, k, v]
+             for (i, j, k), v in data.fusion.items() if v}
     out: dict = {
         "name": data.name,
         "labels": list(data.labels),
         "unit": data.unit,
         "dual": {lab: data.dual[lab] for lab in data.labels},
-        "fusion": [list(item) for item in fus],
+        "fusion": [keyed[key] for key in sorted(keyed)],
         "twist": {lab: _fraction_str(data.twist[lab]) for lab in data.labels},
         "qdim": {lab: data.qdim[lab].to_dict() for lab in data.labels},
     }

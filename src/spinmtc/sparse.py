@@ -4,10 +4,9 @@ Rows are dicts {column: nonzero entry}.  ``_rref`` brings them to reduced
 row echelon form over a field: Q (``Fraction`` entries), Q(zeta_N)
 (``Cyclotomic`` entries) or F_p (ints mod a prime p).  It serves
 ``CycMatrix.rank_det`` and the rank modulo a prime of :mod:`spinmtc.exactnum`,
-and the singular-vector solve of :mod:`spinmtc.verma`; one row at a time,
-through ``_insert_row``, it serves the generating-set search of
-:mod:`spinmtc.fusion`.  ``_is_prime`` picks the word-size primes those
-reductions use.
+and the singular-vector solve of :mod:`spinmtc.verma`, over Q; one row at a
+time, through ``_insert_row``, it serves the generating-set search of
+:mod:`spinmtc.fusion`.  ``_is_prime`` picks the prime of the modular rank.
 """
 
 from __future__ import annotations

@@ -20,18 +20,19 @@ not straighten: it takes its images from ``_action``, a memoized action of
 one mode on int-encoded normal words in integers scaled by powers of one
 D, and ``straighten`` stays as that action's independent oracle.  Values
 are divided back to rationals only where they leave the action, as rows for
-the eliminations.
+the eliminations: each is one sparse RREF over Q, and the constraint
+nullspace takes its columns in reverse basis order.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import _fraction_str, _Record
-from .sparse import Row, _is_prime, _reduce, _rref
+from .sparse import _reduce, _rref
 
 __all__ = [
     "NSMode",
@@ -554,112 +555,42 @@ def degree_basis(d: Fraction | int) -> list[PBWMonomial]:
 
 
 # ---------------------------------------------------------------------------
-# multimodular nullspace
-
-
-def _primes() -> Iterator[int]:
-    """Primes downward from 2^61 - 1 (itself prime), always in the same order."""
-    n = 2**61 - 1
-    while True:
-        if _is_prime(n):
-            yield n
-        n -= 2
-
-
-def _rational_reconstruction(a: int, m: int) -> Fraction | None:
-    """The n/d = a mod m with |n|, d <= sqrt(m/2), if any (Wang 1981)."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, a % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+# nullspace
 
 
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace, one vector per free column of the RREF.
 
-    Multimodular: each row is scaled to integers and eliminated mod the
-    primes of ``_primes`` in turn.  Primes with the same pivot columns are
-    combined by CRT; a prime with a better pivot list (more pivots, or as
-    many and lexicographically earlier) restarts the combination, and one
-    with a worse list is skipped.  The RREF entries are then rationally
-    reconstructed and every candidate vector v is checked A v = 0 exactly
-    in Q; a failed reconstruction or check adds a prime.
-
-    Soundness.  Rank over Q is at least rank mod p, so full rank mod p
-    proves the nullspace is zero.  Otherwise, with F the free columns mod p,
-    each certified v_f is 1 at f, 0 on F - {f}, and otherwise supported on
-    pivot columns left of f (an RREF row vanishes left of its pivot).  So
-    A v_f = 0 says column f depends on the columns left of it: f is free
-    over Q too.  Then nullity over Q >= |F| = nullity mod p >= nullity over
-    Q, the free columns agree, and the v_f are the unique RREF basis.
-    Termination: reduction mod p is faithful (same pivots, RREF mod p) for
-    all primes but the finitely many dividing a pivot minor; a bad prime's
-    rank profile is pointwise at most the rational one, so its pivot list is
-    worse, and once a good prime is seen enough good primes follow for the
-    reconstruction to succeed.
+    For the RREF in the original column order, v_f is 1 at the free column
+    f, 0 on the other free columns and minus the RREF's column f on the
+    pivot columns; the v_f are listed by f.  The rows are eliminated once
+    over Q with the columns reversed (j as ncols - 1 - j): far less fill-in
+    than the original order.  A v_f has its last nonzero entry, 1, at f and
+    vanishes on the other free columns, so the v_f are the unique RREF of
+    the nullspace read right to left; a second ``_rref`` of any null basis
+    in reversed columns gives them.
     """
-    int_rows = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row if x))
-        entries = {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-        if entries:
-            int_rows.append(entries)
-    int_rows.sort(key=len)  # sparse rows first: far less fill-in
-
-    best: tuple | None = None
-    modulus = 1
-    residues: dict[int, Row] = {}
-    for p in _primes():
-        red, _ = _rref(({j: x % p for j, x in row.items() if x % p} for row in int_rows), p)
-        if len(red) == ncols:
-            return []
-        key = (-len(red), sorted(red))
-        if best is None or key < best:
-            best, modulus, residues = key, p, red
-        elif key > best:
-            continue
-        else:
-            # CRT: x = r mod modulus and y mod p, into x mod modulus * p
-            inv = pow(modulus, -1, p)
-            for col, row in residues.items():
-                prow = red[col]
-                for k in set(row) | set(prow):
-                    r = row.get(k, 0)
-                    row[k] = r + modulus * ((prow.get(k, 0) - r) * inv % p)
-            modulus *= p
-        basis = _reconstruct(residues, modulus, ncols)
-        if basis is not None and all(_annihilated(int_rows, vec) for vec in basis):
-            return basis
-
-
-def _reconstruct(
-    pivots: Mapping[int, Row], modulus: int, ncols: int
-) -> list[list[Fraction]] | None:
-    """Nullspace basis from an RREF known mod modulus, or None if an entry fails."""
+    last = ncols - 1
+    sparse_rows = [r for r in ({last - j: x for j, x in enumerate(row) if x} for row in rows) if r]
+    # rows whose first column lies furthest right come first, so that each
+    # new pivot lies left of the earlier ones and needs little substitution
+    # back into them; then sparsest first
+    sparse_rows.sort(key=lambda r: (-min(r), len(r)))
+    pivots, _ = _rref(sparse_rows)
+    null = []
+    for g in range(ncols):
+        if g not in pivots:
+            vec = {g: Fraction(1)}
+            vec.update((pcol, -prow[g]) for pcol, prow in pivots.items() if g in prow)
+            null.append(vec)
+    canon, _ = _rref(null)
     basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
+    for g in sorted(canon, reverse=True):
         vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pcol, prow in pivots.items():
-            x = _rational_reconstruction(prow.get(fc, 0), modulus)
-            if x is None:
-                return None
-            vec[pcol] = -x
+        for k, x in canon[g].items():
+            vec[last - k] = x
         basis.append(vec)
     return basis
-
-
-def _annihilated(int_rows: list[Row], vec: list[Fraction]) -> bool:
-    """Whether every integer row is orthogonal to vec, checked exactly."""
-    den = lcm(*(x.denominator for x in vec))
-    ivec = [x.numerator * (den // x.denominator) for x in vec]
-    return all(sum(x * ivec[j] for j, x in row.items()) == 0 for row in int_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from random import Random
 
 import pytest
@@ -27,7 +26,7 @@ from spinmtc.verma import (
 )
 from spinmtc.sparse import _rref
 from spinmtc.minimal import MinimalModelSpec, central_charge, sector_counts
-from spinmtc.verma import _action, _fold, _int_word, _nullspace, _primes
+from spinmtc.verma import _action, _fold, _int_word, _nullspace
 
 C, H = Fraction(7, 10), Fraction(1, 10)
 
@@ -516,13 +515,13 @@ def _fractions(rows: list[list[int]]) -> list[list[Fraction]]:
 
 
 def test_nullspace_survives_unlucky_primes():
-    p, q = islice(_primes(), 2)
-    # singular mod the first prime, full rank over Q
+    # the two largest primes below 2^61, where a solve modulo a word-size
+    # prime sees a lower rank or a later pivot than the exact one
+    p, q = 2**61 - 1, 2**61 - 31
+    # singular mod p, full rank over Q
     assert _nullspace(_fractions([[p, 0], [0, 1]]), 2) == []
-    # same rank mod the first prime but a later pivot: the combination
-    # restarts at the next prime, and -1/p needs three primes to reconstruct
+    # pivot at column 1 mod p but at column 0 over Q
     assert _nullspace(_fractions([[p, 1]]), 2) == [[Fraction(-1, p), Fraction(1)]]
-    # a worse pivot list after a good one: that prime is skipped, not combined
     assert _nullspace(_fractions([[q, 0], [0, 1]]), 2) == []
     assert _nullspace(_fractions([[q, 1]]), 2) == [[Fraction(-1, q), Fraction(1)]]
 
@@ -543,6 +542,33 @@ def test_nullspace_degenerate_shapes():
     assert _nullspace([], 0) == []
     assert _nullspace([[]], 0) == []
     assert _nullspace(_fractions([[0, 2, 0]]), 3) == [[1, 0, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "c, h, d",
+    [
+        (central_charge(MinimalModelSpec(3, 7)), Fraction(0), Fraction(6)),
+        (central_charge(MinimalModelSpec(4, 6)), Fraction(0), Fraction(15, 2)),
+        (Fraction(7, 5), Fraction(1, 3), Fraction(8)),
+        (C, Fraction(0), Fraction(1, 2)),  # G_{-1/2} v alone: a unit null vector
+    ],
+    ids=["(3,7)", "(4,6)", "generic-degree-8", "h=0-degree-1/2"],
+)
+def test_nullspace_of_constraint_matrices_matches_dense_reference(c, h, d, monkeypatch):
+    import spinmtc.verma as verma
+
+    seen = []
+
+    def capture(rows, ncols):
+        seen.append((rows, ncols))
+        return _nullspace(rows, ncols)
+
+    monkeypatch.setattr(verma, "_nullspace", capture)
+    singular_vectors(c, h, d)
+    (rows, ncols), = seen
+    null = _nullspace(rows, ncols)
+    assert null == _dense_nullspace(rows, ncols)
+    assert all(type(x) is Fraction for vec in null for x in vec)
 
 
 _entry = st.one_of(
