@@ -3,8 +3,10 @@
 These are constructed in code (not parsed), so they double as fixtures for
 tests and as reference files via the CLI ``builtin`` subcommand.  Each
 builder returns the fields of a ``FusionData``; ``builtin`` builds the object.
-The CLI reads ``BUILTIN_KEYS`` for every command, so the builders import
-``exactnum`` (and ``builtin`` imports ``fusion``) only when they run.
+``BUILTIN_KEYS`` lives in the package ``__init__``, so that the CLI reads the
+keys without executing this module; it runs only where a builtin is built.
+The builders import ``exactnum`` (and ``builtin`` imports ``fusion``) only
+when they run.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import BUILTIN_KEYS
+
 if TYPE_CHECKING:
     from .fusion import FusionData
 
 __all__ = ["BUILTIN_KEYS", "builtin"]
-
-BUILTIN_KEYS = ("trivial", "fermion", "dirac", "toric", "fibonacci")
 
 
 def _group_category(name: str, elements: list[str], add, neg, twist) -> dict:

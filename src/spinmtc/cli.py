@@ -12,336 +12,48 @@ set 1).
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import itertools
-import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
-from types import ModuleType
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from . import _fraction_str, parse_fraction
-from .catalog import BUILTIN_KEYS, builtin
+from . import (
+    BUILTIN_KEYS,
+    _emit,
+    _fraction_str,
+    _grid,
+    _grid_lines,
+    _lazy,
+    _write_blocks,
+    _write_json_last,
+    parse_fraction,
+)
 
-
-def _lazy(name: str) -> ModuleType:
-    """The submodule ``spinmtc.<name>``, executed on its first attribute read.
-
-    Each command then runs only the modules it uses.  The module sits in
-    ``sys.modules`` from the start, so code that looks it up there (or
-    patches its attributes) sees the one object the handlers read at call
-    time.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
+minimal = _lazy("minimal")
+verma = _lazy("verma")
+# the category commands' modules: registered here too, so that importing
+# this module puts every module a command may run in sys.modules, where a
+# caller can patch it before any command runs
+category_cli = _lazy("category_cli")
 clifford = _lazy("clifford")
 exactnum = _lazy("exactnum")
 fusion = _lazy("fusion")
-minimal = _lazy("minimal")
 spinfunctor = _lazy("spinfunctor")
-verma = _lazy("verma")
 
 __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_DEGREE = 16
-MAX_PUNCTURES = 20  # the epsilon table has 2^n rows
 MAX_PQ = 100_000  # bounds p*q for minimal and minimal-scan; output grows with it
-ROWS_PER_WRITE = 4096  # sphere writes its rows in blocks of this many
 MAX_DIGITS = 17  # a float holds about 17 significant digits
-
-
-def _load_category(arg: str) -> fusion.FusionData:
-    """A path, or a builtin key when no such file exists."""
-    path = Path(arg)
-    if path.exists():
-        return fusion.load_fusion(path)
-    if arg in BUILTIN_KEYS:
-        return builtin(arg)
-    raise fusion.FormatError(f"no such file or builtin: {arg!r}")
-
-
-def _load_known_category(arg: str) -> fusion.FusionData:
-    """As ``_load_category``, but data with a structure violation (see
-    ``fusion.structure_violations``) is a format error naming the first one
-    as ``validate`` prints it; the other commands cannot compute with it."""
-    data = _load_category(arg)
-    if violations := fusion.structure_violations(data):
-        raise fusion.FormatError(f"{data.name!r} fails validate: {violations[0]}")
-    return data
-
-
-def _load_valid_category(arg: str) -> fusion.FusionData:
-    """As ``_load_known_category``; data failing validate's axioms is inconsistent."""
-    data = _load_category(arg)
-    if violations := fusion.validate(data):
-        error = fusion.FormatError if fusion.structure_violations(data) else fusion.InconsistentDataError
-        raise error(f"{data.name!r} fails validate: {violations[0]}")
-    return data
-
-
-def _resolve_vminus(data: fusion.FusionData, requested: str | None) -> str:
-    candidates = clifford.find_vminus(data)
-    if requested is not None:
-        if requested not in candidates:
-            raise ValueError(f"--vminus {requested!r} is not an admissible odd generator; "
-                             f"candidates: {candidates or 'none'}")
-        return requested
-    if not candidates:
-        raise fusion.InconsistentDataError(
-            f"{data.name!r} has no admissible odd generator; not fermionic data")
-    if len(candidates) > 1:
-        raise fusion.InconsistentDataError(
-            f"{data.name!r} has several admissible odd generators {candidates}; "
-            f"choose one with --vminus")
-    return candidates[0]
-
-
-def _emit(obj: dict, table: str, fmt: str) -> None:
-    if fmt == "json":
-        _write_blocks(_json_parts(obj), "")
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(table if table.endswith("\n") else table + "\n")
-
-
-def _json_parts(value: object, pad: str = "") -> Iterator[str]:
-    """``json.dumps(value, indent=2)`` in parts, nested at indent ``pad``: dicts
-    (string keys) are walked, a ``CycMatrix`` writes itself (found by its method,
-    so that commands without one never execute exactnum), json does the rest."""
-    if hasattr(value, "json_parts"):
-        yield from value.json_parts(pad)
-    elif isinstance(value, dict) and value:
-        sep = "{\n"
-        for key, item in value.items():
-            yield f"{sep}{pad}  {json.dumps(key)}: "
-            yield from _json_parts(item, pad + "  ")
-            sep = ",\n"
-        yield f"\n{pad}}}"
-    else:
-        for chunk in json.JSONEncoder(indent=2).iterencode(value):
-            yield chunk.replace("\n", "\n" + pad)
-
-
-def _fmt_complex(z: complex, digits: int) -> str:
-    re = f"{z.real:.{digits}g}"
-    im = abs(z.imag)
-    if f"{im:.{digits}g}" == "0":
-        return re
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{abs(z.imag):.{digits}g}j"
-
-
-def _grid_lines(rows: Iterable[Sequence[str]], widths: Sequence[int]) -> Iterator[str]:
-    """Each row's cells left-justified to the column widths, two spaces apart."""
-    return ("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows)
-
-
-def _grid(rows: list[list[str]]) -> str:
-    if not rows:
-        return ""
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join(_grid_lines(rows, widths))
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies; each returns the exit code
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    data = _load_category(args.category)
-    violations = fusion.validate(data)
-    obj = {
-        "category": data.name,
-        "valid": not violations,
-        "violations": [v.to_dict() for v in violations],
-    }
-    if violations:
-        table = "\n".join([f"{data.name}: INVALID"] + [f"  {v}" for v in violations])
-    else:
-        table = f"{data.name}: valid ({data.rank} labels)"
-    _emit(obj, table, args.format)
-    return 0 if not violations else 1
-
-
-def _cmd_smatrix(args: argparse.Namespace) -> int:
-    data = _load_known_category(args.category)
-    s = fusion.compute_smatrix(data)
-    holds, alpha = fusion.check_s_squared(s, data)
-    digits = args.numeric
-    numeric = None
-    if digits:
-        # one evaluation per distinct entry, keyed by its integer coefficients
-        text: dict[tuple[tuple[int, int], ...], str] = {}
-        for coeff_row, row in zip(s.data.ints, s.data):
-            for coeffs, x in zip(coeff_row, row):
-                key = tuple(coeffs.items())
-                if key not in text:
-                    text[key] = _fmt_complex(exactnum.embed_numeric(x, digits), digits)
-        numeric = [[text[tuple(coeffs.items())] for coeffs in coeff_row] for coeff_row in s.data.ints]
-    # only the requested form is built
-    if args.format == "json":
-        obj = {
-            "category": data.name,
-            "labels": list(data.labels),
-            "conductor": s.data.conductor,
-            "entries": s.data,
-            "squares_to_conjugation": holds,
-            "scalar": alpha.to_dict() if alpha is not None else None,
-        }
-        if numeric:
-            obj["numeric"] = {
-                "digits": digits,
-                "note": "floating-point annotations; not authoritative",
-                "entries": numeric,
-            }
-        _emit(obj, "", args.format)
-        return 0 if holds else 1
-    grid = [[""] + list(data.labels)]
-    for lab, row in zip(data.labels, s.data):
-        grid.append([lab] + [str(x) for x in row])
-    lines = [_grid(grid)]
-    if numeric:
-        ngrid = [[""] + list(data.labels)]
-        for lab, row in zip(data.labels, numeric):
-            ngrid.append([lab] + [f"~{x}" for x in row])
-        lines += ["", "numeric (not authoritative):", _grid(ngrid)]
-    if holds:
-        lines.append(f"s^2 = alpha * conjugation with alpha = {alpha}")
-    else:
-        lines.append("s^2 is NOT a scalar multiple of the conjugation permutation")
-    _emit({}, "\n".join(lines), args.format)
-    return 0 if holds else 1
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
-    data = _load_valid_category(args.category)
-    vminus = _resolve_vminus(data, args.vminus)
-    st = clifford.clifford_structure(data, vminus)
-    if not st.is_clifford:
-        obj = {
-            "category": data.name,
-            "vminus": vminus,
-            "sigma_vv": st.sigma_vv,
-            "structure": "square-root",
-            "note": "self-braiding +1: no block theory; nothing further computed",
-        }
-        _emit(obj, f"{data.name}: square-root structure at {vminus} (sigma_vv = +1); "
-                   "no block theory applies", args.format)
-        return 0
-    cls = clifford.classify_labels(data, vminus)
-    s = fusion.compute_smatrix(data)
-    report = clifford.verify_block_structure(data, cls, s)
-    obj = {
-        "category": data.name,
-        "vminus": vminus,
-        "sigma_vv": st.sigma_vv,
-        "structure": "clifford",
-        "zeta": {lab: st.zeta[lab] for lab in data.labels},
-        "classification": cls.to_dict(),
-        **report.to_dict(),
-    }
-    lines = [f"{data.name}: clifford structure at {vminus}"]
-    for name, group in cls.to_dict().items():
-        lines.append(f"  {name:8s} {group}")
-    for name, res in report.checks.items():
-        mark = "PASS" if res.ok else f"FAIL at {res.witness}"
-        lines.append(f"  check {name:24s} {mark}")
-    lines.append(f"  all checks pass: {report.all_pass}")
-    _emit(obj, "\n".join(lines), args.format)
-    return 0 if report.all_pass else 1
-
-
-def _split_labels(text: str) -> tuple[str, ...]:
-    """Comma-separated labels, split only outside parentheses, so that
-    product labels such as ``(1,psi)`` stay whole; empty pieces are dropped."""
-    pieces, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced ')' at position {i} of --labels {text!r}")
-        elif ch == "," and depth == 0:
-            pieces.append(text[start:i])
-            start = i + 1
-    if depth:
-        raise ValueError(f"unbalanced '(' in --labels {text!r}")
-    pieces.append(text[start:])
-    return tuple(x for x in pieces if x)
-
-
-def _write_blocks(parts: Iterator[str], sep: str) -> None:
-    """Write ``sep.join(parts)`` to stdout, a block of parts at a time."""
-    lead = ""
-    while block := list(itertools.islice(parts, ROWS_PER_WRITE)):
-        sys.stdout.write(lead + sep.join(block))
-        lead = sep
-
-
-def _write_json_last(obj: dict, key: str, brackets: str, items: Iterator[str]) -> None:
-    """Write ``json.dumps({**obj, key: value}, indent=2)`` and a newline, for a
-    nonempty ``obj`` and a nonempty list or dict ``value`` (as ``brackets``
-    says) given as its items, each already encoded at the value's indent."""
-    sys.stdout.write(json.dumps(obj, indent=2)[:-2] + f',\n  "{key}": {brackets[0]}\n')
-    _write_blocks(items, ",\n")
-    sys.stdout.write(f"\n  {brackets[1]}\n}}\n")
-
-
-def _cmd_sphere(args: argparse.Namespace) -> int:
-    labels = _split_labels(args.labels)
-    if len(labels) > MAX_PUNCTURES:
-        raise ValueError(f"{len(labels)} punctures exceed the limit {MAX_PUNCTURES}")
-    data = _load_valid_category(args.category)
-    vminus = _resolve_vminus(data, args.vminus)
-    rep = spinfunctor.sphere_report(spinfunctor.SpinSphereSpec(data, vminus, labels))
-    rows = rep.epsilon_table.rows()
-    if args.format == "json":
-        obj = {
-            "category": data.name,
-            "vminus": vminus,
-            "boundary_labels": list(labels),
-            **rep.to_dict(table=False),
-        }
-        _write_json_last(obj, "epsilon_table", "{}", (f'    "{bits}": {val}' for bits, val in rows))
-        return 0
-    lines = [
-        f"{data.name}: sphere with punctures {list(labels)}",
-        f"  total dimension      {rep.total_dim}",
-        f"  component dimension  {rep.component_dim}",
-        f"  odd punctures        {rep.lambda_rank} "
-        f"(clifford algebra on {rep.lambda_class.generators} generators, "
-        f"parity {rep.lambda_class.parity})",
-        "  epsilon table:\n",
-    ]
-    sys.stdout.write("\n".join(lines))
-    _write_blocks((f"    {bits}  {val}" for bits, val in rows), "\n")
-    sys.stdout.write("\n")
-    return 0
-
-
-def _cmd_torus(args: argparse.Namespace) -> int:
-    data = _load_valid_category(args.category)
-    vminus = _resolve_vminus(data, args.vminus)
-    rep = spinfunctor.torus_dims(data, vminus)
-    obj = {"category": data.name, "vminus": vminus, **rep.to_dict()}
-    lines = [f"{data.name}: torus state spaces"]
-    for key in ("AA", "AP", "PA", "PP"):
-        lines.append(f"  {key}  {rep.dims[key]}")
-    _emit(obj, "\n".join(lines), args.format)
-    return 0
+def _category_command(args: argparse.Namespace) -> int:
+    """Run a category command's handler, from ``category_cli``."""
+    return getattr(category_cli, f"_cmd_{args.command}")(args)
 
 
 def _require_model(p: int, q: int) -> minimal.MinimalModelSpec:
@@ -399,27 +111,28 @@ def _cmd_minimal_scan(args: argparse.Namespace) -> int:
         raise ValueError("--max-pq must be at least 4")
     if args.max_pq > MAX_PQ:
         raise ValueError(f"--max-pq {args.max_pq} exceeds the limit {MAX_PQ}")
-    specs = list(minimal.valid_pairs(args.max_pq))
-    # rows are formatted as they are written, never all held
+    # the models are generated and formatted as they are written, never all held
     if args.format == "json":
-        obj = {"max_pq": args.max_pq, "count": len(specs)}
-        if not specs:
+        obj = {"max_pq": args.max_pq, "count": minimal.count_pairs(args.max_pq)}
+        if not obj["count"]:
             _emit({**obj, "models": []}, "", "json")
         else:
             _write_json_last(obj, "models", "[]", (
                 _SCAN_JSON_ROW.format(p, q, _fraction_str(c), ns, rr, str(split).lower())
-                for p, q, c, ns, rr, split in map(_scan_row, specs)))
+                for p, q, c, ns, rr, split in map(_scan_row, minimal.valid_pairs(args.max_pq))))
         return 0
 
     def cells() -> Iterator[list[str]]:
         yield ["p", "q", "c", "NS", "R", "split"]
-        for row in map(_scan_row, specs):
+        for row in map(_scan_row, minimal.valid_pairs(args.max_pq)):
             yield [*map(str, row[:5]), str(row[5]).lower()]
 
     widths = [0] * 6
+    count = -1  # the header is no model
     for row in cells():
         widths = list(map(max, widths, map(len, row)))
-    sys.stdout.write(f"{len(specs)} models with p*q <= {args.max_pq}\n")
+        count += 1
+    sys.stdout.write(f"{count} models with p*q <= {args.max_pq}\n")
     _write_blocks(_grid_lines(cells(), widths), "\n")
     sys.stdout.write("\n")
     return 0
@@ -481,11 +194,6 @@ def _cmd_singvec(args: argparse.Namespace) -> int:
     _emit(obj, "\n".join(lines), args.format)
     if by_pq and (rep.space_dim != 1 or not rep.shape_ok):
         return 1
-    return 0
-
-
-def _cmd_builtin(args: argparse.Namespace) -> int:
-    sys.stdout.write(fusion.dump_fusion(builtin(args.key)))
     return 0
 
 
@@ -553,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
-    "validate": _cmd_validate,
-    "smatrix": _cmd_smatrix,
-    "classify": _cmd_classify,
-    "sphere": _cmd_sphere,
-    "torus": _cmd_torus,
+    "validate": _category_command,
+    "smatrix": _category_command,
+    "classify": _category_command,
+    "sphere": _category_command,
+    "torus": _category_command,
     "minimal": _cmd_minimal,
     "minimal-scan": _cmd_minimal_scan,
     "singvec": _cmd_singvec,
-    "builtin": _cmd_builtin,
+    "builtin": _category_command,
 }
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from . import _fraction_str, parse_fraction
-from .sparse import _is_prime, _rref
+from .sparse import _rref
 
 __all__ = [
     "Cyclotomic",
@@ -454,6 +454,29 @@ def _max_abs(ints: Iterable[Iterable[Mapping[int, int]]]) -> int:
 
 # ---------------------------------------------------------------------------
 # rank modulo a prime above p
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n > 1 below 3.3e24."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ and conformal weights are exact rationals throughout.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -24,6 +25,7 @@ __all__ = [
     "enumerate_labels",
     "sector_counts",
     "valid_pairs",
+    "count_pairs",
     "model_to_dict",
 ]
 
@@ -132,15 +134,35 @@ def enumerate_labels(spec: MinimalModelSpec) -> list[MinimalLabel]:
     return ns + ram
 
 
+def _models_with(p: int, max_product: int) -> Iterator[tuple[int, int, int]]:
+    """(p*q, p, q) for each model (p, q) with p <= q and p*q <= max_product, by q.
+
+    q = p + 2k with k >= 1, since gcd(p, 0) = p > 1; the model condition is
+    then gcd(p, k) = 1.
+    """
+    for q in range(p + 2, max_product // p + 1, 2):
+        if math.gcd(p, (q - p) // 2) == 1:
+            yield p * q, p, q
+
+
+def _models_by_p(max_product: int) -> list[Iterator[tuple[int, int, int]]]:
+    """``_models_with`` for each p that has models (p <= q forces p*p <= max_product)."""
+    return [_models_with(p, max_product) for p in range(2, math.isqrt(max(max_product, 0)) + 1)]
+
+
 def valid_pairs(max_product: int) -> Iterator[MinimalModelSpec]:
-    """All models with p <= q and p*q <= max_product, ordered by (p*q, p)."""
-    found = []
-    for p in range(2, max_product + 1):
-        for q in range(p, max_product // p + 1):
-            if validate_pq(p, q) is None:
-                found.append(MinimalModelSpec(p, q))
-    found.sort(key=lambda m: (m.p * m.q, m.p))
-    return iter(found)
+    """All models with p <= q and p*q <= max_product, ordered by (p*q, p).
+
+    The models of each p come in order of q, and a heap merges them, one
+    pending model per p: memory stays O(sqrt(max_product)).
+    """
+    for _, p, q in heapq.merge(*_models_by_p(max_product)):
+        yield MinimalModelSpec._unchecked(p, q)  # a model by construction
+
+
+def count_pairs(max_product: int) -> int:
+    """The number of models ``valid_pairs(max_product)`` yields, without making them."""
+    return sum(1 for models in _models_by_p(max_product) for _ in models)
 
 
 def model_to_dict(spec: MinimalModelSpec, labels: list[MinimalLabel]) -> dict:

@@ -1,23 +1,29 @@
 """Sparse exact elimination: the library's one Gaussian elimination.
 
 Rows are dicts {column: nonzero entry}.  ``_rref`` brings them to reduced
-row echelon form over a field: Q (``Fraction`` entries), Q(zeta_N)
-(``Cyclotomic`` entries) or F_p (ints mod a prime p).  It serves
-``CycMatrix.rank_det`` and the rank modulo a prime of :mod:`spinmtc.exactnum`,
-and the singular-vector solve of :mod:`spinmtc.verma`, over Q; one row at a
-time, through ``_insert_row``, it serves the generating-set search of
-:mod:`spinmtc.fusion`.  ``_is_prime`` picks the prime of the modular rank.
+row echelon form over a field: Q (int or ``Fraction`` entries), Q(zeta_N)
+(``Cyclotomic`` entries) or F_p (ints mod a prime p).  Over Q it eliminates
+fraction-free, in integers: each row is scaled once to integers, a
+reduction step cross-multiplies two integer rows, and a reduced row is
+divided by its content (the gcd of its entries).  No ``Fraction`` is made
+until the rows are normalised to unit pivots on return.  The kernel serves
+``CycMatrix.rank_det`` (over Q(zeta_N)) and the rank modulo a prime of
+:mod:`spinmtc.exactnum`, and the singular-vector solve of
+:mod:`spinmtc.verma` (over Q); one row at a time, through ``_insert_row``,
+it serves the generating-set search of :mod:`spinmtc.fusion` (mod p).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Iterable, Mapping
 
 Row = dict[int, Any]
 
 
 def _subtract(row: Row, f: Any, prow: Row, p: int | None) -> None:
-    """row -= f * prow in place, over a field (p None) or mod p; drops zeros."""
+    """row -= f * prow in place, over a field (p None), Z (p 0) or mod p; drops zeros."""
     for k, x in prow.items():
         y = row.get(k, 0) - f * x
         if p:
@@ -28,77 +34,96 @@ def _subtract(row: Row, f: Any, prow: Row, p: int | None) -> None:
             del row[k]
 
 
+def _eliminate(row: Row, col: int, prow: Row, p: int | None) -> None:
+    """Clear row's entry at col with the pivot row prow (pivot at col), in place.
+
+    Over a field and mod p the pivot is 1: row -= row[col] * prow.  Over Z
+    (p 0) the integer pivot a and b = row[col] are first divided by their
+    gcd, and row = a * row - b * prow, a multiple of the row by a > 0.
+    """
+    f = row[col]
+    if p == 0:
+        g = gcd(prow[col], f)
+        a, f = prow[col] // g, f // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+    _subtract(row, f, prow, p)
+
+
+def _divide_content(row: Row) -> Row:
+    """An integer row divided by its content, with a positive first entry."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {k: x // g for k, x in row.items()}
+
+
 def _reduce(row: Row, pivots: Mapping[int, Row], p: int | None = None) -> Row:
     """Reduce a copy of row by reduced-echelon pivot rows (keyed by pivot column).
 
-    Pivot rows vanish on the other pivot columns, so one subtraction per
-    pivot column present in the row suffices, in any order.
+    Pivot rows vanish on the other pivot columns, so one elimination per
+    pivot column present in the row suffices, in any order.  Over Z (p 0)
+    the result is a positive multiple of the field reduction, divided by its
+    content.
     """
     row = dict(row)
     for col in [k for k in row if k in pivots]:
-        _subtract(row, row[col], pivots[col], p)
-    return row
+        _eliminate(row, col, pivots[col], p)
+    return _divide_content(row) if p == 0 and row else row
 
 
 def _rref(rows: Iterable[Row], p: int | None = None) -> tuple[dict[int, Row], list[Any]]:
     """Sparse reduced row echelon form over Q, Q(zeta_N) or mod a prime p.
 
-    Entries are ``Fraction`` or ``Cyclotomic`` values (p None), or ints mod
-    p.  Returns the nonzero rows keyed by pivot column, in the order their
-    pivots were found, and the pivot values before normalisation in that
-    order.  Each row has a unit pivot, no entries left of it and none on
-    other pivot columns.  The rows are the unique RREF of the row space.
+    Entries are ints or ``Fraction`` values (over Q), ``Cyclotomic`` values
+    (p None), or ints mod p.  Returns the nonzero rows keyed by pivot column,
+    in the order their pivots were found, and the pivot values before
+    normalisation in that order (over Q, those of the primitive integer
+    rows).  Each row has a unit pivot, no entries left of it and none on
+    other pivot columns; over Q its entries are ``Fraction`` values.  The
+    rows are the unique RREF of the row space.
     """
     pivots: dict[int, Row] = {}
     raw: list[Any] = []
+    ints = False
     for row in rows:
-        pivot = _insert_row(pivots, row, p)
+        q = p
+        if p is None and row and all(type(x) in (int, Fraction) for x in row.values()):
+            q, ints = 0, True
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
+        pivot = _insert_row(pivots, row, q)
         if pivot is not None:
             raw.append(pivot)
+    if ints:
+        pivots = {col: {k: Fraction(x, prow[col]) for k, x in prow.items()} for col, prow in pivots.items()}
     return pivots, raw
 
 
 def _insert_row(pivots: dict[int, Row], row: Row, p: int | None = None) -> Any:
     """One step of ``_rref``: add row to the reduced-echelon pivots in place.
 
-    The row is reduced, normalised to a unit pivot and substituted back into
-    the other pivot rows.  Returns its pivot value before normalisation, or
-    None when the row lies in the span of the pivots (nothing is added).
-    Entries of row must be nonzero.
+    The row is reduced, normalised and substituted back into the other pivot
+    rows.  Over a field and mod p a normalised row has a unit pivot.  Over Z
+    (p 0, integer rows, as ``_rref`` makes them for Q) it is the primitive
+    row with a positive pivot, and each pivot row stays primitive.
+    Returns the row's pivot value before normalisation, or None when the row
+    lies in the span of the pivots (nothing is added).  Entries of row must
+    be nonzero.
     """
     row = _reduce(row, pivots, p)
     if not row:
         return None
     col = min(row)
     pivot = row[col]
-    inv = pow(pivot, -1, p) if p else 1 / pivot
-    row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
-    for prow in pivots.values():
+    if p != 0:
+        inv = pow(pivot, -1, p) if p else 1 / pivot
+        row = {k: (x * inv) % p if p else x * inv for k, x in row.items()}
+    for pcol, prow in pivots.items():
         if col in prow:
-            _subtract(prow, prow[col], row, p)
+            _eliminate(prow, col, row, p)
+            if p == 0:
+                pivots[pcol] = _divide_content(prow)
     pivots[col] = row
     return pivot
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n > 1 below 3.3e24."""
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

@@ -18,10 +18,12 @@ arithmetic; any admissible choice of rewrite position yields the same normal
 form, which tests exploit by shuffling the choice.  ``singular_vectors`` does
 not straighten: it takes its images from ``_action``, a memoized action of
 one mode on int-encoded normal words in integers scaled by powers of one
-D, and ``straighten`` stays as that action's independent oracle.  Values
-are divided back to rationals only where they leave the action, as rows for
-the eliminations: each is one sparse RREF over Q, and the constraint
-nullspace takes its columns in reverse basis order.
+D, and ``straighten`` stays as that action's independent oracle.  The rows
+of the eliminations stay integers: each row is scaled by its own power of
+D, which leaves its span unchanged, and each elimination is one sparse
+fraction-free RREF over Q; the constraint nullspace takes its columns in
+reverse basis order.  ``degree_basis`` builds and sorts the basis on
+doubled G indices, so that its sort keys are made of ints.
 """
 
 from __future__ import annotations
@@ -173,12 +175,17 @@ def filtration_key(mon: PBWMonomial, width: int | None = None) -> tuple[int, ...
     """
     if width is None:
         width = max(int(2 * mon.degree) - 2, 0)
+    return _filtration_counts([-m for m in _int_word(mon)], width)
+
+
+def _filtration_counts(mags: Iterable[int], width: int) -> tuple[int, ...]:
+    """``filtration_key`` of a word given by the doubled magnitudes 2|index|
+    of its modes: a factor of index -1 - i/2 has 2 + i."""
     counts = [0] * (width + 1)
-    counts[0] = len(mon.g_part) + len(mon.l_part)
-    for idx in list(mon.g_part) + [Fraction(n) for n in mon.l_part]:
-        i = int(-2 * idx - 2)
-        if 1 <= i <= width:
-            counts[i] += 1
+    for m in mags:
+        counts[0] += 1
+        if 3 <= m <= width + 2:
+            counts[m - 2] += 1
     return tuple(counts)
 
 
@@ -409,8 +416,9 @@ IntWord = tuple[int, ...]
 
 
 def _int_word(mon: PBWMonomial) -> IntWord:
-    """The monomial's modes as ints m = 2 * index, in the same order."""
-    return tuple(int(2 * r) for r in mon.g_part) + tuple(2 * n for n in mon.l_part)
+    """The monomial's modes as ints m = 2 * index, in the same order (a G
+    index is a Fraction over 2, so m is its numerator)."""
+    return tuple(r.numerator for r in mon.g_part) + tuple(2 * n for n in mon.l_part)
 
 
 def _add_scaled(out: dict[IntWord, int], vec: Mapping[IntWord, int], f: int) -> None:
@@ -511,14 +519,15 @@ def _fold(
 # graded bases
 
 
-def _g_subsets(budget: Fraction, min_mag: Fraction) -> Iterable[tuple[Fraction, ...]]:
-    """Strictly increasing tuples of half-odd magnitudes >= min_mag, by total."""
+def _g_subsets(budget: int, min_mag: int) -> Iterable[tuple[int, ...]]:
+    """Strictly increasing tuples of odd ints >= min_mag with sum at most budget.
+
+    These are the doubled magnitudes 2|r| of a G part.
+    """
     yield ()
-    mag = min_mag
-    while mag <= budget:
-        for rest in _g_subsets(budget - mag, mag + 1):
+    for mag in range(min_mag, budget + 1, 2):
+        for rest in _g_subsets(budget - mag, mag + 2):
             yield (mag,) + rest
-        mag += 1
 
 
 def _l_partitions(total: int, min_part: int) -> Iterable[tuple[int, ...]]:
@@ -526,39 +535,42 @@ def _l_partitions(total: int, min_part: int) -> Iterable[tuple[int, ...]]:
     if total == 0:
         yield ()
         return
-    part = min_part
-    while part <= total:
+    for part in range(min_part, total + 1):
         for rest in _l_partitions(total - part, part):
             yield (part,) + rest
-        part += 1
 
 
 def degree_basis(d: Fraction | int) -> list[PBWMonomial]:
-    """All PBW monomials of the given degree, sorted by descending filtration."""
+    """All PBW monomials of the given degree, sorted by descending filtration.
+
+    The order is that of ``filtration_key`` at the degree's width, then the
+    parts, computed on doubled G indices so that every key is made of ints.
+    """
     d = Fraction(d)
     if d < 0 or (2 * d).denominator != 1:
         raise VermaError(f"degree must be a nonnegative half-integer, got {d}")
-    out: list[PBWMonomial] = []
-    for mags in _g_subsets(d, Fraction(1, 2)):
-        rem = d - sum(mags, Fraction(0))
-        if rem.denominator != 1:
+    twice = int(2 * d)
+    width = max(twice - 2, 0)
+    keyed = []
+    for mags in _g_subsets(twice, 1):
+        rem = twice - sum(mags)
+        if rem % 2:
             continue
-        g_part = tuple(-m for m in reversed(mags))
-        for lparts in _l_partitions(int(rem), 1):
-            l_part = tuple(-x for x in lparts)
-            out.append(PBWMonomial(g_part, l_part))
-    width = max(int(2 * d) - 2, 0)
-    out.sort(
-        key=lambda m: (filtration_key(m, width), m.g_part, m.l_part), reverse=True
-    )
-    return out
+        g2 = tuple(-m for m in reversed(mags))
+        for lparts in _l_partitions(rem // 2, 1):
+            counts = _filtration_counts(mags + tuple(2 * n for n in lparts), width)
+            keyed.append((counts, g2, tuple(-n for n in lparts)))
+    keyed.sort(reverse=True)
+    half = {m: Fraction(m, 2) for m in range(-twice, 0)}
+    # normal by construction
+    return [PBWMonomial._unchecked(tuple(map(half.__getitem__, g2)), l_part) for _, g2, l_part in keyed]
 
 
 # ---------------------------------------------------------------------------
 # nullspace
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def _nullspace(rows: list[list[int | Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace, one vector per free column of the RREF.
 
     For the RREF in the original column order, v_f is 1 at the free column
@@ -668,9 +680,13 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
     scale, act = _action(c, h)
     power = [scale**k for k in range(int(2 * d) + 2)]  # words are at most 2d long
 
-    # constraint matrix: rows indexed by target words of G_{1/2} and G_{3/2};
-    # act's integers leave the action here, divided back to their values
-    rows: list[list[Fraction]] = []
+    # constraint matrix: rows indexed by target words u of G_{1/2} and
+    # G_{3/2}; row u is scaled by D^(lmax + 1 - len(u)), which leaves the
+    # nullspace alone and makes its entry at column j act's int times
+    # D^(lmax - len(w_j))
+    lmax = max(map(len, words))
+    col_scale = [power[lmax - len(word)] for word in words]
+    rows: list[list[int]] = []
     row_of: dict[tuple[int, IntWord], int] = {}
     for op in (1, 3):
         for j, word in enumerate(words):
@@ -678,24 +694,24 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
                 key = (op, target)
                 if key not in row_of:
                     row_of[key] = len(rows)
-                    rows.append([Fraction(0)] * ncols)
-                rows[row_of[key]][j] = Fraction(cf, power[len(word) + 1 - len(target)])
+                    rows.append([0] * ncols)
+                rows[row_of[key]][j] = cf * col_scale[j]
     null = _nullspace(rows, ncols)
     full_dim = len(null)
 
     # submodule slice, with columns ordered so that pivots prefer the
     # non-quotient monomials
-    perm = [j for j, mon in enumerate(basis) if not mon.in_vprime] + [
-        j for j, mon in enumerate(basis) if mon.in_vprime
-    ]
-    n_outside = sum(1 for mon in basis if not mon.in_vprime)
+    # a word lies outside V' when it holds G_{-1/2} (-1) or L_{-1} (-2)
+    outside = [-1 in w or -2 in w for w in words]
+    perm = [j for j, out in enumerate(outside) if out] + [j for j, out in enumerate(outside) if not out]
+    n_outside = sum(outside)
     pos_of = {words[j]: pos for pos, j in enumerate(perm)}
-    # u G_{-1/2} v, scaled by D^(1 + len(u) - len(w)) at word w
+    # u G_{-1/2} v, scaled by D^(1 + len(u) - len(w)) at word w; the row
+    # times D^(1 + len(u)) is the int cf * D^len(w)
     sub_rows = []
     for u in degree_basis(d - Fraction(1, 2)):
-        mu = _int_word(u)
-        image = _fold(act, mu, {(-1,): 1})
-        sub_rows.append({pos_of[w]: Fraction(cf, power[1 + len(mu) - len(w)]) for w, cf in image.items()})
+        image = _fold(act, _int_word(u), {(-1,): 1})
+        sub_rows.append({pos_of[w]: cf * power[len(w)] for w, cf in image.items()})
     sub, _ = _rref(sorted(sub_rows, key=len))
 
     reduced = [

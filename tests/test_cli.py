@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import spinmtc
 
+from spinmtc import ROWS_PER_WRITE, _json_parts
 from spinmtc.catalog import BUILTIN_KEYS, builtin
-from spinmtc.cli import _HANDLERS, MAX_PQ, MAX_PUNCTURES, ROWS_PER_WRITE, _json_parts, build_parser, main
+from spinmtc.category_cli import MAX_PUNCTURES
+from spinmtc.cli import _HANDLERS, MAX_PQ, build_parser, main
 from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
 from spinmtc.exactnum import Cyclotomic, CycMatrix
 from spinmtc.fusion import (
@@ -805,6 +807,7 @@ def test_minimal_bound_is_exit_2_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr("spinmtc.minimal.enumerate_labels", refuse)
     monkeypatch.setattr("spinmtc.minimal.model_to_dict", refuse)
     monkeypatch.setattr("spinmtc.minimal.valid_pairs", refuse)
+    monkeypatch.setattr("spinmtc.minimal.count_pairs", refuse)
     p, q = 11, 9091  # p*q = MAX_PQ + 1
     code, out, err = run(capsys, "minimal", "--p", str(p), "--q", str(q))
     assert (code, out) == (2, "")
@@ -872,33 +875,35 @@ finally:
     print(json.dumps([sorted(ran), heavy]), file=sys.stderr)
 """
 
-# Every command runs the package, catalog (for the builtin keys) and cli.  The
-# category commands run fusion and exactnum, and both of those the sparse
-# elimination kernel; singvec runs the kernel without exactnum.  An error exit
-# runs only the modules its command reached: "{bad}" is a category file that
-# fails validate's axioms, "{ambiguous}" one with two admissible odd
-# generators, "{missing}" a path that does not exist.
-_ALWAYS = {"spinmtc", "spinmtc.catalog", "spinmtc.cli"}
-_CATEGORY = {"spinmtc.fusion", "spinmtc.exactnum", "spinmtc.sparse"}
+# Every command runs the package and cli.  The category commands run their
+# handler module, fusion and exactnum, and both of those the sparse
+# elimination kernel; catalog runs only where a builtin is built.  singvec runs
+# the kernel without exactnum.  An error exit runs only the modules its command
+# reached: "{bad}" is a category file that fails validate's axioms,
+# "{ambiguous}" one with two admissible odd generators, "{missing}" a path that
+# does not exist.
+_ALWAYS = {"spinmtc", "spinmtc.cli"}
+_CATEGORY = {"spinmtc.category_cli", "spinmtc.fusion", "spinmtc.exactnum", "spinmtc.sparse"}
+_BUILTIN = _CATEGORY | {"spinmtc.catalog"}
 _COMMANDS = [
     (["--help"], set(), 0),
     (["singvec", "--p", "2", "--q", "8"], {"spinmtc.verma", "spinmtc.minimal", "spinmtc.sparse"}, 0),
     (["minimal", "--p", "2", "--q", "8"], {"spinmtc.minimal"}, 0),
     (["minimal-scan", "--max-pq", "20"], {"spinmtc.minimal"}, 0),
-    (["validate", "fermion"], _CATEGORY, 0),
-    (["smatrix", "fermion"], _CATEGORY, 0),
-    (["builtin", "fermion"], _CATEGORY, 0),
-    (["classify", "fermion"], _CATEGORY | {"spinmtc.clifford"}, 0),
+    (["validate", "fermion"], _BUILTIN, 0),
+    (["smatrix", "fermion"], _BUILTIN, 0),
+    (["builtin", "fermion"], _BUILTIN, 0),
+    (["classify", "fermion"], _BUILTIN | {"spinmtc.clifford"}, 0),
     (["sphere", "fermion", "--labels", "sigma,sigma"],
-     _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
-    (["torus", "fermion"], _CATEGORY | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
+     _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
+    (["torus", "fermion"], _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
 ]
 _ERROR_EXITS = {
     "torus-inconsistent": (["torus", "{bad}"], _CATEGORY, 1),
     "classify-ambiguous": (["classify", "{ambiguous}"], _CATEGORY | {"spinmtc.clifford"}, 1),
-    "torus-not-fermionic": (["torus", "fibonacci"], _CATEGORY | {"spinmtc.clifford"}, 1),
-    "classify-vminus": (["classify", "fermion", "--vminus", "sigma"], _CATEGORY | {"spinmtc.clifford"}, 2),
-    "sphere-unbalanced": (["sphere", "fermion", "--labels", "(sigma"], set(), 2),
+    "torus-not-fermionic": (["torus", "fibonacci"], _BUILTIN | {"spinmtc.clifford"}, 1),
+    "classify-vminus": (["classify", "fermion", "--vminus", "sigma"], _BUILTIN | {"spinmtc.clifford"}, 2),
+    "sphere-unbalanced": (["sphere", "fermion", "--labels", "(sigma"], {"spinmtc.category_cli"}, 2),
     "minimal-scan-small": (["minimal-scan", "--max-pq", "3"], set(), 2),
     "minimal-not-a-model": (["minimal", "--p", "2", "--q", "2"], {"spinmtc.minimal"}, 2),
     "classify-missing": (["classify", "{missing}"], _CATEGORY, 2),
@@ -921,6 +926,50 @@ def test_each_command_executes_only_its_modules(capsys, tmp_path, argv, modules,
     ran, heavy = json.loads(done.stderr.splitlines()[-1])
     assert set(ran) == _ALWAYS | modules
     assert heavy == []
+
+
+# Runs ``spinmtc.cli`` as ``python -m`` does, with no bytecode cache to read
+# (the first argument is an empty directory) or write, and writes to stderr,
+# after the command's own output, how often each source file was compiled.
+_COMPILE_PROBE = """import builtins, collections, json, runpy, sys
+sys.dont_write_bytecode = True
+sys.pycache_prefix = sys.argv.pop(1)
+compiled = collections.Counter()
+real = builtins.compile
+def counting(source, filename, *args, **kwargs):
+    compiled[str(filename)] += 1
+    return real(source, filename, *args, **kwargs)
+builtins.compile = counting
+try:
+    runpy.run_module("spinmtc.cli", run_name="__main__", alter_sys=True)
+finally:
+    builtins.compile = real
+    print(json.dumps(compiled), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["singvec", "--p", "3", "--q", "5"], {"verma", "minimal", "sparse"}),
+    (["torus", "fermion"],
+     {"category_cli", "catalog", "fusion", "exactnum", "sparse", "clifford", "spinfunctor"}),
+    (["validate", "{file}"], {"category_cli", "fusion", "exactnum", "sparse"}),
+], ids=["singvec", "torus", "validate-file"])
+def test_no_source_file_is_compiled_twice(tmp_path, argv, files):
+    # a module that imported spinmtc.cli would compile cli.py a second time,
+    # beside the __main__ that python -m runs
+    path = tmp_path / "fermion.json"
+    path.write_text(dump_fusion(builtin("fermion")))
+    argv = [a.format(file=path) for a in argv]
+    package = Path(spinmtc.__file__).resolve().parent
+    done = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, str(tmp_path / "cache"), *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(package.parent)})
+    assert done.returncode == 0, done.stderr
+    # source files only: "<string>" is code that namedtuple builds
+    compiled = {k: n for k, n in json.loads(done.stderr.splitlines()[-1]).items() if not k.startswith("<")}
+    assert compiled and max(compiled.values()) == 1, compiled
+    ours = {Path(name).stem for name in compiled if Path(name).resolve().parent == package}
+    assert ours == {"__init__", "cli"} | files
 
 
 # --- streamed sphere output --------------------------------------------------------

@@ -12,6 +12,7 @@ from spinmtc.minimal import (
     MinimalModelSpec,
     central_charge,
     conformal_weight,
+    count_pairs,
     enumerate_labels,
     model_to_dict,
     sector_counts,
@@ -59,6 +60,18 @@ def test_valid_pairs_frozen_prefix():
         (2, 24),
         (6, 8),
     ]
+
+
+def test_valid_pairs_stream_in_sorted_order():
+    # the reference: every pair checked, then sorted by (p*q, p)
+    def reference(cap):
+        pairs = [(p, q) for p in range(2, cap + 1) for q in range(p, cap // p + 1) if validate_pq(p, q) is None]
+        return sorted(pairs, key=lambda pq: (pq[0] * pq[1], pq[0]))
+
+    for cap in [*range(4, 301), 2000]:
+        want = reference(cap)
+        assert [(m.p, m.q) for m in valid_pairs(cap)] == want, cap
+        assert count_pairs(cap) == len(want), cap
 
 
 def test_valid_pairs_census_sizes():

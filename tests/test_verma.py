@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -246,6 +247,22 @@ def test_degree_basis_frozen_dims():
         sum(m.in_vprime for m in degree_basis(Fraction(t, 2))) for t in range(0, 14)
     ]
     assert restricted == [1, 0, 0, 1, 1, 1, 1, 2, 3, 3, 3, 5, 7, 7]
+
+
+def test_degree_basis_order_is_the_filtration_order():
+    # degree_basis sorts on int keys; the order is filtration_key's, then the
+    # parts, and every monomial is one the checked constructor accepts
+    for twice in range(0, 25):
+        basis = degree_basis(Fraction(twice, 2))
+        width = max(twice - 2, 0)
+        key = lambda m: (filtration_key(m, width), m.g_part, m.l_part)  # noqa: E731
+        assert basis == sorted(basis, key=key, reverse=True), twice
+        assert len(set(basis)) == len(basis)
+        for mon in basis:
+            assert mon == PBWMonomial(mon.g_part, mon.l_part)
+            assert all(type(r) is Fraction for r in mon.g_part)
+            assert mon.degree == Fraction(twice, 2)
+            assert _int_word(mon) == tuple(int(2 * r) for r in (*mon.g_part, *mon.l_part))
 
 
 def test_degree_basis_contents():
@@ -566,8 +583,11 @@ def test_nullspace_of_constraint_matrices_matches_dense_reference(c, h, d, monke
     monkeypatch.setattr(verma, "_nullspace", capture)
     singular_vectors(c, h, d)
     (rows, ncols), = seen
+    # the constraint rows are scaled to ints; the reference divides, so it
+    # takes them as Fractions
+    assert all(type(x) is int for row in rows for x in row)
     null = _nullspace(rows, ncols)
-    assert null == _dense_nullspace(rows, ncols)
+    assert null == _dense_nullspace(_fractions(rows), ncols)
     assert all(type(x) is Fraction for vec in null for x in vec)
 
 
@@ -596,6 +616,14 @@ def test_sparse_kernel_matches_dense_reference(matrix):
     sparse, _ = _rref({j: x for j, x in enumerate(row) if x} for row in rows)
     assert sorted(sparse) == pivots
     assert [[sparse[col].get(j, 0) for j in range(ncols)] for col in pivots] == dense
+    # each row scaled to ints (by the lcm of its denominators) spans the same
+    # space, so its RREF is the same one
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append({j: int(x * den) for j, x in enumerate(row) if x})
+    assert all(type(x) is int for row in scaled for x in row.values())
+    assert _rref(scaled)[0] == sparse
 
 
 # --- reach ------------------------------------------------------------------------
