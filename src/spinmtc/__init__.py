@@ -5,11 +5,12 @@ verification, spin surface dimensions, N=1 minimal-model label tables, and
 singular vectors in Neveu-Schwarz Verma modules.  All checks run in exact
 arithmetic; floats appear only in explicitly non-authoritative annotations.
 
-The package itself loads no submodule; the cyclotomic arithmetic lives in
-``spinmtc.exactnum``.  It holds the helpers that every module shares: the
-rational reader and writer of the JSON fields, the record base class, the
-keys of the builtin categories, and the lazy submodule loader and output
-writers of the CLI's two handler modules, ``cli`` and ``category_cli``.
+The package itself loads no submodule; the cyclotomic field lives in
+``spinmtc.cyclotomic``, and the matrices over it in ``spinmtc.exactnum``.  It
+holds the helpers that every module shares: the rational reader and writer
+of the JSON fields, the record base class, the keys of the builtin
+categories, and the lazy submodule loader and output writers of the CLI's
+two handler modules, ``cli`` and ``category_cli``.
 They live here so that neither handler module imports the other: ``python
 -m spinmtc.cli`` runs ``cli`` as ``__main__``, and an import of
 ``spinmtc.cli`` would compile and execute it a second time.
@@ -162,18 +163,20 @@ def _grid(rows: list[list[str]]) -> str:
     return "\n".join(_grid_lines(rows, widths))
 
 
-def _write_blocks(parts: Iterator[str], sep: str) -> None:
-    """Write ``sep.join(parts)`` to stdout, a block of parts at a time."""
-    lead = ""
-    while block := list(itertools.islice(parts, ROWS_PER_WRITE)):
+def _write_blocks(parts: Iterator[str], sep: str, rows_per_part: int = 1) -> None:
+    """Write ``sep.join(parts)`` to stdout, at most ``ROWS_PER_WRITE`` rows at a
+    time, for parts of at most ``rows_per_part`` rows each."""
+    lead, per_write = "", max(ROWS_PER_WRITE // rows_per_part, 1)
+    while block := list(itertools.islice(parts, per_write)):
         sys.stdout.write(lead + sep.join(block))
         lead = sep
 
 
-def _write_json_last(obj: dict, key: str, brackets: str, items: Iterator[str]) -> None:
+def _write_json_last(obj: dict, key: str, brackets: str, items: Iterator[str], rows_per_part: int = 1) -> None:
     """Write ``json.dumps({**obj, key: value}, indent=2)`` and a newline, for a
     nonempty ``obj`` and a nonempty list or dict ``value`` (as ``brackets``
-    says) given as its items, each already encoded at the value's indent."""
+    says) given as its items, each already encoded at the value's indent;
+    an item may join up to ``rows_per_part`` of them with ``",\\n"``."""
     sys.stdout.write(json.dumps(obj, indent=2)[:-2] + f',\n  "{key}": {brackets[0]}\n')
-    _write_blocks(items, ",\n")
+    _write_blocks(items, ",\n", rows_per_part)
     sys.stdout.write(f"\n  {brackets[1]}\n}}\n")

@@ -5,8 +5,8 @@ tests and as reference files via the CLI ``builtin`` subcommand.  Each
 builder returns the fields of a ``FusionData``; ``builtin`` builds the object.
 ``BUILTIN_KEYS`` lives in the package ``__init__``, so that the CLI reads the
 keys without executing this module; it runs only where a builtin is built.
-The builders import ``exactnum`` (and ``builtin`` imports ``fusion``) only
-when they run.
+The builders' numbers come from ``cyclotomic``, the scalar field, and
+``builtin`` imports ``fusion`` only when it runs.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import BUILTIN_KEYS
+from .cyclotomic import Cyclotomic, zeta
 
 if TYPE_CHECKING:
     from .fusion import FusionData
@@ -24,8 +25,6 @@ __all__ = ["BUILTIN_KEYS", "builtin"]
 
 def _group_category(name: str, elements: list[str], add, neg, twist) -> dict:
     """Pointed category on an abelian group given by index arithmetic."""
-    from .exactnum import Cyclotomic
-
     one = Cyclotomic.from_rational(1)
     labels = tuple(elements)
     fusion = {}
@@ -50,8 +49,6 @@ def _trivial() -> dict:
 
 def _fermion() -> dict:
     """Rank-3 Ising-type data: an invertible fermion psi and a spin label sigma."""
-    from .exactnum import Cyclotomic, zeta
-
     one = Cyclotomic.from_rational(1)
     sqrt2 = zeta(8) + zeta(8) ** 7
     labels = ("1", "psi", "sigma")
@@ -103,8 +100,6 @@ def _toric() -> dict:
 
 def _fibonacci() -> dict:
     """Rank-2 data with tau x tau = 1 + tau and golden-ratio dimension."""
-    from .exactnum import Cyclotomic, zeta
-
     one = Cyclotomic.from_rational(1)
     golden = -(zeta(5) ** 2) - zeta(5) ** 3
     return dict(

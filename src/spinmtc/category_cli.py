@@ -17,7 +17,7 @@ from . import BUILTIN_KEYS, _emit, _grid, _lazy, _write_blocks, _write_json_last
 
 catalog = _lazy("catalog")
 clifford = _lazy("clifford")
-exactnum = _lazy("exactnum")
+cyclotomic = _lazy("cyclotomic")
 fusion = _lazy("fusion")
 spinfunctor = _lazy("spinfunctor")
 
@@ -112,7 +112,7 @@ def _cmd_smatrix(args: argparse.Namespace) -> int:
             for coeffs, x in zip(coeff_row, row):
                 key = tuple(coeffs.items())
                 if key not in text:
-                    text[key] = _fmt_complex(exactnum.embed_numeric(x, digits), digits)
+                    text[key] = _fmt_complex(cyclotomic.embed_numeric(x, digits), digits)
         numeric = [[text[tuple(coeffs.items())] for coeffs in coeff_row] for coeff_row in s.data.ints]
     # only the requested form is built
     if args.format == "json":
@@ -214,7 +214,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
     data = _load_valid_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
     rep = spinfunctor.sphere_report(spinfunctor.SpinSphereSpec(data, vminus, labels))
-    rows = rep.epsilon_table.rows()
+    table, rows_per_part = rep.epsilon_table, spinfunctor.EpsilonTable.BLOCK_ROWS
     if args.format == "json":
         obj = {
             "category": data.name,
@@ -222,7 +222,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
             "boundary_labels": list(labels),
             **rep.to_dict(table=False),
         }
-        _write_json_last(obj, "epsilon_table", "{}", (f'    "{bits}": {val}' for bits, val in rows))
+        _write_json_last(obj, "epsilon_table", "{}", table.blocks('    "{}": {}', ",\n"), rows_per_part)
         return 0
     lines = [
         f"{data.name}: sphere with punctures {list(labels)}",
@@ -234,7 +234,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
         "  epsilon table:\n",
     ]
     sys.stdout.write("\n".join(lines))
-    _write_blocks((f"    {bits}  {val}" for bits, val in rows), "\n")
+    _write_blocks(table.blocks("    {}  {}", "\n"), "\n", rows_per_part)
     sys.stdout.write("\n")
     return 0
 

@@ -36,6 +36,7 @@ verma = _lazy("verma")
 # caller can patch it before any command runs
 category_cli = _lazy("category_cli")
 clifford = _lazy("clifford")
+cyclotomic = _lazy("cyclotomic")
 exactnum = _lazy("exactnum")
 fusion = _lazy("fusion")
 spinfunctor = _lazy("spinfunctor")

@@ -11,11 +11,13 @@ which grades under graded tensor product by generator count mod 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import _Record
-from .exactnum import CycMatrix, _certified_rank, _max_abs, _pack
 from .fusion import FusionData, InconsistentDataError, SMatrix
+
+if TYPE_CHECKING:
+    from .exactnum import CycMatrix
 
 __all__ = [
     "CliffordAlgebraClass",
@@ -274,6 +276,8 @@ def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatri
 
     Every check reports a witness on failure; all arithmetic is exact.
     """
+    from .exactnum import _certified_rank, _max_abs, _pack  # executed only where blocks are checked
+
     labels = data.labels
     idx = {lab: i for i, lab in enumerate(labels)}
     mat = s.data

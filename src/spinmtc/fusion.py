@@ -14,11 +14,14 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import _fraction_str, _Record, parse_fraction
-from .exactnum import Cyclotomic, CycMatrix, _reduce_coeffs
+from .cyclotomic import Cyclotomic, _integer_form, _reduce_coeffs
 from .sparse import Row, _insert_row
+
+if TYPE_CHECKING:
+    from .exactnum import CycMatrix
 
 __all__ = [
     "FusionData",
@@ -312,12 +315,13 @@ def _dimension_witness(
     """The first (i, j) in row-major label order where d(i) d(j) differs from
     the sum of N(i,j -> k) d(k); None if the dimension equation holds.
 
-    ``left`` restricts i to those labels (all labels by default).  With qdims as
-    a(x) = D d(x) in ``CycMatrix`` form, a(i) a(j) - D sum N a(k) is reduced mod Phi_n.
+    ``left`` restricts i to those labels (all labels by default).  The qdims are
+    rebased to their lcm conductor n and put over one denominator D, as the
+    integer coefficients of a(x) = D d(x); a(i) a(j) - D sum N a(k) is reduced
+    mod Phi_n.
     """
-    dims = CycMatrix([[qdim[lab] for lab in labels]])
-    n, den, empty = dims.conductor, dims.den, {}
-    a = dict(zip(labels, dims.ints[0]))
+    n, den, ints = _integer_form(qdim[lab] for lab in labels)
+    a, empty = dict(zip(labels, ints)), {}
     for i in labels if left is None else left:
         for j in labels:
             raw: dict[int, int] = {}
@@ -399,13 +403,15 @@ def compute_smatrix(data: FusionData) -> SMatrix:
     kept as the matrix's integer coefficients over one denominator: each
     entry i <= j is computed once, and (j, i) shares it.
     """
+    from .exactnum import CycMatrix  # executed only where an s-matrix is computed
+
     labels = data.labels
     twist = {lab: Fraction(data.twist[lab]) % 1 for lab in labels}
     n = math.lcm(*(t.denominator for t in twist.values()), *(data.qdim[lab].conductor for lab in labels))
     expo = {lab: t.numerator * (n // t.denominator) for lab, t in twist.items()}
     # theta_k d_k at conductor n: integer terms over one denominator
-    qdims = CycMatrix([[data.qdim[lab].rebased(n) for lab in labels]])
-    terms = {k: [((e + expo[k]) % n, c) for e, c in d.items()] for k, d in zip(labels, qdims.ints[0])}
+    _, den, qdims = _integer_form(data.qdim[lab].rebased(n) for lab in labels)
+    terms = {k: [((e + expo[k]) % n, c) for e, c in d.items()] for k, d in zip(labels, qdims)}
 
     rules = data._rules
     empty: dict[str, int] = {}
@@ -429,7 +435,7 @@ def compute_smatrix(data: FusionData) -> SMatrix:
         if not commute and entry(b, a) != coeffs:
             raise InconsistentDataError(f"s-matrix is not symmetric at {(a, b)} for {data.name!r}")
     ints = [[upper[min(i, j), max(i, j)] for j in index] for i in index]
-    mat = CycMatrix._from_ints(n, qdims.den, ints, (data.rank, data.rank))
+    mat = CycMatrix._from_ints(n, den, ints, (data.rank, data.rank))
     return SMatrix(data=mat, source=data.name)
 
 

@@ -7,8 +7,9 @@ fraction-free, in integers: each row is scaled once to integers, a
 reduction step cross-multiplies two integer rows, and a reduced row is
 divided by its content (the gcd of its entries).  No ``Fraction`` is made
 until the rows are normalised to unit pivots on return.  The kernel serves
-``CycMatrix.rank_det`` (over Q(zeta_N)) and the rank modulo a prime of
-:mod:`spinmtc.exactnum`, and the singular-vector solve of
+the matrix layer :mod:`spinmtc.exactnum`, the one module that calls
+``_rref`` on cyclotomic rows: ``CycMatrix.rank_det`` (over Q(zeta_N)) and
+the rank modulo a prime.  It also serves the singular-vector solve of
 :mod:`spinmtc.verma` (over Q); one row at a time, through ``_insert_row``,
 it serves the generating-set search of :mod:`spinmtc.fusion` (mod p).
 """

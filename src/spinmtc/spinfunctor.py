@@ -55,6 +55,8 @@ class EpsilonTable(Mapping):
     """Epsilon table of n punctures: an n-tuple of 0/1 maps to ``odd`` if its
     sum is odd, else to ``even``; keys iterate sorted, and are never stored."""
 
+    BLOCK_ROWS = 1024  # the most rows in one of ``blocks``' parts, a power of 2
+
     def __init__(self, n: int, even: int, odd: int):
         self.n, self.even, self.odd = n, even, odd
 
@@ -73,6 +75,23 @@ class EpsilonTable(Mapping):
         """(bit string, value) for every key, in sorted order."""
         n, vals = self.n, (self.even, self.odd)
         return ((format(i, f"0{n}b"), vals[i.bit_count() & 1]) for i in range(1 << n))
+
+    def blocks(self, row: str, sep: str) -> Iterator[str]:
+        """``sep.join(row.format(bits, value) for bits, value in self.rows())``,
+        in parts of at most ``BLOCK_ROWS`` rows.
+
+        The rows that share h, their bits above the last log2(``BLOCK_ROWS``),
+        form one part.  Their values follow h's parity, so each part is one of
+        two templates, formatted once, with h's bits put in by one replace.
+        """
+        n, vals = self.n, (self.even, self.odd)
+        low = min(n, self.BLOCK_ROWS.bit_length() - 1)
+        high = n - low
+        # "\0" marks where h's bits go: no row holds one
+        templates = [sep.join(row.format(f"\0{i:0{low}b}", vals[(p + i.bit_count()) & 1]) for i in range(1 << low))
+                     for p in (0, 1)]
+        for h in range(1 << high):
+            yield templates[h.bit_count() & 1].replace("\0", format(h, f"0{high}b") if high else "")
 
 
 class SpinSphereReport(NamedTuple):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spinmtc.clifford import involution_from_vminus
-from spinmtc.exactnum import Cyclotomic
+from spinmtc.cyclotomic import Cyclotomic
 from spinmtc.fusion import FusionData, hom_unit_dim
 from spinmtc.verma import PBWMonomial
 

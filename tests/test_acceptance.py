@@ -15,7 +15,8 @@ import numpy as np
 
 from spinmtc.catalog import builtin
 from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
-from spinmtc.exactnum import Cyclotomic, CycMatrix, zeta
+from spinmtc.cyclotomic import Cyclotomic, zeta
+from spinmtc.exactnum import CycMatrix
 from spinmtc.fusion import (
     check_s_squared,
     compute_smatrix,

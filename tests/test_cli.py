@@ -21,7 +21,8 @@ from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.category_cli import MAX_PUNCTURES
 from spinmtc.cli import _HANDLERS, MAX_PQ, build_parser, main
 from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
-from spinmtc.exactnum import Cyclotomic, CycMatrix
+from spinmtc.cyclotomic import Cyclotomic
+from spinmtc.exactnum import CycMatrix
 from spinmtc.fusion import (
     MAX_CONDUCTOR,
     FormatError,
@@ -876,14 +877,15 @@ finally:
 """
 
 # Every command runs the package and cli.  The category commands run their
-# handler module, fusion and exactnum, and both of those the sparse
-# elimination kernel; catalog runs only where a builtin is built.  singvec runs
-# the kernel without exactnum.  An error exit runs only the modules its command
+# handler module, fusion, the cyclotomic field and the sparse elimination
+# kernel; catalog runs only where a builtin is built, and the matrix layer
+# exactnum only where an s-matrix is computed (smatrix and classify).  singvec
+# runs the kernel alone.  An error exit runs only the modules its command
 # reached: "{bad}" is a category file that fails validate's axioms,
 # "{ambiguous}" one with two admissible odd generators, "{missing}" a path that
 # does not exist.
 _ALWAYS = {"spinmtc", "spinmtc.cli"}
-_CATEGORY = {"spinmtc.category_cli", "spinmtc.fusion", "spinmtc.exactnum", "spinmtc.sparse"}
+_CATEGORY = {"spinmtc.category_cli", "spinmtc.fusion", "spinmtc.cyclotomic", "spinmtc.sparse"}
 _BUILTIN = _CATEGORY | {"spinmtc.catalog"}
 _COMMANDS = [
     (["--help"], set(), 0),
@@ -891,9 +893,9 @@ _COMMANDS = [
     (["minimal", "--p", "2", "--q", "8"], {"spinmtc.minimal"}, 0),
     (["minimal-scan", "--max-pq", "20"], {"spinmtc.minimal"}, 0),
     (["validate", "fermion"], _BUILTIN, 0),
-    (["smatrix", "fermion"], _BUILTIN, 0),
+    (["smatrix", "fermion"], _BUILTIN | {"spinmtc.exactnum"}, 0),
     (["builtin", "fermion"], _BUILTIN, 0),
-    (["classify", "fermion"], _BUILTIN | {"spinmtc.clifford"}, 0),
+    (["classify", "fermion"], _BUILTIN | {"spinmtc.clifford", "spinmtc.exactnum"}, 0),
     (["sphere", "fermion", "--labels", "sigma,sigma"],
      _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
     (["torus", "fermion"], _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
@@ -951,9 +953,11 @@ finally:
 @pytest.mark.parametrize("argv, files", [
     (["singvec", "--p", "3", "--q", "5"], {"verma", "minimal", "sparse"}),
     (["torus", "fermion"],
-     {"category_cli", "catalog", "fusion", "exactnum", "sparse", "clifford", "spinfunctor"}),
-    (["validate", "{file}"], {"category_cli", "fusion", "exactnum", "sparse"}),
-], ids=["singvec", "torus", "validate-file"])
+     {"category_cli", "catalog", "fusion", "cyclotomic", "sparse", "clifford", "spinfunctor"}),
+    (["validate", "{file}"], {"category_cli", "fusion", "cyclotomic", "sparse"}),
+    (["classify", "fermion"],
+     {"category_cli", "catalog", "fusion", "cyclotomic", "exactnum", "sparse", "clifford"}),
+], ids=["singvec", "torus", "validate-file", "classify"])
 def test_no_source_file_is_compiled_twice(tmp_path, argv, files):
     # a module that imported spinmtc.cli would compile cli.py a second time,
     # beside the __main__ that python -m runs
@@ -1038,6 +1042,27 @@ def test_streamed_sphere_at_the_block_size(capsys, extra):
         code, out, _ = run(capsys, "sphere", "fermion", "--labels", ",".join(chain), "--format", fmt)
         assert code == 0
         assert out == want, fmt
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_sphere_rows_in_blocks_equal_rows_one_at_a_time(capsys, fmt):
+    # Up to 10 punctures the rows are one block of the writer, above that
+    # several.  A chain of 1 and psi has even != odd, so a block taken at the
+    # wrong parity shows.  The reference formats one row at a time.
+    data = builtin("fermion")
+    for n in range(1, 14):
+        chain = (("1", "psi", "psi", "1", "psi") * 3)[:n]
+        table = sphere_report(SpinSphereSpec(data, "psi", chain)).epsilon_table
+        assert table.even != table.odd
+        if fmt == "json":
+            oracle, key = _sphere_json_oracle(data, "psi", chain), '  "epsilon_table": {\n'
+            rows = ",\n".join(f'    "{bits}": {val}' for bits, val in table.rows()) + "\n  }\n}\n"
+        else:
+            oracle, key = _sphere_table_oracle(data, chain), "  epsilon table:\n"
+            rows = "\n".join(f"    {bits}  {val}" for bits, val in table.rows()) + "\n"
+        code, out, _ = run(capsys, "sphere", "fermion", "--labels", ",".join(chain), "--format", fmt)
+        assert code == 0
+        assert out == oracle[:oracle.index(key)] + key + rows, n
 
 
 def test_streamed_sphere_table_keeps_its_line_format(capsys):
@@ -1130,23 +1155,32 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 """
 
 
-def test_sphere_at_the_puncture_cap_runs_in_bounded_memory():
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_sphere_at_the_puncture_cap_runs_in_bounded_memory(fmt):
     src = str(Path(spinmtc.__file__).resolve().parents[1])
     labels = ("sigma",) * MAX_PUNCTURES
-    argv = [sys.executable, "-m", "spinmtc.cli", "sphere", "fermion", "--labels", ",".join(labels)]
+    argv = [sys.executable, "-m", "spinmtc.cli", "sphere", "fermion", "--labels", ",".join(labels), "--format", fmt]
     launcher = subprocess.Popen([sys.executable, "-c", _LAUNCHER, *argv], stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
-    head = [launcher.stdout.readline() for _ in range(6)]
-    for last in launcher.stdout:
-        pass
+    # the rows of the epsilon table, in either form, are the lines led by 20 bits
+    rows, head, prev = 0, None, None
+    for line in launcher.stdout:
+        lead = line.split(maxsplit=1)[0].strip(b'":') if line.strip() else b""
+        if len(lead) == MAX_PUNCTURES and set(lead) <= set(b"01"):
+            rows, head, last = rows + 1, head or [prev, line], line
+        prev = line
     code, maxrss_kb = map(int, launcher.stderr.read().split())
     launcher.stdout.close()
     launcher.stderr.close()
     assert launcher.wait(timeout=60) == 0 and code == 0
     table = sphere_report(SpinSphereSpec(builtin("fermion"), "psi", labels)).epsilon_table
-    assert head[4] == b"  epsilon table:\n"
-    assert head[5] == f"    {'0' * MAX_PUNCTURES}  {table.even}\n".encode()
-    assert last == f"    {'1' * MAX_PUNCTURES}  {table[(1,) * MAX_PUNCTURES]}\n".encode()
+    first_bits, last_bits, last_val = "0" * MAX_PUNCTURES, "1" * MAX_PUNCTURES, table[(1,) * MAX_PUNCTURES]
+    if fmt == "json":
+        want = ['  "epsilon_table": {\n', f'    "{first_bits}": {table.even},\n', f'    "{last_bits}": {last_val}\n']
+    else:
+        want = ["  epsilon table:\n", f"    {first_bits}  {table.even}\n", f"    {last_bits}  {last_val}\n"]
+    assert rows == 2**MAX_PUNCTURES
+    assert [*head, last] == [w.encode() for w in want]
     assert maxrss_kb < 100 * 1024, maxrss_kb  # KiB on Linux
 
 

@@ -12,17 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import spinmtc
 
-from spinmtc.exactnum import (
+from spinmtc import parse_fraction
+from spinmtc.cyclotomic import (
     Cyclotomic,
-    CycMatrix,
     ExactNumError,
+    _reduce_coeffs,
     cyclotomic_polynomial,
     embed_numeric,
-    parse_fraction,
     phi_degree,
     zeta,
 )
-from spinmtc.exactnum import _certified_rank, _prime_root, _rank_mod_p, _reduce_coeffs
+from spinmtc.exactnum import CycMatrix, _certified_rank, _prime_root, _rank_mod_p
 
 ONE = Cyclotomic.from_rational(1)
 ZERO = Cyclotomic.from_rational(0)

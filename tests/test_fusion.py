@@ -15,7 +15,8 @@ from conftest import replace
 import spinmtc.fusion
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import classify_labels, clifford_structure, find_vminus, verify_block_structure
-from spinmtc.exactnum import Cyclotomic, CycMatrix, zeta
+from spinmtc.cyclotomic import Cyclotomic, zeta
+from spinmtc.exactnum import CycMatrix
 from spinmtc.fusion import (
     MAX_CONDUCTOR,
     FormatError,

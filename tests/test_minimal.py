@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmtc.exactnum import zeta
+from spinmtc.cyclotomic import zeta
 from spinmtc.minimal import (
     MinimalModelSpec,
     central_charge,
