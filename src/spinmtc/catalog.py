@@ -1,18 +1,24 @@
 """Built-in category corpus: small exactly-known fusion data sets.
 
 These are constructed in code (not parsed), so they double as fixtures for
-tests and as reference files via the CLI ``builtin`` subcommand.  Each
-builder returns the fields of a ``FusionData``; ``builtin`` builds the object.
+tests and as reference files via the CLI ``builtin`` subcommand.  A row of
+``_TABLE`` holds only a category's defining data: its labels, unit first; the
+products of non-unit labels, each unordered pair once, as their results of
+multiplicity 1; the twists, aligned with the labels; and the quantum
+dimensions other than 1.  ``_category`` derives the unit's products, the other
+order of every product and the duals; a parametrised family passes it a
+products formula, as the pointed groups do through ``_group``.
 ``BUILTIN_KEYS`` lives in the package ``__init__``, so that the CLI reads the
 keys without executing this module; it runs only where a builtin is built.
-The builders' numbers come from ``cyclotomic``, the scalar field, and
-``builtin`` imports ``fusion`` only when it runs.
+The numbers come from ``cyclotomic``, and ``fusion`` is imported only when a
+category is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from operator import xor
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import BUILTIN_KEYS
 from .cyclotomic import Cyclotomic, zeta
@@ -23,117 +29,52 @@ if TYPE_CHECKING:
 __all__ = ["BUILTIN_KEYS", "builtin"]
 
 
-def _group_category(name: str, elements: list[str], add, neg, twist) -> dict:
-    """Pointed category on an abelian group given by index arithmetic."""
-    one = Cyclotomic.from_rational(1)
-    labels = tuple(elements)
-    fusion = {}
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            fusion[(a, b, elements[add(i, j)])] = 1
-    return dict(
-        name=name,
-        labels=labels,
-        unit=elements[0],
-        dual={a: elements[neg(i)] for i, a in enumerate(elements)},
-        fusion=fusion,
-        twist={a: Fraction(twist[i]) for i, a in enumerate(elements)},
-        qdim={a: one for a in elements},
-    )
+def _group(elements: tuple[str, ...], add) -> dict:
+    """Products of a pointed category on an abelian group given by index arithmetic."""
+    return {(a, elements[j]): (elements[add(i, j)],) for i, a in enumerate(elements) if i
+            for j in range(i, len(elements))}
 
 
-def _trivial() -> dict:
-    """The trivial group: one label, its own unit and dual."""
-    return _group_category("trivial", ["1"], add=lambda i, j: 0, neg=lambda i: 0, twist=[0])
+_Z4, _Z2Z2 = ("j0", "j1", "j2", "j3"), ("1", "e", "m", "f")  # Z/2 x Z/2 as bit pairs 00, 01, 10, 11
 
-
-def _fermion() -> dict:
-    """Rank-3 Ising-type data: an invertible fermion psi and a spin label sigma."""
-    one = Cyclotomic.from_rational(1)
-    sqrt2 = zeta(8) + zeta(8) ** 7
-    labels = ("1", "psi", "sigma")
-    fusion = {
-        ("1", "1", "1"): 1,
-        ("1", "psi", "psi"): 1,
-        ("psi", "1", "psi"): 1,
-        ("1", "sigma", "sigma"): 1,
-        ("sigma", "1", "sigma"): 1,
-        ("psi", "psi", "1"): 1,
-        ("psi", "sigma", "sigma"): 1,
-        ("sigma", "psi", "sigma"): 1,
-        ("sigma", "sigma", "1"): 1,
-        ("sigma", "sigma", "psi"): 1,
-    }
-    return dict(
-        name="fermion",
-        labels=labels,
-        unit="1",
-        dual={lab: lab for lab in labels},
-        fusion=fusion,
-        twist={"1": Fraction(0), "psi": Fraction(1, 2), "sigma": Fraction(1, 16)},
-        qdim={"1": one, "psi": one, "sigma": sqrt2},
-    )
-
-
-def _dirac() -> dict:
-    """Pointed Z/4 data with quadratic twists j^2/8; duals are negation."""
-    return _group_category(
-        "dirac",
-        ["j0", "j1", "j2", "j3"],
-        add=lambda i, j: (i + j) % 4,
-        neg=lambda i: (-i) % 4,
-        twist=[Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1, 8)],
-    )
-
-
-def _toric() -> dict:
-    """Pointed Z/2 x Z/2 data, all labels self-dual, one label twisted by 1/2."""
-    order = ["1", "e", "m", "f"]  # bit pairs 00, 01, 10, 11
-    return _group_category(
-        "toric",
-        order,
-        add=lambda i, j: i ^ j,
-        neg=lambda i: i,
-        twist=[Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2)],
-    )
-
-
-def _fibonacci() -> dict:
-    """Rank-2 data with tau x tau = 1 + tau and golden-ratio dimension."""
-    one = Cyclotomic.from_rational(1)
-    golden = -(zeta(5) ** 2) - zeta(5) ** 3
-    return dict(
-        name="fibonacci",
-        labels=("1", "tau"),
-        unit="1",
-        dual={"1": "1", "tau": "tau"},
-        fusion={
-            ("1", "1", "1"): 1,
-            ("1", "tau", "tau"): 1,
-            ("tau", "1", "tau"): 1,
-            ("tau", "tau", "1"): 1,
-            ("tau", "tau", "tau"): 1,
-        },
-        twist={"1": Fraction(0), "tau": Fraction(2, 5)},
-        qdim={"1": one, "tau": golden},
-    )
-
-
-_BUILDERS = {
-    "trivial": _trivial,
-    "fermion": _fermion,
-    "dirac": _dirac,
-    "toric": _toric,
-    "fibonacci": _fibonacci,
+# key: labels (unit first), products of non-unit pairs, twists, qdims other than 1
+_TABLE = {
+    "trivial": (("1",), {}, ("0",), {}),
+    # Ising-type: an invertible fermion psi and a spin label sigma
+    "fermion": (("1", "psi", "sigma"),
+                {("psi", "psi"): ("1",), ("psi", "sigma"): ("sigma",), ("sigma", "sigma"): ("1", "psi")},
+                ("0", "1/2", "1/16"), {"sigma": zeta(8) + zeta(8) ** 7}),
+    # Z/4 with quadratic twists j^2/8
+    "dirac": (_Z4, _group(_Z4, lambda i, j: (i + j) % 4), ("0", "1/8", "1/2", "1/8"), {}),
+    "toric": (_Z2Z2, _group(_Z2Z2, xor), ("0", "0", "0", "1/2"), {}),
+    # tau x tau = 1 + tau, with golden-ratio dimension
+    "fibonacci": (("1", "tau"), {("tau", "tau"): ("1", "tau")}, ("0", "2/5"),
+                  {"tau": -(zeta(5) ** 2) - zeta(5) ** 3}),
 }
+
+
+def _category(name: str, labels: tuple[str, ...], products: Mapping[tuple[str, str], tuple[str, ...]],
+              twists: Sequence[str | Fraction], qdims: Mapping[str, Cyclotomic]) -> FusionData:
+    """The category of ``_TABLE``'s fields; b is dual to a when the unit is in a x b."""
+    from .fusion import FusionData
+
+    unit, one = labels[0], Cyclotomic.from_rational(1)
+    fusion = {}
+    for a in labels:
+        fusion[(unit, a, a)] = fusion[(a, unit, a)] = 1
+    for (a, b), results in products.items():
+        for c in results:
+            fusion[(a, b, c)] = fusion[(b, a, c)] = 1
+    return FusionData(name=name, labels=labels, unit=unit, fusion=fusion,
+                      dual={a: b for a in labels for b in labels if (a, b, unit) in fusion},
+                      twist={a: Fraction(t) for a, t in zip(labels, twists)},
+                      qdim={a: qdims.get(a, one) for a in labels})
 
 
 def builtin(key: str) -> FusionData:
     """One of the built-in categories, by key; raises FormatError for unknown keys."""
-    from .fusion import FormatError, FusionData
+    if key not in _TABLE:
+        from .fusion import FormatError
 
-    try:
-        maker = _BUILDERS[key]
-    except KeyError:
-        raise FormatError(f"unknown builtin {key!r}; available: {', '.join(BUILTIN_KEYS)}") from None
-    return FusionData(**maker())
+        raise FormatError(f"unknown builtin {key!r}; available: {', '.join(BUILTIN_KEYS)}")
+    return _category(key, *_TABLE[key])

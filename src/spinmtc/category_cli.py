@@ -46,10 +46,9 @@ def _load_known_category(arg: str) -> fusion.FusionData:
 
 def _load_valid_category(arg: str) -> fusion.FusionData:
     """As ``_load_known_category``; data failing validate's axioms is inconsistent."""
-    data = _load_category(arg)
+    data = _load_known_category(arg)
     if violations := fusion.validate(data):
-        error = fusion.FormatError if fusion.structure_violations(data) else fusion.InconsistentDataError
-        raise error(f"{data.name!r} fails validate: {violations[0]}")
+        raise fusion.InconsistentDataError(f"{data.name!r} fails validate: {violations[0]}")
     return data
 
 

@@ -407,13 +407,17 @@ def embed_numeric(value: Cyclotomic, digits: int = 15) -> complex:
     """Floating approximation at the principal embedding zeta_N = e^{2 pi i/N}.
 
     Diagnostic only: results are never authoritative and never feed checks.
+    A part that is exactly zero (x equal to plus or minus its complex
+    conjugate, decided exactly) is 0.0 rather than rounding noise.
     """
     import mpmath
 
+    n = value.conductor
+    conj = Cyclotomic(n, {-e % n: c for e, c in value._coeffs.items()})
     with mpmath.workdps(max(digits, 3) + 10):
-        n = value.conductor
         acc = mpmath.mpc(0)
         for e, c in value.coefficients().items():
             w = mpmath.expjpi(mpmath.mpf(2 * e) / n)
             acc += w * mpmath.mpf(c.numerator) / c.denominator
-        return complex(acc)
+        z = complex(acc)
+    return complex(0.0 if conj == -value else z.real, 0.0 if conj == value else z.imag)

@@ -733,11 +733,8 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
         # pick a nullspace vector with nonzero image and normalize the pair
         w, w_red = next((w, r) for w, r in zip(null, reduced) if r)
         red_terms = {basis[perm[pos]]: cf for pos, cf in w_red.items()}
-        width = max(int(2 * d) - 2, 0)
-        leading = max(
-            red_terms,
-            key=lambda m: (filtration_key(m, width), m.g_part, m.l_part),
-        )
+        # degree_basis lists the monomials by descending filtration
+        leading = basis[min(perm[pos] for pos in w_red)]
         scale = 1 / red_terms[leading]
         vector = VermaVector(c, h, {m: cf * scale for m, cf in red_terms.items()})
         full_vector = VermaVector(

@@ -184,6 +184,14 @@ def test_cli_output_matches_golden_digests(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = corpus_digests(Path(tmp))
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for key, digest in digests.items():
+        if key not in recorded:
+            print(f"added: {key}", file=sys.stderr)
+        elif recorded[key] != digest:
+            print(f"changed: {key}", file=sys.stderr)
+    for key in recorded.keys() - digests.keys():
+        print(f"removed: {key}", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)

@@ -233,6 +233,19 @@ def test_numeric_embedding_of_known_values():
     assert abs(embed_numeric(s) - 2 ** 0.5) < 1e-12
 
 
+def test_numeric_embedding_has_no_spurious_part_on_real_or_imaginary_values():
+    # the golden ratio is exactly real and i times it exactly imaginary; their
+    # floating sums leave a part of order 1e-17 or below, which must read 0.0
+    golden = -(zeta(5) ** 2) - zeta(5) ** 3
+    for digits in (6, 15):
+        assert embed_numeric(golden, digits).imag == 0.0
+        assert abs(embed_numeric(golden, digits).real - (1 + 5 ** 0.5) / 2) < 1e-12
+    z = embed_numeric(zeta(4) * golden, 17)
+    assert z.real == 0.0 and abs(z.imag - (1 + 5 ** 0.5) / 2) < 1e-12
+    assert embed_numeric(ZERO) == 0j
+    assert embed_numeric(zeta(5)).real != 0.0 != embed_numeric(zeta(5)).imag
+
+
 # --- serialization -----------------------------------------------------------
 
 

@@ -56,6 +56,26 @@ def test_builtin_keys_are_stable():
         builtin("nope")
 
 
+def test_catalog_table_rows_are_well_formed():
+    # _category silently lets the later of two statements of a pair win, and
+    # fills in rows for whatever labels a row names, so the hand-entered
+    # rows are checked here
+    from spinmtc.catalog import _TABLE
+
+    assert tuple(_TABLE) == BUILTIN_KEYS
+    for key, (labels, products, twists, qdims) in _TABLE.items():
+        assert len(set(labels)) == len(labels), key
+        assert len(twists) == len(labels), key
+        assert Fraction(twists[0]) == 0, key  # the unit comes first
+        known = set(labels[1:])
+        pairs = [frozenset(pair) for pair in products]
+        assert len(set(pairs)) == len(pairs), key
+        for (a, b), results in products.items():
+            assert {a, b} <= known and set(results) <= set(labels), (key, a, b)
+            assert len(set(results)) == len(results), (key, a, b)
+        assert set(qdims) <= known, key
+
+
 def test_all_builtins_validate_clean():
     for key in BUILTIN_KEYS:
         assert validate(builtin(key)) == []
