@@ -7,15 +7,25 @@ path or a builtin key (a real file with the same name wins).  Exit codes:
 Every error is a ``ValueError``: the status is the exception's ``exit_code``,
 2 when it sets none (``fusion.InconsistentDataError`` and ``verma.VermaError``
 set 1).
+
+``main`` returns the status and leaves the process alone, for tests and
+library callers that run it in-process.  ``run`` is the process entry, of
+both ``python -m spinmtc.cli`` and the ``spinmtc`` script: it flushes
+stdout, freezes the garbage collector so that the collections at interpreter
+exit have no object to traverse, and raises ``SystemExit`` with the status,
+so that ``atexit`` handlers and wrappers such as ``runpy`` still run.  When
+the reader of stdout closes it early (``| head``), ``run`` exits 1 with
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from . import (
     BUILTIN_KEYS,
@@ -41,7 +51,7 @@ exactnum = _lazy("exactnum")
 fusion = _lazy("fusion")
 spinfunctor = _lazy("spinfunctor")
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 DEFAULT_MAX_DEGREE = 16
 MAX_PQ = 100_000  # bounds p*q for minimal and minimal-scan; output grows with it
@@ -288,5 +298,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return getattr(exc, "exit_code", 2)
 
 
+def run() -> NoReturn:
+    """Run ``main`` on ``sys.argv`` as the whole process, and exit with its status."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's own flush at exit would
+        # fail again, so what is left in the buffer goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    # every object still alive lives until the process ends; frozen, the
+    # exit-time collections skip them
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

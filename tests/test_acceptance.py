@@ -13,7 +13,7 @@ from random import Random
 
 import numpy as np
 
-from spinmtc.catalog import builtin
+from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
 from spinmtc.cyclotomic import Cyclotomic, zeta
 from spinmtc.exactnum import CycMatrix
@@ -134,12 +134,20 @@ def test_criterion_3_spin_torus_dimensions():
     if dirac != {"AA": 1, "AP": 1, "PA": 1, "PP": 1}:
         problems.append(f"dirac torus {dirac}")
 
-    for key in CLIFFORD_BUILTINS:
-        data = builtin(key)
+    # the count identity makes the three even spin structures agree on every
+    # spin modular input: the builtins and each pairwise product of them
+    cases = [(key, builtin(key)) for key in CLIFFORD_BUILTINS]
+    cases += [(f"{a}.{b}", deligne_product(builtin(a), builtin(b)))
+              for a, b in itertools.combinations_with_replacement(BUILTIN_KEYS, 2)]
+    tested = 0
+    for key, data in cases:
         for vminus in find_vminus(data):
             dims = torus_dims(data, vminus).dims
             if not dims["AA"] == dims["AP"] == dims["PA"]:
                 problems.append(f"{key}: AA/AP/PA differ: {dims}")
+            tested += 1
+    if tested != 29:
+        problems.append(f"{tested} (category, vminus) pairs exercised, not 29")
 
     _finish(3, "spin torus dimensions", problems, time.perf_counter() - start, 1.0)
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import gc
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -1244,3 +1249,159 @@ def test_conductor_beyond_the_cap_is_exit_2(capsys, tmp_path, argv, where, condu
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and out == ""
     assert f"conductor {conductor} of 'fermion' exceeds the limit {MAX_CONDUCTOR}" in err
+
+
+# --- process entry -------------------------------------------------------------------
+
+# Runs ``spinmtc.cli`` as ``python -m`` does, from a wrapper whose atexit hook
+# writes to stderr, after everything else, whether the collector was frozen.
+_EXIT_PROBE = """import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("spinmtc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["torus", "fermion"], 0),
+    (["classify", "{ambiguous}"], 1),
+    (["minimal-scan", "--max-pq", "3"], 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_process_entry_exits_as_main_returns_with_the_collector_frozen(capsys, tmp_path, argv, code):
+    ambiguous = tmp_path / "fermion2.json"
+    ambiguous.write_text(dump_fusion(deligne_product(builtin("fermion"), builtin("fermion"))))
+    argv = [a.format(ambiguous=ambiguous) for a in argv]
+    frozen = gc.get_freeze_count()
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    assert gc.get_freeze_count() == frozen  # main in-process leaves the collector alone
+    src = str(Path(spinmtc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    *err, hook = done.stderr.splitlines(keepends=True)
+    # the hook ran, so the exit was a normal one, after the freeze
+    assert hook == "True\n"
+    assert (done.returncode, done.stdout, "".join(err)) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimal-scan", "--max-pq", str(MAX_PQ)],
+    ["sphere", "fermion", "--labels", ",".join(["sigma"] * 16)],
+], ids=["minimal-scan", "sphere"])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # each output is far larger than a pipe's buffer
+    src = str(Path(spinmtc.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "spinmtc.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (1, b"")
+
+
+# --- mutated category files ----------------------------------------------------------
+
+
+def _slots(node):
+    """Every (container, key or index) pair in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from _slots(value)
+
+
+def _names(doc):
+    labels = doc.get("labels")
+    return sorted({n for n in labels if isinstance(n, str)}) if isinstance(labels, list) else []
+
+
+def _retype(draw, doc):
+    """Replace a value by one of any type, or by one of its own kind: a count, a label or a fraction."""
+    node, key = draw(st.sampled_from(list(_slots(doc))))
+    kind = {int: st.integers(-1, 3), str: st.sampled_from(_names(doc) or ["1"])
+            | st.fractions(-1, 1, max_denominator=24).map(str)}.get(type(node[key]))
+    node[key] = draw(_JSON_PLAIN if kind is None else kind | _JSON_PLAIN)
+
+
+def _drop(draw, doc):
+    node, key = draw(st.sampled_from(list(_slots(doc))))
+    del node[key]
+
+
+def _add(draw, doc):
+    node = draw(st.sampled_from([doc, *(n[k] for n, k in _slots(doc) if isinstance(n[k], (dict, list)))]))
+    siblings = list(node.values() if isinstance(node, dict) else node)
+    # a copy of a sibling repeats a fusion rule, a label or a qdim term
+    value = draw(st.sampled_from(siblings).map(copy.deepcopy) | _JSON_PLAIN if siblings else _JSON_PLAIN)
+    if isinstance(node, dict):
+        keys = st.text(max_size=6)
+        node[draw(st.sampled_from(sorted(node)) | keys if node else keys)] = value
+    else:
+        node.insert(draw(st.integers(0, len(node))), value)
+
+
+# terms of a cyclotomic value: [exponent, rational string] pairs, or junk
+_TERMS = st.lists(st.tuples(st.integers(-4, 60), st.fractions(-2, 2, max_denominator=4).map(str)).map(list)
+                  | st.lists(_JSON_SCALARS, max_size=3), max_size=4)
+
+
+def _corrupt_qdim(draw, doc):
+    qdim = doc.get("qdim")
+    if isinstance(qdim, dict) and qdim:
+        label = draw(st.sampled_from(sorted(qdim)))
+        qdim[label] = draw(st.fixed_dictionaries(
+            {"conductor": st.integers(-2, 48) | _JSON_SCALARS, "terms": _TERMS | _JSON_SCALARS}))
+
+
+def _renamed(node, old, new):
+    if isinstance(node, dict):
+        return {new if k == old else k: _renamed(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_renamed(v, old, new) for v in node]
+    return new if node == old else node
+
+
+def _rename_label(draw, doc):
+    names = _names(doc)
+    if not names:
+        return
+    old = draw(st.sampled_from(names))
+    new = draw(st.sampled_from(names) | st.text(max_size=4))
+    if draw(st.booleans()):  # everywhere, or in one place only
+        renamed = _renamed(doc, old, new)
+        doc.clear()
+        doc.update(renamed)
+        return
+    places = [(n, k) for n, k in _slots(doc) if k == old or n[k] == old]
+    node, key = draw(st.sampled_from(places))
+    if key == old and isinstance(node, dict):
+        node[new] = node.pop(old)
+    else:
+        node[key] = new
+
+
+_MUTATIONS = (_retype, _drop, _add, _corrupt_qdim, _rename_label)
+
+
+@st.composite
+def _mutated_builtin(draw):
+    doc = json.loads(dump_fusion(builtin(draw(st.sampled_from(BUILTIN_KEYS)))))
+    for _ in range(draw(st.integers(1, 2))):
+        draw(st.sampled_from(_MUTATIONS))(draw, doc)
+    return doc
+
+
+# A mutant is malformed (exit 2), inconsistent (exit 1) or still a category
+# (exit 0); whichever it is, no command lets an exception escape.
+@settings(max_examples=200, deadline=None)
+@given(_mutated_builtin())
+def test_mutated_category_file_exits_0_1_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        labels = doc.get("labels")
+        label = labels[-1] if isinstance(labels, list) and labels and isinstance(labels[-1], str) else "sigma"
+        for argv in (["validate"], ["smatrix"], ["classify"], ["torus"], ["sphere", f"--labels={label},{label}"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], path, *argv[1:]])
+            assert code in (0, 1, 2), (argv, code)
