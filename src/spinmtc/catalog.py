@@ -10,21 +10,19 @@ order of every product and the duals; a parametrised family passes it a
 products formula, as the pointed groups do through ``_group``.
 ``BUILTIN_KEYS`` lives in the package ``__init__``, so that the CLI reads the
 keys without executing this module; it runs only where a builtin is built.
-The numbers come from ``cyclotomic``, and ``fusion`` is imported only when a
-category is built.
+The numbers come from ``cyclotomic`` and the record from ``fusion``, which
+every command that builds a category executes anyway.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import xor
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import BUILTIN_KEYS
 from .cyclotomic import Cyclotomic, zeta
-
-if TYPE_CHECKING:
-    from .fusion import FusionData
+from .fusion import FormatError, FusionData
 
 __all__ = ["BUILTIN_KEYS", "builtin"]
 
@@ -56,8 +54,6 @@ _TABLE = {
 def _category(name: str, labels: tuple[str, ...], products: Mapping[tuple[str, str], tuple[str, ...]],
               twists: Sequence[str | Fraction], qdims: Mapping[str, Cyclotomic]) -> FusionData:
     """The category of ``_TABLE``'s fields; b is dual to a when the unit is in a x b."""
-    from .fusion import FusionData
-
     unit, one = labels[0], Cyclotomic.from_rational(1)
     fusion = {}
     for a in labels:
@@ -74,7 +70,5 @@ def _category(name: str, labels: tuple[str, ...], products: Mapping[tuple[str, s
 def builtin(key: str) -> FusionData:
     """One of the built-in categories, by key; raises FormatError for unknown keys."""
     if key not in _TABLE:
-        from .fusion import FormatError
-
         raise FormatError(f"unknown builtin {key!r}; available: {', '.join(BUILTIN_KEYS)}")
     return _category(key, *_TABLE[key])

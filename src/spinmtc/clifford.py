@@ -260,17 +260,6 @@ class BlockReport(NamedTuple):
         }
 
 
-CHECK_NAMES = (
-    "involution_rows",
-    "nonsplit_row_vanishing",
-    "block_pattern",
-    "diagonal_blocks",
-    "bd_rank",
-    "btd_zero",
-    "count_identity",
-)
-
-
 def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatrix) -> BlockReport:
     """Run the seven exact block checks of the s-matrix against a partition.
 

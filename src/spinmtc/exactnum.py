@@ -1,12 +1,13 @@
 """Exact linear algebra over cyclotomic fields Q(zeta_N): the ``CycMatrix``.
 
-A ``CycMatrix`` keeps its entries as integer coefficients over one
-denominator, in the power basis of :mod:`spinmtc.cyclotomic`, and only this
-module converts between that form and ``Cyclotomic`` values.  The linear
-algebra is matrix products by Kronecker substitution, and rank and
-determinant through the sparse elimination of :mod:`spinmtc.sparse`: over
-Q(zeta_N) for ``CycMatrix.rank_det``, and modulo a prime above p for the rank
-that certifies the block checks of :mod:`spinmtc.clifford`.
+A ``CycMatrix`` has one form, which its one constructor takes: a conductor
+N, one positive denominator, and each entry's integer coefficients in the
+power basis of :mod:`spinmtc.cyclotomic`.  Its ``Cyclotomic`` values are
+built from that form only when read.  The linear algebra is matrix products
+at one conductor by Kronecker substitution, and rank and determinant through
+the sparse elimination of :mod:`spinmtc.sparse`: over Q(zeta_N) for
+``CycMatrix.rank_det``, and modulo a prime above p for the rank that
+certifies the block checks of :mod:`spinmtc.clifford`.
 
 Only the commands that multiply or eliminate matrices execute this module:
 ``smatrix`` and ``classify``.  The others need just the scalar field.
@@ -20,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cyclotomic import Cyclotomic, ExactNumError, Scalar, _integer_form, _reduce_coeffs, phi_degree
-from .sparse import _rref
+from .cyclotomic import Cyclotomic, ExactNumError, _reduce_coeffs, phi_degree
+from .sparse import _insert_row, _rref
 
 __all__ = ["CycMatrix"]
 
@@ -116,7 +117,7 @@ def _rank_mod_p(m: "CycMatrix") -> int:
     p, w = _prime_root(n)
     powers = [pow(w, e, p) for e in range(phi_degree(n))]
     images = ([sum(c * powers[e] for e, c in coeffs.items()) % p for coeffs in row] for row in m.ints)
-    return len(_rref(({j: x for j, x in enumerate(row) if x} for row in images), p)[0])
+    return len(_rref(({j: x for j, x in enumerate(row) if x} for row in images), p))
 
 
 def _certified_rank(m: "CycMatrix") -> int:
@@ -140,37 +141,14 @@ class CycMatrix:
 
     __slots__ = ("rows", "cols", "conductor", "den", "ints", "_entries")
 
-    def __init__(self, entries: Iterable[Iterable[Scalar]], shape: tuple[int, int] | None = None):
-        grid = [[Cyclotomic._coerce(x) for x in row] for row in entries]
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        if any(len(r) != cols for r in grid):
-            raise ExactNumError("ragged matrix")
-        if shape is not None:
-            # explicit shape lets degenerate (0 x n) matrices keep their width
-            srows, scols = shape
-            if rows and cols and (srows, scols) != (rows, cols):
-                raise ExactNumError(f"shape {shape} contradicts entries {rows}x{cols}")
-            if srows < 0 or scols < 0 or (srows and cols == 0 and scols and rows):
-                raise ExactNumError(f"bad shape {shape}")
-            if rows == 0 or cols == 0:
-                rows, cols = srows, scols
-                grid = [[] for _ in range(rows)] if cols == 0 else []
-                if cols and rows:
-                    raise ExactNumError(f"shape {shape} requires entries")
-        conductor, den, flat = _integer_form(x for row in grid for x in row)
-        ints = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
-        for name, value in zip(self.__slots__, (rows, cols, conductor, den, ints, None)):
-            object.__setattr__(self, name, value)
+    def __init__(self, conductor: int, den: int, ints: Sequence[Sequence[dict[int, int]]],
+                 shape: tuple[int, int]):
+        """The matrix of reduced integer coefficients ``ints`` over ``den`` > 0 at ``conductor``.
 
-    @classmethod
-    def _from_ints(cls, conductor: int, den: int, ints: Sequence[Sequence[dict[int, int]]],
-                   shape: tuple[int, int]) -> "CycMatrix":
-        """The matrix of reduced integer coefficients ``ints`` over ``den`` > 0 at ``conductor``."""
-        m = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (*shape, conductor, den, tuple(map(tuple, ints)), None)):
-            object.__setattr__(m, name, value)
-        return m
+        ``shape`` is (rows, cols), so that a 0 x n or n x 0 matrix keeps its width.
+        """
+        for name, value in zip(self.__slots__, (*shape, conductor, den, tuple(map(tuple, ints)), None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycMatrix is immutable")
@@ -197,30 +175,17 @@ class CycMatrix:
     def __iter__(self) -> Iterator[tuple[Cyclotomic, ...]]:
         return iter(self.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def transpose(self) -> "CycMatrix":
         ints = [[row[j] for row in self.ints] for j in range(self.cols)]
-        return CycMatrix._from_ints(self.conductor, self.den, ints, (self.cols, self.rows))
+        return CycMatrix(self.conductor, self.den, ints, (self.cols, self.rows))
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        """Exact product by Kronecker substitution.
+        """Exact product by Kronecker substitution, at the one conductor N of both operands.
 
-        Both operands are rebased to N = lcm of their conductors, and each
-        entry's integer coefficients become one int: the polynomial evaluated
-        at 2^w.  An entry of the product, before reduction and over the
-        denominator ``self.den * other.den``, has coefficients bounded by
+        Operands at two conductors raise ``ExactNumError``, naming both.
+        Each entry's integer coefficients become one int: the polynomial
+        evaluated at 2^w.  An entry of the product, before reduction and over
+        the denominator ``self.den * other.den``, has coefficients bounded by
         |c| <= self.cols * phi(N) * max|a| * max|b| (at most ``self.cols``
         products of entries, each summing at most phi(N) coefficient
         products).  With w = bit_length(bound) + 1 every slot, sign bit
@@ -231,15 +196,10 @@ class CycMatrix:
         """
         if self.cols != other.rows:
             raise ExactNumError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n = math.lcm(self.conductor, other.conductor)
-
-        def rebased(m: CycMatrix) -> Sequence[Sequence[dict[int, int]]]:
-            k = n // m.conductor
-            return m.ints if k == 1 else [
-                [_reduce_coeffs(n, {e * k: c for e, c in coeffs.items()}) for coeffs in row] for row in m.ints
-            ]
-
-        a, b = rebased(self), rebased(other)
+        n = self.conductor
+        if other.conductor != n:
+            raise ExactNumError(f"conductor mismatch: {n} @ {other.conductor}")
+        a, b = self.ints, other.ints
         width = (self.cols * phi_degree(n) * _max_abs(a) * _max_abs(b)).bit_length() + 1
         a_rows = [[_pack(c, width) for c in row] for row in a]
         sym = other is self and all(a_rows[i][j] == a_rows[j][i] for i in range(self.rows) for j in range(i))
@@ -250,24 +210,26 @@ class CycMatrix:
                 out[i][j] = _reduce_coeffs(n, _unpack(sum(map(int.__mul__, a_row, b_cols[j])), width))
                 if sym:
                     out[j][i] = out[i][j]
-        return CycMatrix._from_ints(n, self.den * other.den, out, (self.rows, other.cols))
+        return CycMatrix(n, self.den * other.den, out, (self.rows, other.cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "CycMatrix":
         ints = [[self.ints[i][j] for j in col_idx] for i in row_idx]
-        return CycMatrix._from_ints(self.conductor, self.den, ints, (len(row_idx), len(col_idx)))
+        return CycMatrix(self.conductor, self.den, ints, (len(row_idx), len(col_idx)))
 
     def rank_det(self) -> tuple[int, Cyclotomic | None]:
         """Exact rank, and determinant for square matrices (None otherwise).
 
-        Both come from one ``_rref`` pass over the rows.  Each row is reduced
+        Both come from one pass of ``_insert_row`` over the rows, which
+        returns each new pivot before normalisation.  Each row is reduced
         only by earlier rows, so the determinant is unchanged, and it then
         vanishes left of its pivot and on earlier pivot columns: with the
         columns in pivot order the rows are triangular.  So the determinant
         is the sign of the permutation row -> pivot column times the product
-        of the pivots before normalisation.  A 0x0 matrix has rank 0 and
-        determinant 1 (empty product).
+        of those pivots.  A 0x0 matrix has rank 0 and determinant 1 (empty
+        product).
         """
-        pivots, raw = _rref({j: x for j, x in enumerate(row) if x} for row in self.entries)
+        pivots: dict[int, dict[int, Cyclotomic]] = {}
+        raw = [_insert_row(pivots, {j: x for j, x in enumerate(row) if x}) for row in self.entries]
         rank = len(pivots)
         if self.rows != self.cols:
             return rank, None

@@ -382,10 +382,9 @@ def _associativity_witness(
 
 
 class SMatrix(NamedTuple):
-    """Exact s-matrix of a category, tagged with its source name."""
+    """Exact s-matrix of a category."""
 
     data: CycMatrix
-    source: str
 
 
 def compute_smatrix(data: FusionData) -> SMatrix:
@@ -435,8 +434,8 @@ def compute_smatrix(data: FusionData) -> SMatrix:
         if not commute and entry(b, a) != coeffs:
             raise InconsistentDataError(f"s-matrix is not symmetric at {(a, b)} for {data.name!r}")
     ints = [[upper[min(i, j), max(i, j)] for j in index] for i in index]
-    mat = CycMatrix._from_ints(n, den, ints, (data.rank, data.rank))
-    return SMatrix(data=mat, source=data.name)
+    mat = CycMatrix(n, den, ints, (data.rank, data.rank))
+    return SMatrix(data=mat)
 
 
 def check_s_squared(s: SMatrix, data: FusionData) -> tuple[bool, Cyclotomic | None]:

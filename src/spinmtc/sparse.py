@@ -1,17 +1,17 @@
 """Sparse exact elimination: the library's one Gaussian elimination.
 
-Rows are dicts {column: nonzero entry}.  ``_rref`` brings them to reduced
-row echelon form over a field: Q (int or ``Fraction`` entries), Q(zeta_N)
-(``Cyclotomic`` entries) or F_p (ints mod a prime p).  Over Q it eliminates
-fraction-free, in integers: each row is scaled once to integers, a
-reduction step cross-multiplies two integer rows, and a reduced row is
-divided by its content (the gcd of its entries).  No ``Fraction`` is made
-until the rows are normalised to unit pivots on return.  The kernel serves
-the matrix layer :mod:`spinmtc.exactnum`, the one module that calls
-``_rref`` on cyclotomic rows: ``CycMatrix.rank_det`` (over Q(zeta_N)) and
-the rank modulo a prime.  It also serves the singular-vector solve of
-:mod:`spinmtc.verma` (over Q); one row at a time, through ``_insert_row``,
-it serves the generating-set search of :mod:`spinmtc.fusion` (mod p).
+Rows are dicts {column: nonzero entry}.  ``_rref(rows, p)`` brings them to
+reduced row echelon form over the ring its caller names: a field such as
+Q(zeta_N) (p None, ``Cyclotomic`` entries), Q (p 0, int or ``Fraction``
+entries) or F_p (p a prime, ints mod p).  Over Q it eliminates fraction-free,
+in integers: each row is scaled once to integers, a reduction step
+cross-multiplies two integer rows, and a reduced row is divided by its
+content (the gcd of its entries).  No ``Fraction`` is made until the rows are
+normalised to unit pivots on return.  The kernel serves the singular-vector
+solve of :mod:`spinmtc.verma` (over Q) and the rank modulo a prime of
+:mod:`spinmtc.exactnum`.  One row at a time, through ``_insert_row``, it
+serves ``CycMatrix.rank_det`` (over Q(zeta_N)) and the generating-set search
+of :mod:`spinmtc.fusion` (mod p).
 """
 
 from __future__ import annotations
@@ -74,32 +74,25 @@ def _reduce(row: Row, pivots: Mapping[int, Row], p: int | None = None) -> Row:
     return _divide_content(row) if p == 0 and row else row
 
 
-def _rref(rows: Iterable[Row], p: int | None = None) -> tuple[dict[int, Row], list[Any]]:
-    """Sparse reduced row echelon form over Q, Q(zeta_N) or mod a prime p.
+def _rref(rows: Iterable[Row], p: int | None) -> dict[int, Row]:
+    """Sparse reduced row echelon form over a field (p None), Q (p 0) or F_p.
 
-    Entries are ints or ``Fraction`` values (over Q), ``Cyclotomic`` values
-    (p None), or ints mod p.  Returns the nonzero rows keyed by pivot column,
-    in the order their pivots were found, and the pivot values before
-    normalisation in that order (over Q, those of the primitive integer
-    rows).  Each row has a unit pivot, no entries left of it and none on
-    other pivot columns; over Q its entries are ``Fraction`` values.  The
-    rows are the unique RREF of the row space.
+    Entries are field values such as ``Cyclotomic`` (p None), ints or
+    ``Fraction`` values (p 0), or ints mod p.  Returns the nonzero rows keyed
+    by pivot column, in the order their pivots were found.  Each row has a
+    unit pivot, no entries left of it and none on other pivot columns; over
+    Q its entries are ``Fraction`` values.  The rows are the unique RREF of
+    the row space.
     """
     pivots: dict[int, Row] = {}
-    raw: list[Any] = []
-    ints = False
     for row in rows:
-        q = p
-        if p is None and row and all(type(x) in (int, Fraction) for x in row.values()):
-            q, ints = 0, True
+        if p == 0:
             den = lcm(*(x.denominator for x in row.values()))
             row = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
-        pivot = _insert_row(pivots, row, q)
-        if pivot is not None:
-            raw.append(pivot)
-    if ints:
+        _insert_row(pivots, row, p)
+    if p == 0:
         pivots = {col: {k: Fraction(x, prow[col]) for k, x in prow.items()} for col, prow in pivots.items()}
-    return pivots, raw
+    return pivots
 
 
 def _insert_row(pivots: dict[int, Row], row: Row, p: int | None = None) -> Any:

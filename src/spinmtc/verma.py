@@ -167,14 +167,13 @@ def parse_monomial(text: str) -> PBWMonomial:
     return PBWMonomial(tuple(g), tuple(l))
 
 
-def filtration_key(mon: PBWMonomial, width: int | None = None) -> tuple[int, ...]:
+def filtration_key(mon: PBWMonomial, width: int) -> tuple[int, ...]:
     """Comparison key (alpha_0, alpha_1, ..): total count, then the number of
-    factors of index -1 - i/2 for each i >= 1.
+    factors of index -1 - i/2 for each 1 <= i <= width.
 
-    Monomials of equal degree compare with the same default width.
+    Monomials compare by keys of one width; a degree-d monomial needs
+    width max(2d - 2, 0).
     """
-    if width is None:
-        width = max(int(2 * mon.degree) - 2, 0)
     return _filtration_counts([-m for m in _int_word(mon)], width)
 
 
@@ -203,10 +202,6 @@ class VermaVector(NamedTuple):
     c: Fraction
     h: Fraction
     terms: Mapping[PBWMonomial, Fraction]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degrees(self) -> set[Fraction]:
         return {mon.degree for mon in self.terms}
@@ -238,9 +233,6 @@ class VermaVector(NamedTuple):
             else:
                 out.pop(m, None)
         return VermaVector(self.c, self.h, out)
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + other.scaled(Fraction(-1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VermaVector):
@@ -588,14 +580,14 @@ def _nullspace(rows: list[list[int | Fraction]], ncols: int) -> list[list[Fracti
     # new pivot lies left of the earlier ones and needs little substitution
     # back into them; then sparsest first
     sparse_rows.sort(key=lambda r: (-min(r), len(r)))
-    pivots, _ = _rref(sparse_rows)
+    pivots = _rref(sparse_rows, 0)
     null = []
     for g in range(ncols):
         if g not in pivots:
             vec = {g: Fraction(1)}
             vec.update((pcol, -prow[g]) for pcol, prow in pivots.items() if g in prow)
             null.append(vec)
-    canon, _ = _rref(null)
+    canon = _rref(null, 0)
     basis = []
     for g in sorted(canon, reverse=True):
         vec = [Fraction(0)] * ncols
@@ -712,7 +704,7 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
     for u in degree_basis(d - Fraction(1, 2)):
         image = _fold(act, _int_word(u), {(-1,): 1})
         sub_rows.append({pos_of[w]: cf * power[len(w)] for w, cf in image.items()})
-    sub, _ = _rref(sorted(sub_rows, key=len))
+    sub = _rref(sorted(sub_rows, key=len), 0)
 
     reduced = [
         _reduce({pos_of[words[j]]: x for j, x in enumerate(w) if x}, sub) for w in null
@@ -725,7 +717,7 @@ def singular_vectors(c: Fraction | int, h: Fraction | int, d: Fraction | int) ->
                 f"{basis[perm[bad]].to_text()}"
             )
 
-    space_dim = len(_rref(sorted(reduced, key=len))[0])
+    space_dim = len(_rref(sorted(reduced, key=len), 0))
 
     vector = full_vector = leading = lam = None
     shape_ok: bool | None = None

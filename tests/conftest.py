@@ -1,4 +1,4 @@
-"""Fixtures shared by the spin-sphere and minimal-model tests, and ``replace``."""
+"""Fixtures shared by the spin-sphere and minimal-model tests, ``replace`` and ``cyc_matrix``."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from spinmtc.clifford import involution_from_vminus
-from spinmtc.cyclotomic import Cyclotomic
+from spinmtc.cyclotomic import Cyclotomic, _integer_form
+from spinmtc.exactnum import CycMatrix
 from spinmtc.fusion import FusionData, hom_unit_dim
 from spinmtc.verma import PBWMonomial
 
@@ -16,6 +17,15 @@ from spinmtc.verma import PBWMonomial
 def replace(record, **changes):
     """A copy of a record with the named fields changed; the rest are shared."""
     return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
+def cyc_matrix(grid, shape=None, conductor=1):
+    """The CycMatrix of a grid of ints, Fractions or Cyclotomics at the lcm of
+    ``conductor`` and theirs; ``shape`` keeps the width of a 0 x n or n x 0 grid."""
+    rows, cols = shape or (len(grid), len(grid[0]) if grid else 0)
+    n, den, flat = _integer_form(Cyclotomic(conductor, {}) + x for row in grid for x in row)
+    ints = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    return CycMatrix(math.lcm(n, conductor), den, ints, (rows, cols))
 
 
 def _brute_force_epsilon_table(data, vminus, chain):

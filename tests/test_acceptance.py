@@ -12,11 +12,11 @@ from fractions import Fraction
 from random import Random
 
 import numpy as np
+from conftest import cyc_matrix
 
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
 from spinmtc.cyclotomic import Cyclotomic, zeta
-from spinmtc.exactnum import CycMatrix
 from spinmtc.fusion import (
     check_s_squared,
     compute_smatrix,
@@ -332,9 +332,7 @@ def test_criterion_8_property_suites(brute_force_epsilon_table):
         ]
         if rows >= 3 and rng.random() < 0.5:
             entries[-1] = [x + y for x, y in zip(entries[0], entries[1])]
-        matrix = CycMatrix(
-            [[Cyclotomic.from_rational(x) for x in row] for row in entries]
-        )
+        matrix = cyc_matrix(entries)
         exact_rank, _ = matrix.rank_det()
         arr = np.array([[float(x) for x in row] for row in entries], dtype=float)
         if exact_rank != int(np.linalg.matrix_rank(arr, tol=1e-8)):

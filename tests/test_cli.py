@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import gc
@@ -17,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import cyc_matrix
 from hypothesis import given, settings, strategies as st
 
 import spinmtc
@@ -981,6 +983,28 @@ def test_no_source_file_is_compiled_twice(tmp_path, argv, files):
     assert ours == {"__init__", "cli"} | files
 
 
+def _dead_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name the module imports but never reads as a name
+    and does not list in ``__all__``; ``__future__`` imports aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)), [])
+    return sorted((line, name) for name, line in imported.items() if name not in used | set(exported))
+
+
+def test_no_source_file_imports_a_name_it_never_uses():
+    assert _dead_imports("import os, json as j\nfrom .a import b, c\n__all__ = ['c']\nprint(j)\n") == [
+        (1, "os"), (2, "b")]
+    package = Path(spinmtc.__file__).resolve().parent
+    dead = {path.name: _dead_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in dead.items() if found} == {}
+
+
 # --- streamed sphere output --------------------------------------------------------
 
 
@@ -1096,7 +1120,7 @@ def _matrices(draw):
                        st.dictionaries(st.integers(0, 15), st.fractions(-3, 3, max_denominator=4), max_size=3))
     pool = draw(st.lists(values, min_size=1, max_size=3))
     rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    return CycMatrix([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)], (rows, cols))
+    return cyc_matrix([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)], (rows, cols))
 
 
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)

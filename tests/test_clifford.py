@@ -6,11 +6,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import replace
+from conftest import cyc_matrix, replace
 
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import (
-    CHECK_NAMES,
     CliffordAlgebraClass,
     LabelClassification,
     classify_labels,
@@ -31,6 +30,16 @@ from spinmtc.fusion import (
 from spinmtc.minimal import MinimalModelSpec, enumerate_labels
 
 CLIFFORD_BUILTINS = ("fermion", "dirac", "toric")
+# the seven block checks, in the order a report lists them
+CHECK_NAMES = (
+    "involution_rows",
+    "nonsplit_row_vanishing",
+    "block_pattern",
+    "diagonal_blocks",
+    "bd_rank",
+    "btd_zero",
+    "count_identity",
+)
 
 
 # --- odd generator detection --------------------------------------------------
@@ -272,7 +281,7 @@ def _checks_with_entry(data, cls, label_i, label_j, value):
     """Every block check's (ok, witness) on the s-matrix with one entry replaced."""
     rows = [list(row) for row in compute_smatrix(data).data]
     rows[data.labels.index(label_i)][data.labels.index(label_j)] = value
-    report = verify_block_structure(data, cls, SMatrix(CycMatrix(rows), data.name))
+    report = verify_block_structure(data, cls, SMatrix(cyc_matrix(rows)))
     return {name: (r.ok, r.witness) for name, r in report.checks.items()}
 
 

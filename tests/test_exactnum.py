@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import cyc_matrix
 from hypothesis import given, settings, strategies as st
 
 import spinmtc
@@ -282,7 +283,7 @@ def test_parse_fraction():
 
 
 def _mat(rows):
-    return CycMatrix([[Cyclotomic.from_rational(Fraction(x)) for x in r] for r in rows])
+    return cyc_matrix([[Fraction(x) for x in r] for r in rows])
 
 
 def test_rank_det_frozen_cases():
@@ -301,21 +302,21 @@ def test_rank_det_frozen_cases():
 
 def test_matrix_with_cyclotomic_entries():
     s = zeta(8, 1) + zeta(8, 7)
-    m = CycMatrix([[ONE, s], [s, -ONE]])
+    m = cyc_matrix([[ONE, s], [s, -ONE]])
     rank, det = m.rank_det()
     assert rank == 2
     assert det == Cyclotomic.from_rational(-3)
 
 
 def test_degenerate_shapes_survive_transpose_and_product():
-    empty_row = CycMatrix([], shape=(0, 3))
+    empty_row = cyc_matrix([], (0, 3))
     assert (empty_row.rows, empty_row.cols) == (0, 3)
     t = empty_row.transpose()
     assert (t.rows, t.cols) == (3, 0)
     tall = _mat([[1], [2], [3]])
     prod = empty_row @ tall
     assert (prod.rows, prod.cols) == (0, 1)
-    rank, det = CycMatrix([], shape=(0, 0)).rank_det()
+    rank, det = cyc_matrix([], (0, 0)).rank_det()
     assert rank == 0 and det == ONE
 
 
@@ -344,7 +345,7 @@ def test_exact_rank_matches_numeric_rank(data):
     if rows >= 3 and data.draw(st.booleans()):
         # plant a dependent row so rank deficiency is exercised
         entries[-1] = [x + y for x, y in zip(entries[0], entries[1])]
-    m = CycMatrix([[Cyclotomic.from_rational(x) for x in row] for row in entries])
+    m = cyc_matrix(entries)
     exact_rank, _ = m.rank_det()
     arr = np.array([[float(x) for x in row] for row in entries], dtype=float)
     numeric_rank = int(np.linalg.matrix_rank(arr, tol=1e-8))
@@ -364,9 +365,7 @@ def _reference_matmul(a, b):
 
 def _assert_matmul_matches_reference(a, b):
     got = a @ b
-    assert (got.rows, got.cols) == (a.rows, b.cols)
-    if got.rows and got.cols:
-        assert got.conductor == math.lcm(a.conductor, b.conductor)
+    assert (got.rows, got.cols, got.conductor) == (a.rows, b.cols, a.conductor)
     assert [list(row) for row in got] == _reference_matmul(a, b)
     for row in got:
         for x in row:
@@ -387,25 +386,27 @@ def _cyc_at(conductor):
     return st.one_of(st.just(ZERO), terms.map(lambda t: Cyclotomic(conductor, t)))
 
 
-def _cyc_matrix(draw, rows, cols):
-    conductor = draw(st.sampled_from(_CONDUCTORS))
-    entries = [[draw(_cyc_at(conductor)) for _ in range(cols)] for _ in range(rows)]
-    return CycMatrix(entries, shape=(rows, cols))
+def _cyc_matrix(draw, rows, cols, conductor):
+    """A rows x cols matrix at ``conductor``, of entries at a random divisor of it."""
+    at = draw(st.sampled_from([n for n in _CONDUCTORS if conductor % n == 0]))
+    entries = [[draw(_cyc_at(at)) for _ in range(cols)] for _ in range(rows)]
+    return cyc_matrix(entries, (rows, cols), conductor)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_packed_matmul_matches_reference_loop(data):
-    # Random conductors (often different on the two sides), signs,
-    # 2^200-size numerators and nontrivial denominators.
+    # Random conductors (entries often at different conductors on the two
+    # sides, rebuilt at one), signs, 2^200-size numerators and nontrivial
+    # denominators.
     rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
-    a = _cyc_matrix(data.draw, rows, inner)
-    b = _cyc_matrix(data.draw, inner, cols)
+    n = math.lcm(*(data.draw(st.sampled_from(_CONDUCTORS)) for _ in range(2)))
+    a = _cyc_matrix(data.draw, rows, inner, n)
+    b = _cyc_matrix(data.draw, inner, cols, n)
     _assert_matmul_matches_reference(a, b)
     # m @ m, also for a symmetric m, whose square forms only its entries i <= j
-    m = _cyc_matrix(data.draw, inner, inner)
-    sym = CycMatrix([[m[min(i, j), max(i, j)] for j in range(inner)] for i in range(inner)],
-                    shape=(inner, inner))
+    m = _cyc_matrix(data.draw, inner, inner, n)
+    sym = cyc_matrix([[m[min(i, j), max(i, j)] for j in range(inner)] for i in range(inner)], (inner, inner))
     _assert_matmul_matches_reference(m, m)
     _assert_matmul_matches_reference(sym, sym)
 
@@ -413,20 +414,32 @@ def test_packed_matmul_matches_reference_loop(data):
 @pytest.mark.parametrize("n", _CONDUCTORS)
 def test_packed_matmul_every_power_at_conductor(n):
     # Rows of zeta powers hit every exponent, so every reduction row is used.
-    a = CycMatrix([[zeta(n, e) for e in range(n)], [zeta(n, -e) * (e - 3) for e in range(n)]])
-    b = CycMatrix([[zeta(n, e * k) * Fraction(1, k + 2) for k in range(3)] for e in range(n)])
+    a = cyc_matrix([[zeta(n, e) for e in range(n)], [zeta(n, -e) * (e - 3) for e in range(n)]], conductor=n)
+    b = cyc_matrix([[zeta(n, e * k) * Fraction(1, k + 2) for k in range(3)] for e in range(n)], conductor=n)
     _assert_matmul_matches_reference(a, b)
+
+
+_GRID_48 = [[zeta(3), zeta(8, 3)], [Fraction(-5, 6), zeta(16, 7)]]
+_GRID_240 = [[zeta(80, 17), 2], [zeta(5, 2), zeta(3, 2) - zeta(8)]]
 
 
 def test_packed_matmul_mixed_conductors():
-    a = CycMatrix([[zeta(3), zeta(8, 3)], [Fraction(-5, 6), zeta(16, 7)]])
-    b = CycMatrix([[zeta(80, 17), 2], [zeta(5, 2), zeta(3, 2) - zeta(8)]])
-    assert (a.conductor, b.conductor) == (48, 240)
+    # entries of conductors 3 to 80, the two grids rebuilt at their lcm 240
+    assert (cyc_matrix(_GRID_48).conductor, cyc_matrix(_GRID_240).conductor) == (48, 240)
+    a, b = cyc_matrix(_GRID_48, conductor=240), cyc_matrix(_GRID_240)
     _assert_matmul_matches_reference(a, b)
     _assert_matmul_matches_reference(b, a)
     _assert_matmul_matches_reference(a, a)
-    sym = CycMatrix([[b[0, 0], b[0, 1]], [b[0, 1], b[1, 1]]])
+    sym = cyc_matrix([[b[0, 0], b[0, 1]], [b[0, 1], b[1, 1]]])
     _assert_matmul_matches_reference(sym, sym)
+
+
+def test_matmul_at_two_conductors_names_both():
+    a, b = cyc_matrix(_GRID_48), cyc_matrix(_GRID_240)
+    for left, right, names in ((a, b, "48 @ 240"), (b, a, "240 @ 48"),
+                               (cyc_matrix([], (0, 2), 8), cyc_matrix([], (2, 0), 3), "8 @ 3")):
+        with pytest.raises(ExactNumError, match=f"conductor mismatch: {names}"):
+            left @ right
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -435,23 +448,23 @@ def test_packed_matmul_meets_its_slot_bound(sign):
     # exactly cols * phi(N) * M^2, the bound the slot width is sized for.
     n, cols, big = 16, 5, 2**200 - 1
     full = Cyclotomic(n, {e: big for e in range(phi_degree(n))})
-    a = CycMatrix([[full] * cols] * 2)
-    b = CycMatrix([[full * sign] * 3] * cols)
+    a = cyc_matrix([[full] * cols] * 2)
+    b = cyc_matrix([[full * sign] * 3] * cols)
     _assert_matmul_matches_reference(a, b)
     assert (a @ b)[0, 0] == full * full * (sign * cols)
 
 
 def test_packed_matmul_zero_and_empty_shapes():
-    zeros = CycMatrix([[ZERO] * 3] * 2)
-    full = CycMatrix([[zeta(8)] * 2] * 3)
+    zeros = cyc_matrix([[ZERO] * 3] * 2, conductor=8)
+    full = cyc_matrix([[zeta(8)] * 2] * 3)
     _assert_matmul_matches_reference(zeros, full)
     assert all(x.is_zero for row in (zeros @ full).entries for x in row)
-    tall = CycMatrix([[zeta(5)], [1], [2]])
+    tall = cyc_matrix([[zeta(5)], [1], [2]])
     for left, right in (
-        (CycMatrix([], shape=(0, 3)), tall),  # 0x3 @ 3x1
-        (tall.transpose(), CycMatrix([], shape=(3, 0))),  # 1x3 @ 3x0
-        (CycMatrix([], shape=(0, 3)), CycMatrix([], shape=(3, 0))),  # 0xn @ nx0
-        (CycMatrix([], shape=(4, 0)), CycMatrix([], shape=(0, 3))),  # nx0 @ 0xm
+        (cyc_matrix([], (0, 3), 5), tall),  # 0x3 @ 3x1
+        (tall.transpose(), cyc_matrix([], (3, 0), 5)),  # 1x3 @ 3x0
+        (cyc_matrix([], (0, 3), 5), cyc_matrix([], (3, 0), 5)),  # 0xn @ nx0
+        (cyc_matrix([], (4, 0), 5), cyc_matrix([], (0, 3), 5)),  # nx0 @ 0xm
     ):
         prod = left @ right
         assert (prod.rows, prod.cols) == (left.rows, right.cols)
@@ -461,14 +474,14 @@ def test_packed_matmul_zero_and_empty_shapes():
 
 
 def test_submatrix_and_transpose_keep_degenerate_shapes():
-    m = CycMatrix([[zeta(8), 1, 0], [Fraction(1, 3), zeta(8, 3), 2]])
+    m = cyc_matrix([[zeta(8), 1, 0], [Fraction(1, 3), zeta(8, 3), 2]])
     for rows, cols in (([], []), ([], [0, 2]), ([1], []), ([1, 0], [2, 0])):
         sub = m.submatrix(rows, cols)
         t = sub.transpose()
         assert (sub.rows, sub.cols, t.rows, t.cols) == (len(rows), len(cols), len(cols), len(rows))
-        assert sub == CycMatrix([[m[i, j] for j in cols] for i in rows], shape=(len(rows), len(cols)))
+        assert sub.entries == cyc_matrix([[m[i, j] for j in cols] for i in rows], (len(rows), len(cols))).entries
         assert [list(row) for row in t] == [[sub[i, j] for i in range(sub.rows)] for j in range(sub.cols)]
-        assert t.transpose() == sub
+        assert t.transpose().entries == sub.entries
         for x in (sub, t):
             assert len(x.ints) == x.rows and all(len(row) == x.cols for row in x.ints)
         _assert_matmul_matches_reference(sub, t)
@@ -560,7 +573,7 @@ def _draw_kernel_matrix(data) -> CycMatrix:
         entries[data.draw(st.integers(2, rows - 1))] = [
             a * x + b * y for x, y in zip(entries[0], entries[1])
         ]
-    return CycMatrix(entries, shape=(rows, cols))
+    return cyc_matrix(entries, (rows, cols))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -577,8 +590,7 @@ def test_rank_mod_p_bounds_the_exact_rank(data):
         # a row times p vanishes mod p, not over Q(zeta_N)
         p = _prime_root(m.conductor)[0]
         k = data.draw(st.integers(0, m.rows - 1))
-        m = CycMatrix([[x * p for x in row] if i == k else row for i, row in enumerate(m)],
-                      shape=(m.rows, m.cols))
+        m = cyc_matrix([[x * p for x in row] if i == k else row for i, row in enumerate(m)], (m.rows, m.cols))
     rank, _ = m.rank_det()
     rank_p = _rank_mod_p(m)
     assert rank_p <= rank
@@ -601,7 +613,7 @@ def test_prime_root_is_a_primitive_root_mod_a_prime_above_2_61(n):
 
 def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(monkeypatch):
     p = _prime_root(1)[0]
-    m = CycMatrix([[1, 1], [1, 1 + p]])  # determinant p
+    m = cyc_matrix([[1, 1], [1, 1 + p]])  # determinant p
     assert m.rank_det() == (2, Cyclotomic.from_rational(p))
     assert _rank_mod_p(m) == 1
     calls = []
@@ -609,20 +621,20 @@ def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(monkeypatch):
     monkeypatch.setattr(CycMatrix, "rank_det", lambda self: calls.append(self) or exact(self))
     assert _certified_rank(m) == 2 and calls == [m]
     # a full rank mod p is the answer: the exact elimination does not run
-    assert _certified_rank(CycMatrix([[1, 1], [1, 2]])) == 2 and calls == [m]
+    assert _certified_rank(cyc_matrix([[1, 1], [1, 2]])) == 2 and calls == [m]
     # a rank that is deficient over Q(zeta_N) too gets its exact value
-    singular = CycMatrix([[zeta(8), 1], [zeta(8, 2), zeta(8)]])
+    singular = cyc_matrix([[zeta(8), 1], [zeta(8, 2), zeta(8)]])
     assert _rank_mod_p(singular) == _certified_rank(singular) == 1 and calls == [m, singular]
 
 
 def test_rank_det_degenerate_shapes():
     for shape in ((0, 0), (0, 4), (4, 0)):
-        m = CycMatrix([], shape=shape)
+        m = cyc_matrix([], shape)
         _assert_rank_det_matches_reference(m)
-    assert CycMatrix([], shape=(0, 4)).rank_det() == (0, None)
-    assert CycMatrix([[ZERO] * 3] * 3).rank_det() == (0, ZERO)
+    assert cyc_matrix([], (0, 4)).rank_det() == (0, None)
+    assert cyc_matrix([[ZERO] * 3] * 3).rank_det() == (0, ZERO)
     # the pivot columns (1, 0, 2) are one transposition from row order
-    m = CycMatrix([[0, zeta(5), 1], [2, 0, 0], [0, 0, zeta(3)]])
+    m = cyc_matrix([[0, zeta(5), 1], [2, 0, 0], [0, 0, zeta(3)]])
     assert m.rank_det() == (3, -2 * zeta(5) * zeta(3))
     _assert_rank_det_matches_reference(m)
 

@@ -30,7 +30,7 @@ def test_fusion_data_attributes_cannot_be_assigned():
     (MinimalModelSpec(3, 5), "p"),
     (PBWMonomial(), "g_part"),
     (SpinSphereSpec(builtin("fermion"), "psi", ("sigma",)), "vminus"),
-    (compute_smatrix(builtin("fermion")), "source"),
+    (compute_smatrix(builtin("fermion")), "data"),
     (MinimalLabel("NS", 1, 1, Fraction(0)), "h"),
 ])
 def test_records_are_read_only(record, field):
