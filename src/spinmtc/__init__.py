@@ -6,13 +6,13 @@ singular vectors in Neveu-Schwarz Verma modules.  All checks run in exact
 arithmetic; floats appear only in explicitly non-authoritative annotations.
 
 The package itself loads no submodule; the cyclotomic field lives in
-``spinmtc.cyclotomic``, and the matrices over it in ``spinmtc.exactnum``.  It
-holds the helpers that every module shares: the rational reader and writer
-of the JSON fields, the record base class, the keys of the builtin
-categories, and the lazy submodule loader and output writers of the CLI's
-two handler modules, ``cli`` and ``category_cli``.
-They live here so that neither handler module imports the other: ``python
--m spinmtc.cli`` runs ``cli`` as ``__main__``, and an import of
+``spinmtc.cyclotomic``, and the s-matrix layer over it in
+``spinmtc.exactnum``.  It holds the helpers that every module shares: the
+rational reader and writer of the JSON fields, the record base class, the
+keys of the builtin categories, the lazy submodule loader, and the output
+writers of the CLI's handler modules, ``category_cli`` and ``model_cli``.
+They live here so that no handler module imports ``cli``: ``python -m
+spinmtc.cli`` runs ``cli`` as ``__main__``, and an import of
 ``spinmtc.cli`` would compile and execute it a second time.
 """
 

@@ -4,7 +4,11 @@ and builtin.
 ``spinmtc.cli`` executes this module only when one of them runs, so that
 ``minimal``, ``minimal-scan`` and ``singvec`` neither compile nor execute
 it, nor ``catalog``.  Each handler returns the exit code.  A category
-argument is a file path, or a builtin key when no such file exists.
+argument is a file path, or a builtin key when no such file exists.  The
+library modules are read through lazy module objects at call time, so that
+the file format ``fusionfile`` runs only for a file argument and
+``builtin``, and the s-matrix layer ``exactnum`` only for ``smatrix`` and
+``classify``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from . import BUILTIN_KEYS, _emit, _grid, _lazy, _write_blocks, _write_json_last
 catalog = _lazy("catalog")
 clifford = _lazy("clifford")
 cyclotomic = _lazy("cyclotomic")
+exactnum = _lazy("exactnum")
 fusion = _lazy("fusion")
+fusionfile = _lazy("fusionfile")
 spinfunctor = _lazy("spinfunctor")
 
 MAX_PUNCTURES = 20  # the epsilon table has 2^n rows
@@ -28,7 +34,7 @@ def _load_category(arg: str) -> fusion.FusionData:
     """A path, or a builtin key when no such file exists."""
     path = Path(arg)
     if path.exists():
-        return fusion.load_fusion(path)
+        return fusionfile.load_fusion(path)
     if arg in BUILTIN_KEYS:
         return catalog.builtin(arg)
     raise fusion.FormatError(f"no such file or builtin: {arg!r}")
@@ -100,8 +106,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_smatrix(args: argparse.Namespace) -> int:
     data = _load_known_category(args.category)
-    s = fusion.compute_smatrix(data)
-    holds, alpha = fusion.check_s_squared(s, data)
+    s = exactnum.compute_smatrix(data)
+    holds, alpha = exactnum.check_s_squared(s, data)
     digits = args.numeric
     numeric = None
     if digits:
@@ -164,8 +170,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                    "no block theory applies", args.format)
         return 0
     cls = clifford.classify_labels(data, vminus)
-    s = fusion.compute_smatrix(data)
-    report = clifford.verify_block_structure(data, cls, s)
+    s = exactnum.compute_smatrix(data)
+    report = exactnum.verify_block_structure(data, cls, s)
     obj = {
         "category": data.name,
         "vminus": vminus,
@@ -251,5 +257,5 @@ def _cmd_torus(args: argparse.Namespace) -> int:
 
 
 def _cmd_builtin(args: argparse.Namespace) -> int:
-    sys.stdout.write(fusion.dump_fusion(catalog.builtin(args.key)))
+    sys.stdout.write(fusionfile.dump_fusion(catalog.builtin(args.key)))
     return 0

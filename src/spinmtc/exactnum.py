@@ -1,4 +1,5 @@
-"""Exact linear algebra over cyclotomic fields Q(zeta_N): the ``CycMatrix``.
+"""The s-matrix layer: exact linear algebra over Q(zeta_N), the s-matrix
+of a category, its square, and the block checks against the NS/R partition.
 
 A ``CycMatrix`` has one form, which its one constructor takes: a conductor
 N, one positive denominator, and each entry's integer coefficients in the
@@ -7,10 +8,14 @@ built from that form only when read.  The linear algebra is matrix products
 at one conductor by Kronecker substitution, and rank and determinant through
 the sparse elimination of :mod:`spinmtc.sparse`: over Q(zeta_N) for
 ``CycMatrix.rank_det``, and modulo a prime above p for the rank that
-certifies the block checks of :mod:`spinmtc.clifford`.
+certifies the block checks.  On it sit ``compute_smatrix``,
+``check_s_squared`` and ``verify_block_structure``, which take their
+category from :mod:`spinmtc.fusion` and their label partition from
+:mod:`spinmtc.clifford`.
 
-Only the commands that multiply or eliminate matrices execute this module:
-``smatrix`` and ``classify``.  The others need just the scalar field.
+Only the commands that compute an s-matrix execute this module: ``smatrix``
+and ``classify``.  The others need just the scalar field and the fusion
+rules.
 """
 
 from __future__ import annotations
@@ -19,12 +24,24 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cyclotomic import Cyclotomic, ExactNumError, _reduce_coeffs, phi_degree
+from .cyclotomic import Cyclotomic, ExactNumError, _integer_form, _reduce_coeffs, phi_degree
+from .fusion import FusionData, InconsistentDataError
 from .sparse import _insert_row, _rref
 
-__all__ = ["CycMatrix"]
+if TYPE_CHECKING:
+    from .clifford import LabelClassification
+
+__all__ = [
+    "CycMatrix",
+    "SMatrix",
+    "CheckResult",
+    "BlockReport",
+    "compute_smatrix",
+    "check_s_squared",
+    "verify_block_structure",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +277,245 @@ class CycMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
         return f"CycMatrix({self.rows}x{self.cols}: {body})"
+
+
+# ---------------------------------------------------------------------------
+# s-matrix
+
+
+class SMatrix(NamedTuple):
+    """Exact s-matrix of a category."""
+
+    data: CycMatrix
+
+
+def compute_smatrix(data: FusionData) -> SMatrix:
+    """s_{ij} = theta_i^{-1} theta_j^{-1} sum_k N(i,j->k) theta_k d_k.
+
+    The matrix and every entry are computed at the conductor the data
+    declare: n = lcm of the twist denominators and the ``qdim`` conductors,
+    the N that ``fusionfile.MAX_CONDUCTOR`` caps.  Each theta = e^{2 pi i t}
+    is a root of unity, so an entry is sum_k N d_k e^{2 pi i (t_k - t_i -
+    t_j)}: the terms of d_k shifted in exponent by n (t_k - t_i - t_j),
+    reduced once per entry.
+
+    Raises InconsistentDataError if the result is not symmetric, naming the
+    first pair i < j in row-major order where it is not.  Every entry is
+    kept as the matrix's integer coefficients over one denominator: each
+    entry i <= j is computed once, and (j, i) shares it.
+    """
+    labels = data.labels
+    twist = {lab: Fraction(data.twist[lab]) % 1 for lab in labels}
+    n = math.lcm(*(t.denominator for t in twist.values()), *(data.qdim[lab].conductor for lab in labels))
+    expo = {lab: t.numerator * (n // t.denominator) for lab, t in twist.items()}
+    # theta_k d_k at conductor n: integer terms over one denominator
+    _, den, qdims = _integer_form(data.qdim[lab].rebased(n) for lab in labels)
+    terms = {k: [((e + expo[k]) % n, c) for e, c in d.items()] for k, d in zip(labels, qdims)}
+
+    rules = data._rules
+    empty: dict[str, int] = {}
+
+    def entry(i: str, j: str) -> dict[int, int]:
+        shift = -expo[i] - expo[j]
+        raw: dict[int, int] = {}
+        for k, v in rules.get(i, empty).get(j, empty).items():
+            for e, c in terms[k]:
+                e = (e + shift) % n
+                raw[e] = raw.get(e, 0) + c * v
+        return _reduce_coeffs(n, raw)
+
+    index = range(data.rank)
+    upper = {(i, j): entry(labels[i], labels[j]) for i in index for j in index if i <= j}
+    # s_ji = s_ij wherever N(i,j -> k) = N(j,i -> k) for every k; the other
+    # pairs compare integer coefficients, in row-major order for the witness
+    for (i, j), coeffs in upper.items():
+        a, b = labels[i], labels[j]
+        commute = rules.get(a, empty).get(b, empty) == rules.get(b, empty).get(a, empty)
+        if not commute and entry(b, a) != coeffs:
+            raise InconsistentDataError(f"s-matrix is not symmetric at {(a, b)} for {data.name!r}")
+    ints = [[upper[min(i, j), max(i, j)] for j in index] for i in index]
+    mat = CycMatrix(n, den, ints, (data.rank, data.rank))
+    return SMatrix(data=mat)
+
+
+def check_s_squared(s: SMatrix, data: FusionData) -> tuple[bool, Cyclotomic | None]:
+    """Whether s^2 is a scalar multiple of the charge conjugation permutation.
+
+    Returns (True, scalar) on success and (False, None) otherwise.  s^2 is
+    the packed product ``s.data @ s.data``, which forms only the entries
+    i <= j of a symmetric s, as ``compute_smatrix`` makes it.  Its entries
+    are compared with the scalar in integers over their one denominator.
+    """
+    sq = s.data @ s.data
+    labels, dual = data.labels, data.dual
+    iu = data.index(data.unit)
+    alpha = sq.ints[iu][iu]  # unit is self-dual, so this is the would-be scalar
+    if not alpha or any(sq.ints[i][j] != (alpha if dual[a] == b else {})
+                        for i, a in enumerate(labels) for j, b in enumerate(labels)):
+        return False, None
+    return True, sq.submatrix([iu], [iu])[0, 0]  # builds only this entry
+
+
+# ---------------------------------------------------------------------------
+# block checks
+
+
+class CheckResult(NamedTuple):
+    ok: bool
+    witness: tuple | None = None
+
+    def to_dict(self) -> dict:
+        out: dict = {"ok": self.ok}
+        if self.witness is not None:
+            out["witness"] = list(self.witness)
+        return out
+
+
+class BlockReport(NamedTuple):
+    """Result of the s-matrix block-structure checks.
+
+    Blocks are cut from the s-matrix after reordering rows and columns to
+    (NS+, NS-, R+, R-, R0): A is the NS+ x NS+ corner, B is NS+ x R+, C is
+    R+ x R+, and D is NS+ x R0.
+    """
+
+    block_a: CycMatrix
+    block_b: CycMatrix
+    block_c: CycMatrix
+    block_d: CycMatrix
+    checks: Mapping[str, CheckResult]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(r.ok for r in self.checks.values())
+
+    def to_dict(self) -> dict:
+        """The report for JSON; each block's ``entries`` is the ``CycMatrix``
+        itself, which ``CycMatrix.json_parts`` writes."""
+        blocks = zip("ABCD", (self.block_a, self.block_b, self.block_c, self.block_d))
+        return {
+            "blocks": {name: {"rows": m.rows, "cols": m.cols, "entries": m} for name, m in blocks},
+            "checks": {name: r.to_dict() for name, r in self.checks.items()},
+            "all_pass": self.all_pass,
+        }
+
+
+def verify_block_structure(data: FusionData, cls: LabelClassification, s: SMatrix) -> BlockReport:
+    """Run the seven exact block checks of the s-matrix against a partition.
+
+    Every check reports a witness on failure; all arithmetic is exact.
+    """
+    labels = data.labels
+    idx = {lab: i for i, lab in enumerate(labels)}
+    mat = s.data
+
+    inv_of = {}
+    for plus, minus in ((cls.ns_plus, cls.ns_minus), (cls.r_plus, cls.r_minus)):
+        for a, b in zip(plus, minus):
+            inv_of[a] = b
+            inv_of[b] = a
+    for lab in cls.r_zero:
+        inv_of[lab] = lab
+
+    ns_labels = set(cls.ns_plus) | set(cls.ns_minus)
+    checks: dict[str, CheckResult] = {}
+
+    # Each entry as one int: its integer coefficients over one denominator,
+    # packed wide enough that equal entries have equal keys and key(-x) = -key(x).
+    width = _max_abs(mat.ints).bit_length() + 1
+    key = [[_pack(c, width) for c in row] for row in mat.ints]
+
+    # (1) rows transform by the zeta sign of the column under the involution
+    witness = None
+    for i in labels:
+        for j in labels:
+            sign = 1 if j in ns_labels else -1
+            if key[idx[inv_of[i]]][idx[j]] != sign * key[idx[i]][idx[j]]:
+                witness = (i, j)
+                break
+        if witness:
+            break
+    checks["involution_rows"] = CheckResult(witness is None, witness)
+
+    # (2) fixed-point rows vanish against every Ramond column
+    r_all = list(cls.r_plus) + list(cls.r_minus) + list(cls.r_zero)
+    witness = next(((i, j) for i in cls.r_zero for j in r_all if mat.ints[idx[i]][idx[j]]), None)
+    checks["nonsplit_row_vanishing"] = CheckResult(witness is None, witness)
+
+    # block extraction in the canonical order
+    groups = {
+        "NS+": [idx[x] for x in cls.ns_plus],
+        "NS-": [idx[x] for x in cls.ns_minus],
+        "R+": [idx[x] for x in cls.r_plus],
+        "R-": [idx[x] for x in cls.r_minus],
+        "R0": [idx[x] for x in cls.r_zero],
+    }
+
+    def sub(g1: str, g2: str) -> CycMatrix:
+        return mat.submatrix(groups[g1], groups[g2])
+
+    block_a = sub("NS+", "NS+")
+    block_b = sub("NS+", "R+")
+    block_c = sub("R+", "R+")
+    block_d = sub("NS+", "R0")
+
+    # (3) the full 5x5 block pattern, by index.  Rows and columns run NS+,
+    # NS-, R+, R-, R0; block (g1, g2) is the sign times s on the plus groups
+    # of g1 and g2 (the block its letter names), read transposed where marked
+    # t, and 0 is zero.
+    order = ("NS+", "NS-", "R+", "R-", "R0")
+    plus = dict(zip(order, ("NS+", "NS+", "R+", "R+", "R0")))
+    pattern = [row.split() for row in (
+        "A   A   B   B   D",
+        "A   A  -B  -B  -D",
+        "Bt -Bt  C  -C   0",
+        "Bt -Bt -C   C   0",
+        "Dt -Dt  0   0   0",
+    )]
+
+    def follows(g1: str, g2: str, block: str) -> bool:
+        rows, cols, src_rows, src_cols = groups[g1], groups[g2], groups[plus[g1]], groups[plus[g2]]
+        sign = 0 if block == "0" else -1 if block[0] == "-" else 1
+        t = block.endswith("t")
+        return (len(rows), len(cols)) == (len(src_rows), len(src_cols)) and all(
+            key[i][j] == sign * (key[src_cols[y]][src_rows[x]] if t else key[src_rows[x]][src_cols[y]])
+            for x, i in enumerate(rows)
+            for y, j in enumerate(cols)
+        )
+
+    witness = next(((g1, g2) for g1, row in zip(order, pattern) for g2, block in zip(order, row)
+                    if not follows(g1, g2, block)), None)
+    checks["block_pattern"] = CheckResult(witness is None, witness)
+
+    # (4) A and C are symmetric and nonsingular
+    witness = None
+    for name, blk, group in (("A", block_a, groups["NS+"]), ("C", block_c, groups["R+"])):
+        if any(key[i][j] != key[j][i] for i in group for j in group):
+            witness = (name, "not symmetric")
+        elif _certified_rank(blk) < blk.rows:
+            witness = (name, "singular")
+        if witness:
+            break
+    checks["diagonal_blocks"] = CheckResult(witness is None, witness)
+
+    # (5) [B D] has full row rank |NS+|
+    rank = _certified_rank(mat.submatrix(groups["NS+"], groups["R+"] + groups["R0"]))
+    ok = rank == len(cls.ns_plus)
+    checks["bd_rank"] = CheckResult(ok, None if ok else ("rank", rank, "expected", len(cls.ns_plus)))
+
+    # (6) B^T D = 0
+    prod = block_b.transpose() @ block_d
+    witness = next(((cls.r_plus[i], cls.r_zero[j]) for i, row in enumerate(prod.ints)
+                    for j, coeffs in enumerate(row) if coeffs), None)
+    checks["btd_zero"] = CheckResult(witness is None, witness)
+
+    # (7) |R+| + |R0| = |NS+|
+    lhs_count = len(cls.r_plus) + len(cls.r_zero)
+    ok = lhs_count == len(cls.ns_plus)
+    checks["count_identity"] = CheckResult(
+        ok, None if ok else (lhs_count, len(cls.ns_plus))
+    )
+
+    return BlockReport(
+        block_a=block_a, block_b=block_b, block_c=block_c, block_d=block_d, checks=checks
+    )

@@ -3,43 +3,47 @@
 A :class:`FusionData` bundle carries the numerical shadow this library works
 with: an ordered label set, fusion multiplicities, rational twist rotation
 numbers, and cyclotomic quantum dimensions.  This module validates the axioms,
-computes the s-matrix from twists and fusion, folds iterated fusion products,
-and forms Deligne (componentwise) products.  Everything is exact.
+folds iterated fusion products, and forms Deligne (componentwise) products.
+Everything is exact.  Every category command executes it; the s-matrix lives
+in :mod:`spinmtc.exactnum` and the category file format in
+:mod:`spinmtc.fusionfile`, which only the commands that need them execute.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from . import _fraction_str, _Record, parse_fraction
+from . import _lazy, _Record
 from .cyclotomic import Cyclotomic, _integer_form, _reduce_coeffs
 from .sparse import Row, _insert_row
 
-if TYPE_CHECKING:
-    from .exactnum import CycMatrix
-
 __all__ = [
     "FusionData",
-    "SMatrix",
     "Violation",
     "FormatError",
     "InconsistentDataError",
     "structure_violations",
     "validate",
-    "compute_smatrix",
-    "check_s_squared",
     "hom_unit_dim",
     "deligne_product",
-    "fusion_from_dict",
-    "fusion_to_dict",
-    "load_fusion",
-    "dump_fusion",
 ]
+
+# Names that the benchmark's tracing and workloads still resolve here, and
+# the modules that define them now (ROADMAP 5b re-points those and drops this).
+_FORWARDS = {
+    "compute_smatrix": "exactnum",
+    "check_s_squared": "exactnum",
+    "load_fusion": "fusionfile",
+    "dump_fusion": "fusionfile",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name in _FORWARDS:
+        return getattr(_lazy(_FORWARDS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FormatError(ValueError):
@@ -378,85 +382,6 @@ def _associativity_witness(
 
 
 # ---------------------------------------------------------------------------
-# s-matrix
-
-
-class SMatrix(NamedTuple):
-    """Exact s-matrix of a category."""
-
-    data: CycMatrix
-
-
-def compute_smatrix(data: FusionData) -> SMatrix:
-    """s_{ij} = theta_i^{-1} theta_j^{-1} sum_k N(i,j->k) theta_k d_k.
-
-    The matrix and every entry are computed at the conductor the data
-    declare: n = lcm of the twist denominators and the ``qdim`` conductors,
-    the N that ``MAX_CONDUCTOR`` caps.  Each theta = e^{2 pi i t} is a root
-    of unity, so an entry is sum_k N d_k e^{2 pi i (t_k - t_i - t_j)}: the
-    terms of d_k shifted in exponent by n (t_k - t_i - t_j), reduced once
-    per entry.
-
-    Raises InconsistentDataError if the result is not symmetric, naming the
-    first pair i < j in row-major order where it is not.  Every entry is
-    kept as the matrix's integer coefficients over one denominator: each
-    entry i <= j is computed once, and (j, i) shares it.
-    """
-    from .exactnum import CycMatrix  # executed only where an s-matrix is computed
-
-    labels = data.labels
-    twist = {lab: Fraction(data.twist[lab]) % 1 for lab in labels}
-    n = math.lcm(*(t.denominator for t in twist.values()), *(data.qdim[lab].conductor for lab in labels))
-    expo = {lab: t.numerator * (n // t.denominator) for lab, t in twist.items()}
-    # theta_k d_k at conductor n: integer terms over one denominator
-    _, den, qdims = _integer_form(data.qdim[lab].rebased(n) for lab in labels)
-    terms = {k: [((e + expo[k]) % n, c) for e, c in d.items()] for k, d in zip(labels, qdims)}
-
-    rules = data._rules
-    empty: dict[str, int] = {}
-
-    def entry(i: str, j: str) -> dict[int, int]:
-        shift = -expo[i] - expo[j]
-        raw: dict[int, int] = {}
-        for k, v in rules.get(i, empty).get(j, empty).items():
-            for e, c in terms[k]:
-                e = (e + shift) % n
-                raw[e] = raw.get(e, 0) + c * v
-        return _reduce_coeffs(n, raw)
-
-    index = range(data.rank)
-    upper = {(i, j): entry(labels[i], labels[j]) for i in index for j in index if i <= j}
-    # s_ji = s_ij wherever N(i,j -> k) = N(j,i -> k) for every k; the other
-    # pairs compare integer coefficients, in row-major order for the witness
-    for (i, j), coeffs in upper.items():
-        a, b = labels[i], labels[j]
-        commute = rules.get(a, empty).get(b, empty) == rules.get(b, empty).get(a, empty)
-        if not commute and entry(b, a) != coeffs:
-            raise InconsistentDataError(f"s-matrix is not symmetric at {(a, b)} for {data.name!r}")
-    ints = [[upper[min(i, j), max(i, j)] for j in index] for i in index]
-    mat = CycMatrix(n, den, ints, (data.rank, data.rank))
-    return SMatrix(data=mat)
-
-
-def check_s_squared(s: SMatrix, data: FusionData) -> tuple[bool, Cyclotomic | None]:
-    """Whether s^2 is a scalar multiple of the charge conjugation permutation.
-
-    Returns (True, scalar) on success and (False, None) otherwise.  s^2 is
-    the packed product ``s.data @ s.data``, which forms only the entries
-    i <= j of a symmetric s, as ``compute_smatrix`` makes it.  Its entries
-    are compared with the scalar in integers over their one denominator.
-    """
-    sq = s.data @ s.data
-    labels, dual = data.labels, data.dual
-    iu = data.index(data.unit)
-    alpha = sq.ints[iu][iu]  # unit is self-dual, so this is the would-be scalar
-    if not alpha or any(sq.ints[i][j] != (alpha if dual[a] == b else {})
-                        for i, a in enumerate(labels) for j, b in enumerate(labels)):
-        return False, None
-    return True, sq.submatrix([iu], [iu])[0, 0]  # builds only this entry
-
-
-# ---------------------------------------------------------------------------
 # iterated fusion
 
 
@@ -502,150 +427,3 @@ def deligne_product(a: FusionData, b: FusionData) -> FusionData:
         qdim={pair[(la, lb)]: a.qdim[la] * b.qdim[lb] for la in a.labels for lb in b.labels},
         sigma_vv=None,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-_ALLOWED_KEYS = {"name", "labels", "unit", "dual", "fusion", "twist", "qdim", "sigma_vv"}
-_REQUIRED_KEYS = {"name", "labels", "unit", "dual", "fusion", "twist", "qdim"}
-# Largest conductor (lcm of twist denominators and qdim conductors) a file may
-# declare: arithmetic mod Phi_N grows with N (README gives times at the cap).
-MAX_CONDUCTOR = 10_000
-
-
-def fusion_from_dict(obj: object) -> FusionData:
-    """Strict reader for the category file format; unknown keys are errors."""
-    if not isinstance(obj, dict):
-        raise FormatError("category file must contain a JSON object")
-    unknown = set(obj) - _ALLOWED_KEYS
-    if unknown:
-        raise FormatError(f"unknown keys in category file: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(obj)
-    if missing:
-        raise FormatError(f"missing keys in category file: {sorted(missing)}")
-
-    name = obj["name"]
-    labels = obj["labels"]
-    unit = obj["unit"]
-    if not isinstance(name, str):
-        raise FormatError("name must be a string")
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise FormatError("labels must be a list of strings")
-    if not isinstance(unit, str):
-        raise FormatError("unit must be a string")
-
-    dual = obj["dual"]
-    if not isinstance(dual, dict) or not all(isinstance(v, str) for v in dual.values()):
-        raise FormatError("dual must map labels to labels")
-
-    fus_raw = obj["fusion"]
-    if not isinstance(fus_raw, list):
-        raise FormatError("fusion must be a list of [i, j, k, n] entries")
-    fusion: dict[tuple[str, str, str], int] = {}
-    for item in fus_raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 4
-            or not all(isinstance(x, str) for x in item[:3])
-            or not isinstance(item[3], int)
-            or isinstance(item[3], bool)
-        ):
-            raise FormatError(f"malformed fusion entry: {item!r}")
-        i, j, k, v = item
-        if v < 0:
-            raise FormatError(f"fusion multiplicity must be nonnegative: {item!r}")
-        key = (i, j, k)
-        if key in fusion:
-            raise FormatError(f"duplicate fusion entry for {key}")
-        if v:
-            fusion[key] = v
-
-    twist_raw = obj["twist"]
-    if not isinstance(twist_raw, dict):
-        raise FormatError("twist must map labels to rationals")
-    try:
-        twist = {lab: parse_fraction(v) for lab, v in twist_raw.items()}
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-
-    qdim_raw = obj["qdim"]
-    if not isinstance(qdim_raw, dict):
-        raise FormatError("qdim must map labels to cyclotomic values")
-    declared = [v.get("conductor") if isinstance(v, dict) else 1 for v in qdim_raw.values()]
-    conductor = math.lcm(*(t.denominator for t in twist.values()),
-                         *(c for c in declared if isinstance(c, int) and c > 0))
-    if conductor > MAX_CONDUCTOR:
-        raise FormatError(f"conductor {conductor} of {name!r} exceeds the limit {MAX_CONDUCTOR}")
-    qdim: dict[str, Cyclotomic] = {}
-    for lab, v in qdim_raw.items():
-        if isinstance(v, dict):
-            try:
-                qdim[lab] = Cyclotomic.from_dict(v)
-            except ValueError as exc:
-                raise FormatError(str(exc)) from exc
-        else:
-            try:
-                qdim[lab] = Cyclotomic.from_rational(parse_fraction(v))
-            except ValueError as exc:
-                raise FormatError(f"malformed qdim for {lab!r}: {v!r}") from exc
-
-    sigma_vv = obj.get("sigma_vv")
-    if sigma_vv is not None and (type(sigma_vv) is not int or sigma_vv not in (1, -1)):
-        raise FormatError(f"sigma_vv must be 1 or -1, got {sigma_vv!r}")
-
-    return FusionData(
-        name=name,
-        labels=tuple(labels),
-        unit=unit,
-        dual=dual,
-        fusion=fusion,
-        twist=twist,
-        qdim=qdim,
-        sigma_vv=sigma_vv,
-    )
-
-
-def fusion_to_dict(data: FusionData) -> dict:
-    """Canonical (deterministically ordered) dict form of a category."""
-    # entries in label order of (i, j, k), sorted by the one integer that
-    # reads the three label positions as digits base len(labels)
-    n = len(data.labels)
-    order = {lab: pos for pos, lab in enumerate(data.labels)}
-    keyed = {(order[i] * n + order[j]) * n + order[k]: [i, j, k, v]
-             for (i, j, k), v in data.fusion.items() if v}
-    out: dict = {
-        "name": data.name,
-        "labels": list(data.labels),
-        "unit": data.unit,
-        "dual": {lab: data.dual[lab] for lab in data.labels},
-        "fusion": [keyed[key] for key in sorted(keyed)],
-        "twist": {lab: _fraction_str(data.twist[lab]) for lab in data.labels},
-        "qdim": {lab: data.qdim[lab].to_dict() for lab in data.labels},
-    }
-    if data.sigma_vv is not None:
-        out["sigma_vv"] = data.sigma_vv
-    return out
-
-
-def load_fusion(path: str | Path) -> FusionData:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return fusion_from_dict(obj)
-
-
-def dump_fusion(data: FusionData) -> str:
-    """``json.dumps(fusion_to_dict(data), indent=2)`` and a newline, with each
-    ``fusion`` row, most of the file, written by one format string."""
-    doc = fusion_to_dict(data)
-    enc = {lab: json.dumps(lab) for lab in data.labels}
-    rows = ",\n".join(f"    [\n      {enc[i]},\n      {enc[j]},\n      {enc[k]},\n      "
-                       f"{v if type(v) is int else json.dumps(v)}\n    ]" for i, j, k, v in doc["fusion"])
-    text = json.dumps({**doc, "fusion": []}, indent=2)
-    return (text.replace('\n  "fusion": []', f'\n  "fusion": [\n{rows}\n  ]', 1) if rows else text) + "\n"

@@ -1,17 +1,17 @@
 """Sparse exact elimination: the library's one Gaussian elimination.
 
 Rows are dicts {column: nonzero entry}.  ``_rref(rows, p)`` brings them to
-reduced row echelon form over the ring its caller names: a field such as
-Q(zeta_N) (p None, ``Cyclotomic`` entries), Q (p 0, int or ``Fraction``
-entries) or F_p (p a prime, ints mod p).  Over Q it eliminates fraction-free,
-in integers: each row is scaled once to integers, a reduction step
-cross-multiplies two integer rows, and a reduced row is divided by its
-content (the gcd of its entries).  No ``Fraction`` is made until the rows are
-normalised to unit pivots on return.  The kernel serves the singular-vector
-solve of :mod:`spinmtc.verma` (over Q) and the rank modulo a prime of
-:mod:`spinmtc.exactnum`.  One row at a time, through ``_insert_row``, it
-serves ``CycMatrix.rank_det`` (over Q(zeta_N)) and the generating-set search
-of :mod:`spinmtc.fusion` (mod p).
+reduced row echelon form over Q (p 0, int or ``Fraction`` entries) or F_p
+(p a prime, ints mod p).  Over Q it eliminates fraction-free, in integers:
+each row is scaled once to integers, a reduction step cross-multiplies two
+integer rows, and a reduced row is divided by its content (the gcd of its
+entries).  No ``Fraction`` is made until the rows are normalised to unit
+pivots on return.  The kernel serves the singular-vector solve of
+:mod:`spinmtc.verma` (over Q) and the rank modulo a prime of
+:mod:`spinmtc.exactnum`.  One row at a time, ``_insert_row`` also works
+over a field such as Q(zeta_N) (p None, ``Cyclotomic`` entries): it serves
+``CycMatrix.rank_det`` there, and the generating-set search of
+:mod:`spinmtc.fusion` mod p.
 """
 
 from __future__ import annotations
@@ -74,15 +74,14 @@ def _reduce(row: Row, pivots: Mapping[int, Row], p: int | None = None) -> Row:
     return _divide_content(row) if p == 0 and row else row
 
 
-def _rref(rows: Iterable[Row], p: int | None) -> dict[int, Row]:
-    """Sparse reduced row echelon form over a field (p None), Q (p 0) or F_p.
+def _rref(rows: Iterable[Row], p: int) -> dict[int, Row]:
+    """Sparse reduced row echelon form over Q (p 0) or F_p (p a prime).
 
-    Entries are field values such as ``Cyclotomic`` (p None), ints or
-    ``Fraction`` values (p 0), or ints mod p.  Returns the nonzero rows keyed
-    by pivot column, in the order their pivots were found.  Each row has a
-    unit pivot, no entries left of it and none on other pivot columns; over
-    Q its entries are ``Fraction`` values.  The rows are the unique RREF of
-    the row space.
+    Entries are ints or ``Fraction`` values (p 0), or ints mod p.  Returns
+    the nonzero rows keyed by pivot column, in the order their pivots were
+    found.  Each row has a unit pivot, no entries left of it and none on
+    other pivot columns; over Q its entries are ``Fraction`` values.  The
+    rows are the unique RREF of the row space.
     """
     pivots: dict[int, Row] = {}
     for row in rows:
@@ -96,7 +95,8 @@ def _rref(rows: Iterable[Row], p: int | None) -> dict[int, Row]:
 
 
 def _insert_row(pivots: dict[int, Row], row: Row, p: int | None = None) -> Any:
-    """One step of ``_rref``: add row to the reduced-echelon pivots in place.
+    """One elimination step: add row to the reduced-echelon pivots in place,
+    over a field (p None), Z (p 0) or F_p.
 
     The row is reduced, normalised and substituted back into the other pivot
     rows.  Over a field and mod p a normalised row has a unit pivot.  Over Z

@@ -26,19 +26,12 @@ import spinmtc
 from spinmtc import ROWS_PER_WRITE, _json_parts
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.category_cli import MAX_PUNCTURES
-from spinmtc.cli import _HANDLERS, MAX_PQ, build_parser, main
-from spinmtc.clifford import classify_labels, find_vminus, verify_block_structure
+from spinmtc.cli import _HANDLERS, build_parser, main
+from spinmtc.clifford import classify_labels, find_vminus
 from spinmtc.cyclotomic import Cyclotomic
-from spinmtc.exactnum import CycMatrix
-from spinmtc.fusion import (
-    MAX_CONDUCTOR,
-    FormatError,
-    FusionData,
-    compute_smatrix,
-    deligne_product,
-    dump_fusion,
-    fusion_from_dict,
-)
+from spinmtc.exactnum import CycMatrix, compute_smatrix, verify_block_structure
+from spinmtc.fusion import FormatError, FusionData, deligne_product
+from spinmtc.fusionfile import MAX_CONDUCTOR, dump_fusion, fusion_from_dict
 from spinmtc.minimal import (
     MinimalModelSpec,
     central_charge,
@@ -46,6 +39,7 @@ from spinmtc.minimal import (
     sector_counts,
     valid_pairs,
 )
+from spinmtc.model_cli import MAX_PQ
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 
 
@@ -384,14 +378,6 @@ def test_no_vminus_is_exit_1(capsys):
 def test_ambiguous_vminus_lists_candidates(capsys, tmp_path):
     # A product category with two odd generators requires --vminus.
     from spinmtc.catalog import builtin as make
-    from spinmtc.fusion import (
-    MAX_CONDUCTOR,
-    FormatError,
-    FusionData,
-    deligne_product,
-    dump_fusion,
-    fusion_from_dict,
-)
 
     prod = deligne_product(make("fermion"), make("fermion"))
     path = tmp_path / "prod.json"
@@ -697,11 +683,10 @@ def test_exponent_rational_twist_is_exit_2_at_once(capsys, tmp_path):
 
 
 def test_classify_table_and_s_squared_never_read_the_smatrix_entries(capsys, tmp_path, monkeypatch):
-    import spinmtc.fusion as fusion
-    from spinmtc.exactnum import CycMatrix
+    import spinmtc.exactnum as exactnum
 
     made = []
-    compute, entries = fusion.compute_smatrix, CycMatrix.entries
+    compute, entries = exactnum.compute_smatrix, CycMatrix.entries
 
     def recorded(data):
         made.append(compute(data))
@@ -711,14 +696,14 @@ def test_classify_table_and_s_squared_never_read_the_smatrix_entries(capsys, tmp
         assert not any(self is s.data for s in made), "the s-matrix's entries were read"
         return entries.fget(self)
 
-    monkeypatch.setattr(fusion, "compute_smatrix", recorded)
+    monkeypatch.setattr(exactnum, "compute_smatrix", recorded)
     monkeypatch.setattr(CycMatrix, "entries", property(guarded))
     prod = deligne_product(builtin("fibonacci"), builtin("fermion"))
     path = tmp_path / "prod.json"
     path.write_text(dump_fusion(prod))
     code, out, err = run(capsys, "classify", str(path), "--format", "table")
     assert (code, err) == (0, "") and "all checks pass: True" in out
-    holds, _ = fusion.check_s_squared(fusion.compute_smatrix(prod), prod)
+    holds, _ = exactnum.check_s_squared(exactnum.compute_smatrix(prod), prod)
     assert holds and len(made) == 2
 
 
@@ -883,41 +868,45 @@ finally:
     print(json.dumps([sorted(ran), heavy]), file=sys.stderr)
 """
 
-# Every command runs the package and cli.  The category commands run their
-# handler module, fusion, the cyclotomic field and the sparse elimination
-# kernel; catalog runs only where a builtin is built, and the matrix layer
-# exactnum only where an s-matrix is computed (smatrix and classify).  singvec
-# runs the kernel alone.  An error exit runs only the modules its command
-# reached: "{bad}" is a category file that fails validate's axioms,
-# "{ambiguous}" one with two admissible odd generators, "{missing}" a path that
-# does not exist.
+# Every command runs the package and cli, and then the one module that holds
+# its handler.  The category commands' handlers, in category_cli, run fusion,
+# the cyclotomic field and the sparse elimination kernel; catalog runs only
+# where a builtin is built, the file format fusionfile only where a file is
+# read or written, and the s-matrix layer exactnum only where an s-matrix is
+# computed (smatrix and classify).  The model commands' handlers, in
+# model_cli, run minimal, and singvec runs verma and the kernel too.  An
+# error exit runs only the modules its command reached: "{bad}" is a
+# category file that fails validate's axioms, "{ambiguous}" one with two
+# admissible odd generators, "{missing}" a path that does not exist.
 _ALWAYS = {"spinmtc", "spinmtc.cli"}
 _CATEGORY = {"spinmtc.category_cli", "spinmtc.fusion", "spinmtc.cyclotomic", "spinmtc.sparse"}
 _BUILTIN = _CATEGORY | {"spinmtc.catalog"}
+_FILE = _CATEGORY | {"spinmtc.fusionfile"}
+_MODEL = {"spinmtc.model_cli", "spinmtc.minimal"}
 _COMMANDS = [
     (["--help"], set(), 0),
-    (["singvec", "--p", "2", "--q", "8"], {"spinmtc.verma", "spinmtc.minimal", "spinmtc.sparse"}, 0),
-    (["minimal", "--p", "2", "--q", "8"], {"spinmtc.minimal"}, 0),
-    (["minimal-scan", "--max-pq", "20"], {"spinmtc.minimal"}, 0),
+    (["singvec", "--p", "2", "--q", "8"], _MODEL | {"spinmtc.verma", "spinmtc.sparse"}, 0),
+    (["minimal", "--p", "2", "--q", "8"], _MODEL, 0),
+    (["minimal-scan", "--max-pq", "20"], _MODEL, 0),
     (["validate", "fermion"], _BUILTIN, 0),
     (["smatrix", "fermion"], _BUILTIN | {"spinmtc.exactnum"}, 0),
-    (["builtin", "fermion"], _BUILTIN, 0),
+    (["builtin", "fermion"], _BUILTIN | {"spinmtc.fusionfile"}, 0),
     (["classify", "fermion"], _BUILTIN | {"spinmtc.clifford", "spinmtc.exactnum"}, 0),
     (["sphere", "fermion", "--labels", "sigma,sigma"],
      _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
     (["torus", "fermion"], _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
 ]
 _ERROR_EXITS = {
-    "torus-inconsistent": (["torus", "{bad}"], _CATEGORY, 1),
-    "classify-ambiguous": (["classify", "{ambiguous}"], _CATEGORY | {"spinmtc.clifford"}, 1),
+    "torus-inconsistent": (["torus", "{bad}"], _FILE, 1),
+    "classify-ambiguous": (["classify", "{ambiguous}"], _FILE | {"spinmtc.clifford"}, 1),
     "torus-not-fermionic": (["torus", "fibonacci"], _BUILTIN | {"spinmtc.clifford"}, 1),
     "classify-vminus": (["classify", "fermion", "--vminus", "sigma"], _BUILTIN | {"spinmtc.clifford"}, 2),
     "sphere-unbalanced": (["sphere", "fermion", "--labels", "(sigma"], {"spinmtc.category_cli"}, 2),
-    "minimal-scan-small": (["minimal-scan", "--max-pq", "3"], set(), 2),
-    "minimal-not-a-model": (["minimal", "--p", "2", "--q", "2"], {"spinmtc.minimal"}, 2),
+    "minimal-scan-small": (["minimal-scan", "--max-pq", "3"], {"spinmtc.model_cli"}, 2),
+    "minimal-not-a-model": (["minimal", "--p", "2", "--q", "2"], _MODEL, 2),
     "classify-missing": (["classify", "{missing}"], _CATEGORY, 2),
-    "singvec-malformed": (["singvec", "--c", "1/0", "--h", "0", "--degree", "2"], set(), 2),
-    "singvec-over-cap": (["singvec", "--c", "1", "--h", "0", "--degree", "40"], set(), 2),
+    "singvec-malformed": (["singvec", "--c", "1/0", "--h", "0", "--degree", "2"], {"spinmtc.model_cli"}, 2),
+    "singvec-over-cap": (["singvec", "--c", "1", "--h", "0", "--degree", "40"], {"spinmtc.model_cli"}, 2),
 }
 
 
@@ -957,15 +946,11 @@ finally:
 """
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["singvec", "--p", "3", "--q", "5"], {"verma", "minimal", "sparse"}),
-    (["torus", "fermion"],
-     {"category_cli", "catalog", "fusion", "cyclotomic", "sparse", "clifford", "spinfunctor"}),
-    (["validate", "{file}"], {"category_cli", "fusion", "cyclotomic", "sparse"}),
-    (["classify", "fermion"],
-     {"category_cli", "catalog", "fusion", "cyclotomic", "exactnum", "sparse", "clifford"}),
-], ids=["singvec", "torus", "validate-file", "classify"])
-def test_no_source_file_is_compiled_twice(tmp_path, argv, files):
+# every command of _COMMANDS compiles exactly the files of the modules it
+# executes, and validate on a file compiles fusionfile in place of catalog
+@pytest.mark.parametrize("argv, modules", [pytest.param(argv, modules, id=argv[0]) for argv, modules, _ in _COMMANDS]
+                         + [pytest.param(["validate", "{file}"], _FILE, id="validate-file")])
+def test_no_source_file_is_compiled_twice(tmp_path, argv, modules):
     # a module that imported spinmtc.cli would compile cli.py a second time,
     # beside the __main__ that python -m runs
     path = tmp_path / "fermion.json"
@@ -980,7 +965,7 @@ def test_no_source_file_is_compiled_twice(tmp_path, argv, files):
     compiled = {k: n for k, n in json.loads(done.stderr.splitlines()[-1]).items() if not k.startswith("<")}
     assert compiled and max(compiled.values()) == 1, compiled
     ours = {Path(name).stem for name in compiled if Path(name).resolve().parent == package}
-    assert ours == {"__init__", "cli"} | files
+    assert ours == {"__init__", "cli"} | {name.removeprefix("spinmtc.") for name in modules}
 
 
 def _dead_imports(source: str) -> list[tuple[int, str]]:

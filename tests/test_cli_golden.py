@@ -27,7 +27,8 @@ from typing import Iterator
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.cli import main
 from spinmtc.clifford import find_vminus
-from spinmtc.fusion import FusionData, deligne_product, dump_fusion
+from spinmtc.fusion import FusionData, deligne_product
+from spinmtc.fusionfile import dump_fusion
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 

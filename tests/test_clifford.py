@@ -16,17 +16,16 @@ from spinmtc.clifford import (
     clifford_structure,
     find_vminus,
     involution_from_vminus,
-    verify_block_structure,
 )
-from spinmtc.exactnum import CycMatrix, _prime_root
-from spinmtc.fusion import (
-    InconsistentDataError,
+from spinmtc.exactnum import (
+    CycMatrix,
     SMatrix,
+    _prime_root,
     check_s_squared,
     compute_smatrix,
-    deligne_product,
-    validate,
+    verify_block_structure,
 )
+from spinmtc.fusion import InconsistentDataError, deligne_product, validate
 from spinmtc.minimal import MinimalModelSpec, enumerate_labels
 
 CLIFFORD_BUILTINS = ("fermion", "dirac", "toric")

@@ -23,7 +23,15 @@ from spinmtc.cyclotomic import (
     phi_degree,
     zeta,
 )
-from spinmtc.exactnum import CycMatrix, _certified_rank, _prime_root, _rank_mod_p
+from spinmtc.exactnum import (
+    CycMatrix,
+    _certified_rank,
+    _prime_root,
+    _rank_mod_p,
+    check_s_squared,
+    compute_smatrix,
+    verify_block_structure,
+)
 
 ONE = Cyclotomic.from_rational(1)
 ZERO = Cyclotomic.from_rational(0)
@@ -490,7 +498,7 @@ def test_submatrix_and_transpose_keep_degenerate_shapes():
 
 def test_packed_s_squared_on_builtins_and_rank_36_product():
     from spinmtc.catalog import BUILTIN_KEYS, builtin
-    from spinmtc.fusion import check_s_squared, compute_smatrix, deligne_product
+    from spinmtc.fusion import deligne_product
 
     cases = [builtin(key) for key in BUILTIN_KEYS]
     prod = builtin("dirac")
@@ -646,8 +654,8 @@ def test_rank_det_degenerate_shapes():
 )
 def test_rank_det_on_blocks_of_benchmark_products(factors):
     from spinmtc.catalog import builtin
-    from spinmtc.clifford import classify_labels, clifford_structure, find_vminus, verify_block_structure
-    from spinmtc.fusion import compute_smatrix, deligne_product
+    from spinmtc.clifford import classify_labels, clifford_structure, find_vminus
+    from spinmtc.fusion import deligne_product
 
     first, *rest = factors
     data = builtin(first)

@@ -14,25 +14,19 @@ from conftest import cyc_matrix, replace
 
 import spinmtc.fusion
 from spinmtc.catalog import BUILTIN_KEYS, builtin
-from spinmtc.clifford import classify_labels, clifford_structure, find_vminus, verify_block_structure
+from spinmtc.clifford import classify_labels, clifford_structure, find_vminus
 from spinmtc.cyclotomic import Cyclotomic, zeta
+from spinmtc.exactnum import SMatrix, check_s_squared, compute_smatrix, verify_block_structure
 from spinmtc.fusion import (
-    MAX_CONDUCTOR,
     FormatError,
     FusionData,
     InconsistentDataError,
-    SMatrix,
-    check_s_squared,
-    compute_smatrix,
     deligne_product,
-    dump_fusion,
-    fusion_from_dict,
-    fusion_to_dict,
     hom_unit_dim,
-    load_fusion,
     structure_violations,
     validate,
 )
+from spinmtc.fusionfile import MAX_CONDUCTOR, dump_fusion, fusion_from_dict, fusion_to_dict, load_fusion
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 
 ONE = Cyclotomic.from_rational(1)

@@ -9,7 +9,8 @@ import pytest
 
 from spinmtc.catalog import builtin
 from spinmtc.clifford import CliffordAlgebraClass
-from spinmtc.fusion import FormatError, compute_smatrix
+from spinmtc.exactnum import compute_smatrix
+from spinmtc.fusion import FormatError
 from spinmtc.minimal import MinimalLabel, MinimalModelSpec
 from spinmtc.spinfunctor import SpinSphereSpec
 from spinmtc.verma import PBWMonomial, VermaError
