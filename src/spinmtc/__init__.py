@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
+__all__ = ["__version__", "parse_fraction"]
 
 BUILTIN_KEYS = ("trivial", "fermion", "dirac", "toric", "fibonacci")  # built by ``catalog``
 ROWS_PER_WRITE = 4096  # the CLI writes long outputs in blocks of this many rows

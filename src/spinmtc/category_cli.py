@@ -234,8 +234,8 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
         f"  total dimension      {rep.total_dim}",
         f"  component dimension  {rep.component_dim}",
         f"  odd punctures        {rep.lambda_rank} "
-        f"(clifford algebra on {rep.lambda_class.generators} generators, "
-        f"parity {rep.lambda_class.parity})",
+        f"(clifford algebra on {rep.lambda_rank} generators, "
+        f"parity {rep.lambda_rank % 2})",
         "  epsilon table:\n",
     ]
     sys.stdout.write("\n".join(lines))
@@ -247,11 +247,11 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 def _cmd_torus(args: argparse.Namespace) -> int:
     data = _load_valid_category(args.category)
     vminus = _resolve_vminus(data, args.vminus)
-    rep = spinfunctor.torus_dims(data, vminus)
-    obj = {"category": data.name, "vminus": vminus, **rep.to_dict()}
+    dims = spinfunctor.torus_dims(data, vminus)
+    obj = {"category": data.name, "vminus": vminus, "dims": dims}
     lines = [f"{data.name}: torus state spaces"]
-    for key in ("AA", "AP", "PA", "PP"):
-        lines.append(f"  {key}  {rep.dims[key]}")
+    for key, dim in dims.items():
+        lines.append(f"  {key}  {dim}")
     _emit(obj, "\n".join(lines), args.format)
     return 0
 

@@ -34,13 +34,13 @@ from typing import NoReturn, Sequence
 
 from . import BUILTIN_KEYS, _lazy
 
-# the handler modules, and the library modules they run: registered here
-# too, so that importing this module puts them in sys.modules, where a caller
-# can patch them before any command runs
+# the handler modules, which ``_HANDLERS`` reads, and the six library modules
+# that the benchmark's tracing patches: registered here, so that importing
+# this module puts them in sys.modules, where a caller can patch them before
+# any command runs (``category_cli`` registers the untraced ones it needs)
 category_cli = _lazy("category_cli")
 model_cli = _lazy("model_cli")
 clifford = _lazy("clifford")
-cyclotomic = _lazy("cyclotomic")
 exactnum = _lazy("exactnum")
 fusion = _lazy("fusion")
 minimal = _lazy("minimal")

@@ -5,9 +5,7 @@ Given fusion data with a distinguished invertible label of twist 1/2 (the
 character zeta separating Neveu-Schwarz from Ramond labels, and the
 five-way label partition.  The exact block-structure checks the s-matrix
 must satisfy against that partition live with the s-matrix, in
-:mod:`spinmtc.exactnum`.  This module also tracks the graded Brauer class
-of small Clifford algebras, which grades under graded tensor product by
-generator count mod 2.
+:mod:`spinmtc.exactnum`.
 """
 
 from __future__ import annotations
@@ -15,11 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from . import _lazy, _Record
+from . import _lazy
 from .fusion import FusionData, InconsistentDataError
 
 __all__ = [
-    "CliffordAlgebraClass",
     "CliffordStructure",
     "LabelClassification",
     "find_vminus",
@@ -38,28 +35,6 @@ def __getattr__(name: str) -> object:
     if name in _FORWARDS:
         return getattr(_lazy(_FORWARDS[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class CliffordAlgebraClass(_Record):
-    """Complex Clifford algebra on a number of odd generators.
-
-    Only the generator count matters here; its parity is the class in the
-    graded Brauer group of the complex numbers, which is Z/2.
-    """
-
-    _fields = ("generators",)
-
-    def __init__(self, generators: int):
-        if generators < 0:
-            raise ValueError("generator count must be nonnegative")
-        self._set(generators=generators)
-
-    @property
-    def parity(self) -> int:
-        return self.generators % 2
-
-    def to_dict(self) -> dict:
-        return {"generators": self.generators, "parity": self.parity}
 
 
 class CliffordStructure(NamedTuple):
@@ -90,13 +65,7 @@ class LabelClassification(NamedTuple):
     r_zero: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "ns_plus": list(self.ns_plus),
-            "ns_minus": list(self.ns_minus),
-            "r_plus": list(self.r_plus),
-            "r_minus": list(self.r_minus),
-            "r_zero": list(self.r_zero),
-        }
+        return {name: list(group) for name, group in self._asdict().items()}
 
 
 def find_vminus(data: FusionData) -> list[str]:

@@ -23,14 +23,13 @@ from collections.abc import Iterator, Mapping
 from typing import NamedTuple
 
 from . import _Record
-from .clifford import CliffordAlgebraClass, _clifford_case, classify_labels
+from .clifford import _clifford_case, classify_labels
 from .fusion import FormatError, FusionData, InconsistentDataError, hom_unit_dim
 
 __all__ = [
     "EpsilonTable",
     "SpinSphereSpec",
     "SpinSphereReport",
-    "SpinTorusReport",
     "sphere_epsilon_table",
     "sphere_report",
     "torus_dims",
@@ -95,30 +94,27 @@ class EpsilonTable(Mapping):
 
 
 class SpinSphereReport(NamedTuple):
+    """``lambda_rank`` counts the R0 punctures, the generators of the Clifford
+    algebra acting on the space; its parity is the algebra's class in the
+    graded Brauer group Z/2."""
+
     total_dim: int
     component_dim: int
     lambda_rank: int
-    lambda_class: CliffordAlgebraClass
     epsilon_table: EpsilonTable
 
     def to_dict(self, table: bool = True) -> dict:
         """The report as JSON data; ``table=False`` leaves out the epsilon table."""
+        n = self.lambda_rank
         out = {
             "total_dim": self.total_dim,
             "component_dim": self.component_dim,
-            "lambda_rank": self.lambda_rank,
-            "lambda_class": self.lambda_class.to_dict(),
+            "lambda_rank": n,
+            "lambda_class": {"generators": n, "parity": n % 2},
         }
         if table:
             out["epsilon_table"] = dict(self.epsilon_table.rows())
         return out
-
-
-class SpinTorusReport(NamedTuple):
-    dims: Mapping[str, int]
-
-    def to_dict(self) -> dict:
-        return {"dims": {k: self.dims[k] for k in ("AA", "AP", "PA", "PP")}}
 
 
 def sphere_epsilon_table(spec: SpinSphereSpec) -> EpsilonTable:
@@ -142,7 +138,8 @@ def sphere_epsilon_table(spec: SpinSphereSpec) -> EpsilonTable:
 
 
 def sphere_report(spec: SpinSphereSpec) -> SpinSphereReport:
-    """Total and per-block dimensions, plus the Clifford class of the R0 punctures.
+    """Total and per-block dimensions, and the Clifford generator count of the
+    R0 punctures.
 
     Each of the 2^{n-1} blocks holds one even and one odd assignment.
     """
@@ -155,25 +152,23 @@ def sphere_report(spec: SpinSphereSpec) -> SpinSphereReport:
         total_dim=2 ** (n - 1) * component,
         component_dim=component,
         lambda_rank=lam,
-        lambda_class=CliffordAlgebraClass(lam),
         epsilon_table=table,
     )
 
 
-def torus_dims(data: FusionData, vminus: str) -> SpinTorusReport:
+def torus_dims(data: FusionData, vminus: str) -> dict[str, int]:
     """State-space dimensions of the four spin tori, by boundary condition pair.
 
-    AA is the count of even vacua |NS+|; the three others count Ramond data:
+    Returns a dict keyed "AA", "AP", "PA", "PP" in that order.  AA is the
+    count of even vacua |NS+|; the three others count Ramond data:
     PP = |R+| and both mixed structures = |R+| + |R0|.
     """
     cls = classify_labels(data, vminus)
     r_plus = len(cls.r_plus)
     r_zero = len(cls.r_zero)
-    return SpinTorusReport(
-        dims={
-            "AA": len(cls.ns_plus),
-            "AP": r_plus + r_zero,
-            "PA": r_plus + r_zero,
-            "PP": r_plus,
-        }
-    )
+    return {
+        "AA": len(cls.ns_plus),
+        "AP": r_plus + r_zero,
+        "PA": r_plus + r_zero,
+        "PP": r_plus,
+    }

@@ -151,6 +151,23 @@ def test_sphere_and_torus(capsys):
     assert "total dimension      4" in out
     assert "component dimension  2" in out
 
+    # an odd R0 count: the Clifford algebra's class is the generator of Z/2
+    code, out, _ = run(capsys, "sphere", "fermion", "--labels", "sigma,sigma,sigma")
+    assert code == 0
+    assert out == (
+        "fermion: sphere with punctures ['sigma', 'sigma', 'sigma']\n"
+        "  total dimension      0\n"
+        "  component dimension  0\n"
+        "  odd punctures        3 (clifford algebra on 3 generators, parity 1)\n"
+        "  epsilon table:\n"
+        + "".join(f"    {i:03b}  0\n" for i in range(8))
+    )
+    code, out, _ = run(capsys, "sphere", "fermion", "--labels", "sigma,sigma,sigma", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["lambda_rank"] == 3
+    assert report["lambda_class"] == {"generators": 3, "parity": 1}
+
     code, out, _ = run(capsys, "torus", "fermion", "--format", "json")
     assert code == 0
     assert json.loads(out)["dims"] == {"AA": 1, "AP": 1, "PA": 1, "PP": 0}
@@ -367,6 +384,22 @@ def test_malformed_file_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path2))
     assert code == 2
     assert "unknown keys" in err
+
+    del doc["surprise"]
+    for field, value, message in (("unit", 1, "unit must be a string"),
+                                  ("fusion", {}, "fusion must be a list of [i, j, k, n] entries"),
+                                  ("twist", [], "twist must map labels to rationals"),
+                                  ("qdim", [], "qdim must map labels to cyclotomic values")):
+        path3 = tmp_path / f"bad_{field}.json"
+        path3.write_text(json.dumps({**doc, field: value}))
+        code, _, err = run(capsys, "validate", str(path3))
+        assert (code, err) == (2, f"error: {message}\n"), field
+
+    directory = tmp_path / "x.json"
+    directory.mkdir()
+    code, _, err = run(capsys, "validate", str(directory))
+    assert code == 2
+    assert err.startswith(f"error: cannot read {directory}: "), err
 
 
 def test_no_vminus_is_exit_1(capsys):
@@ -1008,8 +1041,8 @@ def _sphere_table_oracle(data, labels) -> str:
         f"  total dimension      {rep.total_dim}",
         f"  component dimension  {rep.component_dim}",
         f"  odd punctures        {rep.lambda_rank} "
-        f"(clifford algebra on {rep.lambda_class.generators} generators, "
-        f"parity {rep.lambda_class.parity})",
+        f"(clifford algebra on {rep.lambda_rank} generators, "
+        f"parity {rep.lambda_rank % 2})",
         "  epsilon table:",
     ]
     for key, val in sorted(rep.epsilon_table.items()):

@@ -10,7 +10,6 @@ from conftest import cyc_matrix, replace
 
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import (
-    CliffordAlgebraClass,
     LabelClassification,
     classify_labels,
     clifford_structure,
@@ -77,6 +76,19 @@ def test_involution_is_multiplication_by_vminus():
     assert inv == {"j0": "j2", "j1": "j3", "j2": "j0", "j3": "j1"}
     t = builtin("toric")
     assert involution_from_vminus(t, "f") == {"1": "f", "e": "m", "m": "e", "f": "1"}
+
+
+def test_involution_refuses_a_non_permutation():
+    # unvalidated fermion data where psi x sigma is not one label, or not sigma
+    f = builtin("fermion")
+    two = {**f.fusion, ("psi", "sigma", "1"): 1}
+    with pytest.raises(InconsistentDataError,
+                       match="^tensoring by 'psi' does not permute labels freely at 'sigma'$"):
+        involution_from_vminus(replace(f, fusion=two), "psi")
+    moved = {**f.fusion, ("psi", "sigma", "sigma"): 0, ("psi", "sigma", "psi"): 1}
+    with pytest.raises(InconsistentDataError,
+                       match="^tensoring by 'psi' is not an involution at 'sigma'$"):
+        involution_from_vminus(replace(f, fusion=moved), "psi")
 
 
 def test_zeta_values_on_builtins():
@@ -381,14 +393,6 @@ def test_block_shapes_that_differ_from_the_pattern_fail_it():
         "block_pattern": (False, ("NS+", "NS-")), "diagonal_blocks": (False, ("A", "singular")),
         "bd_rank": (False, ("rank", 1, "expected", 2)), "btd_zero": (True, None), "count_identity": (False, (1, 2)),
     }
-
-
-# --- Clifford algebra bookkeeping ------------------------------------------------
-
-
-def test_clifford_algebra_class_and_parity():
-    assert CliffordAlgebraClass(0).parity == 0
-    assert CliffordAlgebraClass(3).parity == 1
 
 
 # --- the N=1 minimal model SM(3,5) from the builtins ---------------------------

@@ -441,6 +441,26 @@ def test_validate_reports_unit_and_dual_breaks():
     vs = validate(replace(f, dual={**f.dual, "psi": "sigma"}))
     assert any(v.check == "dual" for v in vs)
 
+    # the dual is an involution, but it swaps the unit with psi
+    vs = validate(replace(f, dual={"1": "psi", "psi": "1", "sigma": "sigma"}))
+    assert [v.to_dict() for v in vs] == [
+        {"check": "dual", "witness": ["1"], "detail": "unit must be self-dual"}
+    ]
+
+
+def test_validate_reports_an_empty_label_set():
+    empty = FusionData(name="empty", labels=(), unit="1", dual={}, fusion={}, twist={}, qdim={})
+    assert [v.to_dict() for v in validate(empty)] == [
+        {"check": "labels", "witness": [], "detail": "label set is empty"}
+    ]
+
+
+def test_unknown_labels_are_format_errors():
+    f = builtin("fermion")
+    for lookup in (lambda: f.index("zz"), lambda: hom_unit_dim(f, ("sigma", "zz"))):
+        with pytest.raises(FormatError, match="^unknown label 'zz' in category 'fermion'$"):
+            lookup()
+
 
 def test_validate_reports_dual_value_outside_the_labels():
     # a structural violation: the involution check would look the value up

@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from spinmtc.catalog import builtin
-from spinmtc.clifford import CliffordAlgebraClass
 from spinmtc.exactnum import compute_smatrix
 from spinmtc.fusion import FormatError
 from spinmtc.minimal import MinimalLabel, MinimalModelSpec
-from spinmtc.spinfunctor import SpinSphereSpec
+from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
 from spinmtc.verma import PBWMonomial, VermaError
 
 
@@ -27,7 +26,7 @@ def test_fusion_data_attributes_cannot_be_assigned():
 
 
 @pytest.mark.parametrize("record, field", [
-    (CliffordAlgebraClass(2), "generators"),
+    (sphere_report(SpinSphereSpec(builtin("fermion"), "psi", ("sigma", "sigma"))), "lambda_rank"),
     (MinimalModelSpec(3, 5), "p"),
     (PBWMonomial(), "g_part"),
     (SpinSphereSpec(builtin("fermion"), "psi", ("sigma",)), "vminus"),
@@ -50,14 +49,12 @@ def test_pbw_monomial_hash_is_that_of_its_parts():
 def test_records_compare_by_value():
     assert MinimalModelSpec(3, 5) == MinimalModelSpec(3, 5) != MinimalModelSpec(3, 7)
     assert hash(MinimalModelSpec(3, 5)) == hash(MinimalModelSpec(3, 5))
-    assert CliffordAlgebraClass(3) == CliffordAlgebraClass(3) != CliffordAlgebraClass(1)
     assert builtin("fermion") == builtin("fermion") != builtin("dirac")
     assert MinimalModelSpec(3, 5) != (3, 5)
 
 
 _F = Fraction
 _REJECTED = [
-    (lambda: CliffordAlgebraClass(-1), ValueError, "generator count must be nonnegative"),
     (lambda: MinimalModelSpec("3", 5), ValueError, "p and q must be integers"),
     (lambda: MinimalModelSpec(1, 5), ValueError, r"p and q must be at least 2, got \(1, 5\)"),
     (lambda: MinimalModelSpec(3, 4), ValueError, r"p and q must have equal parity, got \(3, 4\)"),

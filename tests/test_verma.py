@@ -70,6 +70,10 @@ def test_monomial_rejects_non_normal_words():
         parse_monomial("L[-4] L[-2]")
     with pytest.raises(VermaError):
         parse_monomial("L[0]")
+    with pytest.raises(VermaError, match="^malformed monomial text at 'X'$"):
+        parse_monomial("G[-1/2] X")
+    with pytest.raises(VermaError, match="^L index must be an integer, got -3/2$"):
+        parse_monomial("L[-3/2]")
 
 
 def test_monomial_degree_and_parity():
@@ -104,6 +108,17 @@ def test_two_mode_actions_match_hand_values():
     }
     for (tag, word), expect in cases.items():
         assert _terms(straighten(word, C, H)) == expect, tag
+
+
+def test_straighten_and_add_reject_mismatched_input():
+    # modes built without ``L`` and ``G``, which would refuse them
+    for mode, message in ((NSMode("L", Fraction(1, 2)), "L index must be integral, got 1/2"),
+                          (NSMode("G", Fraction(1)), "G index must be half-odd, got 1"),
+                          (NSMode("X", Fraction(1)), "unknown mode kind 'X'")):
+        with pytest.raises(VermaError, match=f"^{message}$"):
+            straighten([mode], C, H)
+    with pytest.raises(VermaError, match="^cannot add vectors from different modules$"):
+        _hw() + _hw(h=H + 1)
 
 
 def test_raising_modes_kill_the_highest_weight_vector():
