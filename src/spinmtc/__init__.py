@@ -10,7 +10,8 @@ The package itself loads no submodule; the cyclotomic field lives in
 ``spinmtc.exactnum``.  It holds the helpers that every module shares: the
 rational reader and writer of the JSON fields, the record base class, the
 keys of the builtin categories, the lazy submodule loader, and the output
-writers of the CLI's handler modules, ``category_cli`` and ``model_cli``.
+writers of the CLI's handler modules, ``category_cli``, ``smatrix_cli``
+and ``model_cli``.
 They live here so that no handler module imports ``cli``: ``python -m
 spinmtc.cli`` runs ``cli`` as ``__main__``, and an import of
 ``spinmtc.cli`` would compile and execute it a second time.

@@ -18,9 +18,12 @@ the reader of stdout closes it early (``| head``), ``run`` exits 1 with
 nothing on stderr.
 
 This module holds only the parser and the dispatch.  The handlers live in
-``category_cli`` (the category commands) and ``model_cli`` (``minimal``,
-``minimal-scan`` and ``singvec``), and a command executes only the one
-module that holds its handler.
+``category_cli`` (``validate``, ``sphere``, ``torus`` and ``builtin``),
+``smatrix_cli`` (``smatrix`` and ``classify``, which load their category
+through ``category_cli``) and ``model_cli`` (``minimal``, ``minimal-scan``
+and ``singvec``), and a command executes only the module that holds its
+handler and what that module needs.  A call that names its command first
+builds the subparser of that command alone.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from . import BUILTIN_KEYS, _lazy
 # this module puts them in sys.modules, where a caller can patch them before
 # any command runs (``category_cli`` registers the untraced ones it needs)
 category_cli = _lazy("category_cli")
+smatrix_cli = _lazy("smatrix_cli")
 model_cli = _lazy("model_cli")
 clifford = _lazy("clifford")
 exactnum = _lazy("exactnum")
@@ -52,13 +56,19 @@ __all__ = ["main", "run", "build_parser"]
 MAX_DIGITS = 17  # a float holds about 17 significant digits
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given a ``command``, the parser of that
+    command alone, whose usage still names every command."""
     parser = argparse.ArgumentParser(
         prog="spinmtc",
         description="Exact fermionic fusion-category checks, minimal-model tables, "
         "and Verma-module singular vectors.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the metavar that the full parser derives from its choices
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_HANDLERS) + "}")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="table",
@@ -68,46 +78,51 @@ def build_parser() -> argparse.ArgumentParser:
                          default=0, help=f"add floating-point annotations to 0-{MAX_DIGITS} "
                          "significant digits (never authoritative)")
 
-    def cat_cmd(name: str, help_text: str, *extra: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common, *extra], help=help_text)
-        p.add_argument("category", help="category file or builtin key")
+    def cmd(name: str, help_text: str, *extra: argparse.ArgumentParser) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
+        return sub.add_parser(name, parents=[common, *extra], help=help_text)
+
+    def cat_cmd(name: str, help_text: str, *extra: argparse.ArgumentParser) -> argparse.ArgumentParser | None:
+        if p := cmd(name, help_text, *extra):
+            p.add_argument("category", help="category file or builtin key")
         return p
 
     cat_cmd("validate", "check the fusion-ring axioms")
     cat_cmd("smatrix", "exact s-matrix and its square", numeric)
 
-    p = cat_cmd("classify", "NS/R label partition and block checks")
-    p.add_argument("--vminus", help="odd generator to use when several qualify")
+    if p := cat_cmd("classify", "NS/R label partition and block checks"):
+        p.add_argument("--vminus", help="odd generator to use when several qualify")
 
-    p = cat_cmd("sphere", "spin sphere state-space dimensions")
-    p.add_argument(
-        "--labels",
-        required=True,
-        help="comma-separated puncture labels; commas inside parentheses stay in the label",
-    )
-    p.add_argument("--vminus", help="odd generator to use when several qualify")
+    if p := cat_cmd("sphere", "spin sphere state-space dimensions"):
+        p.add_argument(
+            "--labels",
+            required=True,
+            help="comma-separated puncture labels; commas inside parentheses stay in the label",
+        )
+        p.add_argument("--vminus", help="odd generator to use when several qualify")
 
-    p = cat_cmd("torus", "spin torus state-space dimensions")
-    p.add_argument("--vminus", help="odd generator to use when several qualify")
+    if p := cat_cmd("torus", "spin torus state-space dimensions"):
+        p.add_argument("--vminus", help="odd generator to use when several qualify")
 
-    p = sub.add_parser("minimal", parents=[common, numeric], help="one minimal-model label table")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    if p := cmd("minimal", "one minimal-model label table", numeric):
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
 
-    p = sub.add_parser("minimal-scan", parents=[common], help="all models with p*q bounded")
-    p.add_argument("--max-pq", type=int, required=True, metavar="M")
+    if p := cmd("minimal-scan", "all models with p*q bounded"):
+        p.add_argument("--max-pq", type=int, required=True, metavar="M")
 
-    p = sub.add_parser("singvec", parents=[common, numeric], help="singular vectors in an NS Verma module")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--c", help="central charge as a/b")
-    p.add_argument("--h", help="highest weight as a/b")
-    p.add_argument("--degree", help="degree as a/b or integer")
+    if p := cmd("singvec", "singular vectors in an NS Verma module", numeric):
+        p.add_argument("--p", type=int)
+        p.add_argument("--q", type=int)
+        p.add_argument("--c", help="central charge as a/b")
+        p.add_argument("--h", help="highest weight as a/b")
+        p.add_argument("--degree", help="degree as a/b or integer")
 
     # builtin always writes the file format, which is JSON; it takes --format as
     # every other command does, so that a caller may append "--format json" to any
-    p = sub.add_parser("builtin", parents=[common], help="emit a builtin category file")
-    p.add_argument("key", choices=BUILTIN_KEYS)
+    if p := cmd("builtin", "emit a builtin category file"):
+        p.add_argument("key", choices=BUILTIN_KEYS)
 
     return parser
 
@@ -115,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 # the module of each command's handler, ``_cmd_<command>`` with "-" read as "_"
 _HANDLERS: dict[str, ModuleType] = {
     "validate": category_cli,
-    "smatrix": category_cli,
-    "classify": category_cli,
+    "smatrix": smatrix_cli,
+    "classify": smatrix_cli,
     "sphere": category_cli,
     "torus": category_cli,
     "minimal": model_cli,
@@ -127,7 +142,9 @@ _HANDLERS: dict[str, ModuleType] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its command first parses with that command's subparser alone
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

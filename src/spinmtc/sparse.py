@@ -11,7 +11,7 @@ pivots on return.  The kernel serves the singular-vector solve of
 :mod:`spinmtc.exactnum`.  One row at a time, ``_insert_row`` also works
 over a field such as Q(zeta_N) (p None, ``Cyclotomic`` entries): it serves
 ``CycMatrix.rank_det`` there, and the generating-set search of
-:mod:`spinmtc.fusion` mod p.
+:mod:`spinmtc.axioms` mod p.
 """
 
 from __future__ import annotations

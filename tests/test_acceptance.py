@@ -14,11 +14,12 @@ from random import Random
 import numpy as np
 from conftest import cyc_matrix
 
+from spinmtc.axioms import validate
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import classify_labels, find_vminus
 from spinmtc.cyclotomic import Cyclotomic, zeta
 from spinmtc.exactnum import check_s_squared, compute_smatrix, verify_block_structure
-from spinmtc.fusion import deligne_product, hom_unit_dim, validate
+from spinmtc.fusion import deligne_product, hom_unit_dim
 from spinmtc.minimal import (
     MinimalModelSpec,
     central_charge,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -22,6 +23,8 @@ from conftest import cyc_matrix
 from hypothesis import given, settings, strategies as st
 
 import spinmtc
+import spinmtc.axioms
+import spinmtc.fusion
 
 from spinmtc import ROWS_PER_WRITE, _json_parts
 from spinmtc.catalog import BUILTIN_KEYS, builtin
@@ -120,6 +123,19 @@ def test_each_subcommand_accepts_only_the_options_it_reads(capsys):
     assert err.startswith("usage: spinmtc") and err.endswith("unrecognized arguments: --numeric 2\n")
     # builtin writes the file format whatever --format says
     assert run(capsys, "builtin", "fermion", "--format", "json") == run(capsys, "builtin", "fermion")
+
+
+def test_one_command_parser_prints_as_the_full_parser(capsys):
+    # main builds only the named command's subparser; its usage, help and
+    # parses must be the full parser's
+    full = build_parser()
+    subparsers = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(_HANDLERS)
+    for command, argv in _MINIMAL_ARGV.items():
+        alone = build_parser(command)
+        assert alone.format_usage() == full.format_usage()
+        assert alone.parse_args([command, *argv]) == full.parse_args([command, *argv])
+        assert run(capsys, command, "--help") == (0, subparsers[command].format_help(), "")
 
 
 def test_classify_fermion(capsys):
@@ -308,6 +324,59 @@ def test_real_file_wins_over_builtin_key(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "validate", "fermion", "--format", "json")
     assert code == 0
     assert json.loads(out)["category"] == "dirac"
+    # and is checked as any file is, though a builtin key is trusted: with one
+    # associativity break, the commands refuse it or (smatrix) fail s^2
+    (tmp_path / "fermion").write_text(_fermion_edited(capsys, tmp_path, _drop_sigma_sigma_psi).read_text())
+    first = _first_violation(capsys, Path("fermion"))
+    assert first.startswith("associativity at ")
+    for argv in (["torus"], ["sphere", "--labels", "sigma,sigma"], ["classify"]):
+        assert run(capsys, argv[0], "fermion", *argv[1:]) == (1, "", f"error: 'fermion' fails validate: {first}\n")
+    code, out, err = run(capsys, "smatrix", "fermion", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["squares_to_conjugation"] is False
+
+
+_TRUSTING = {
+    "smatrix": ["smatrix", "{}"],
+    "classify": ["classify", "{}"],
+    "sphere": ["sphere", "{}", "--labels", "sigma,sigma"],
+    "torus": ["torus", "{}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_TRUSTING.values()), ids=list(_TRUSTING))
+def test_builtin_key_is_trusted_and_a_file_is_checked(capsys, tmp_path, monkeypatch, argv):
+    calls = []
+
+    def refuse(name):
+        def check(data):
+            calls.append(name)
+            raise AssertionError(f"{name} ran on {data.name!r}")
+        return check
+
+    with monkeypatch.context() as m:
+        for module, name in ((spinmtc.fusion, "structure_violations"), (spinmtc.axioms, "axiom_violations"),
+                             (spinmtc.axioms, "validate")):
+            m.setattr(module, name, refuse(name))
+        code, out, err = run(capsys, *[a.format("fermion") for a in argv])
+    assert (code, err, calls) == (0, "", [])
+    assert out
+    path = tmp_path / "fermion.json"
+    path.write_text(dump_fusion(builtin("fermion")))
+    real = {"structure_violations": spinmtc.fusion.structure_violations,
+            "axiom_violations": spinmtc.axioms.axiom_violations}
+
+    def spy(name):
+        def check(data):
+            calls.append(name)
+            return real[name](data)
+        return check
+
+    monkeypatch.setattr(spinmtc.fusion, "structure_violations", spy("structure_violations"))
+    monkeypatch.setattr(spinmtc.axioms, "axiom_violations", spy("axiom_violations"))
+    assert run(capsys, *[a.format(path) for a in argv])[0] == 0
+    # smatrix answers on data that fails the axioms, so it checks the structure alone
+    assert calls == ["structure_violations"] + ["axiom_violations"] * (argv[0] != "smatrix")
 
 
 def test_output_is_deterministic(capsys):
@@ -901,55 +970,73 @@ finally:
     print(json.dumps([sorted(ran), heavy]), file=sys.stderr)
 """
 
-# Every command runs the package and cli, and then the one module that holds
-# its handler.  The category commands' handlers, in category_cli, run fusion,
-# the cyclotomic field and the sparse elimination kernel; catalog runs only
-# where a builtin is built, the file format fusionfile only where a file is
-# read or written, and the s-matrix layer exactnum only where an s-matrix is
-# computed (smatrix and classify).  The model commands' handlers, in
+# Every command runs the package and cli, and then the module that holds its
+# handler.  The category commands' handlers, in category_cli (and smatrix_cli
+# for smatrix and classify, which runs category_cli too), run fusion and the
+# cyclotomic field; catalog runs only where a builtin is built, the file
+# format fusionfile only where a file is read or written, the s-matrix layer
+# exactnum only where an s-matrix is computed (smatrix and classify), and
+# the axiom check axioms only for validate and where classify, sphere or
+# torus read a file: a builtin key is trusted.  The sparse elimination
+# kernel runs with axioms or exactnum.  The model commands' handlers, in
 # model_cli, run minimal, and singvec runs verma and the kernel too.  An
 # error exit runs only the modules its command reached: "{bad}" is a
 # category file that fails validate's axioms, "{ambiguous}" one with two
-# admissible odd generators, "{missing}" a path that does not exist.
+# admissible odd generators, "{missing}" a path that does not exist, and
+# "{good}" the fermion file.
 _ALWAYS = {"spinmtc", "spinmtc.cli"}
-_CATEGORY = {"spinmtc.category_cli", "spinmtc.fusion", "spinmtc.cyclotomic", "spinmtc.sparse"}
+_CATEGORY = {"spinmtc.category_cli", "spinmtc.fusion", "spinmtc.cyclotomic"}
 _BUILTIN = _CATEGORY | {"spinmtc.catalog"}
 _FILE = _CATEGORY | {"spinmtc.fusionfile"}
+_AXIOMS = {"spinmtc.axioms", "spinmtc.sparse"}
+_SMATRIX = {"spinmtc.smatrix_cli", "spinmtc.exactnum", "spinmtc.sparse"}
+_SURFACE = {"spinmtc.clifford", "spinmtc.spinfunctor"}
 _MODEL = {"spinmtc.model_cli", "spinmtc.minimal"}
 _COMMANDS = [
     (["--help"], set(), 0),
     (["singvec", "--p", "2", "--q", "8"], _MODEL | {"spinmtc.verma", "spinmtc.sparse"}, 0),
     (["minimal", "--p", "2", "--q", "8"], _MODEL, 0),
     (["minimal-scan", "--max-pq", "20"], _MODEL, 0),
-    (["validate", "fermion"], _BUILTIN, 0),
-    (["smatrix", "fermion"], _BUILTIN | {"spinmtc.exactnum"}, 0),
+    (["validate", "fermion"], _BUILTIN | _AXIOMS, 0),
+    (["smatrix", "fermion"], _BUILTIN | _SMATRIX, 0),
     (["builtin", "fermion"], _BUILTIN | {"spinmtc.fusionfile"}, 0),
-    (["classify", "fermion"], _BUILTIN | {"spinmtc.clifford", "spinmtc.exactnum"}, 0),
-    (["sphere", "fermion", "--labels", "sigma,sigma"],
-     _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
-    (["torus", "fermion"], _BUILTIN | {"spinmtc.clifford", "spinmtc.spinfunctor"}, 0),
+    (["classify", "fermion"], _BUILTIN | _SMATRIX | {"spinmtc.clifford"}, 0),
+    (["sphere", "fermion", "--labels", "sigma,sigma"], _BUILTIN | _SURFACE, 0),
+    (["torus", "fermion"], _BUILTIN | _SURFACE, 0),
 ]
+_FILE_COMMANDS = {
+    "validate-file": (["validate", "{good}"], _FILE | _AXIOMS, 0),
+    "smatrix-file": (["smatrix", "{good}"], _FILE | _SMATRIX, 0),
+    "classify-file": (["classify", "{good}"], _FILE | _AXIOMS | _SMATRIX | {"spinmtc.clifford"}, 0),
+    "sphere-file": (["sphere", "{good}", "--labels", "sigma,sigma"], _FILE | _AXIOMS | _SURFACE, 0),
+    "torus-file": (["torus", "{good}"], _FILE | _AXIOMS | _SURFACE, 0),
+}
 _ERROR_EXITS = {
-    "torus-inconsistent": (["torus", "{bad}"], _FILE, 1),
-    "classify-ambiguous": (["classify", "{ambiguous}"], _FILE | {"spinmtc.clifford"}, 1),
+    "torus-inconsistent": (["torus", "{bad}"], _FILE | _AXIOMS, 1),
+    "classify-ambiguous": (["classify", "{ambiguous}"],
+                           _FILE | _AXIOMS | {"spinmtc.smatrix_cli", "spinmtc.clifford"}, 1),
     "torus-not-fermionic": (["torus", "fibonacci"], _BUILTIN | {"spinmtc.clifford"}, 1),
-    "classify-vminus": (["classify", "fermion", "--vminus", "sigma"], _BUILTIN | {"spinmtc.clifford"}, 2),
+    "classify-vminus": (["classify", "fermion", "--vminus", "sigma"],
+                        _BUILTIN | {"spinmtc.smatrix_cli", "spinmtc.clifford"}, 2),
     "sphere-unbalanced": (["sphere", "fermion", "--labels", "(sigma"], {"spinmtc.category_cli"}, 2),
     "minimal-scan-small": (["minimal-scan", "--max-pq", "3"], {"spinmtc.model_cli"}, 2),
     "minimal-not-a-model": (["minimal", "--p", "2", "--q", "2"], _MODEL, 2),
-    "classify-missing": (["classify", "{missing}"], _CATEGORY, 2),
+    "classify-missing": (["classify", "{missing}"], _CATEGORY | {"spinmtc.smatrix_cli"}, 2),
     "singvec-malformed": (["singvec", "--c", "1/0", "--h", "0", "--degree", "2"], {"spinmtc.model_cli"}, 2),
     "singvec-over-cap": (["singvec", "--c", "1", "--h", "0", "--degree", "40"], {"spinmtc.model_cli"}, 2),
 }
 
 
 @pytest.mark.parametrize("argv, modules, code", [pytest.param(*case, id=case[0][0]) for case in _COMMANDS]
+                         + [pytest.param(*case, id=name) for name, case in _FILE_COMMANDS.items()]
                          + [pytest.param(*case, id=name) for name, case in _ERROR_EXITS.items()])
 def test_each_command_executes_only_its_modules(capsys, tmp_path, argv, modules, code):
     bad = _fermion_edited(capsys, tmp_path, _drop_sigma_sigma_psi)
     ambiguous = tmp_path / "fermion2.json"
     ambiguous.write_text(dump_fusion(deligne_product(builtin("fermion"), builtin("fermion"))))
-    argv = [a.format(bad=bad, ambiguous=ambiguous, missing=tmp_path / "missing.json") for a in argv]
+    good = tmp_path / "fermion.json"
+    good.write_text(dump_fusion(builtin("fermion")))
+    argv = [a.format(bad=bad, ambiguous=ambiguous, missing=tmp_path / "missing.json", good=good) for a in argv]
     src = str(Path(spinmtc.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
@@ -979,16 +1066,17 @@ finally:
 """
 
 
-# every command of _COMMANDS compiles exactly the files of the modules it
-# executes, and validate on a file compiles fusionfile in place of catalog
+# every command of _COMMANDS and _FILE_COMMANDS compiles exactly the files of
+# the modules it executes: on a file, fusionfile in place of catalog, and the
+# axiom check except for smatrix
 @pytest.mark.parametrize("argv, modules", [pytest.param(argv, modules, id=argv[0]) for argv, modules, _ in _COMMANDS]
-                         + [pytest.param(["validate", "{file}"], _FILE, id="validate-file")])
+                         + [pytest.param(argv, modules, id=name) for name, (argv, modules, _) in _FILE_COMMANDS.items()])
 def test_no_source_file_is_compiled_twice(tmp_path, argv, modules):
     # a module that imported spinmtc.cli would compile cli.py a second time,
     # beside the __main__ that python -m runs
     path = tmp_path / "fermion.json"
     path.write_text(dump_fusion(builtin("fermion")))
-    argv = [a.format(file=path) for a in argv]
+    argv = [a.format(good=path) for a in argv]
     package = Path(spinmtc.__file__).resolve().parent
     done = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, str(tmp_path / "cache"), *argv],
                           capture_output=True, text=True, timeout=60,

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from conftest import cyc_matrix, replace
 
+from spinmtc.axioms import validate
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import (
     LabelClassification,
@@ -24,7 +25,7 @@ from spinmtc.exactnum import (
     compute_smatrix,
     verify_block_structure,
 )
-from spinmtc.fusion import InconsistentDataError, deligne_product, validate
+from spinmtc.fusion import InconsistentDataError, deligne_product
 from spinmtc.minimal import MinimalModelSpec, enumerate_labels
 
 CLIFFORD_BUILTINS = ("fermion", "dirac", "toric")

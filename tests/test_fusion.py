@@ -12,7 +12,8 @@ from random import Random
 import pytest
 from conftest import cyc_matrix, replace
 
-import spinmtc.fusion
+import spinmtc.axioms
+from spinmtc.axioms import validate
 from spinmtc.catalog import BUILTIN_KEYS, builtin
 from spinmtc.clifford import classify_labels, clifford_structure, find_vminus
 from spinmtc.cyclotomic import Cyclotomic, zeta
@@ -24,7 +25,6 @@ from spinmtc.fusion import (
     deligne_product,
     hom_unit_dim,
     structure_violations,
-    validate,
 )
 from spinmtc.fusionfile import MAX_CONDUCTOR, dump_fusion, fusion_from_dict, fusion_to_dict, load_fusion
 from spinmtc.spinfunctor import SpinSphereSpec, sphere_report
@@ -70,6 +70,9 @@ def test_catalog_table_rows_are_well_formed():
 
 
 def test_all_builtins_validate_clean():
+    # The CLI relies on this test: on a builtin key, smatrix, classify, sphere
+    # and torus trust the category and run neither structure_violations nor
+    # the axioms (only validate itself checks a builtin).
     for key in BUILTIN_KEYS:
         assert validate(builtin(key)) == []
 
@@ -233,7 +236,7 @@ def _validate_both_ways(data, monkeypatch):
     """validate() as it runs, and with the generator path switched off."""
     fast = validate(data)
     with monkeypatch.context() as m:
-        m.setattr(spinmtc.fusion, "_span_generators", lambda *args: None)
+        m.setattr(spinmtc.axioms, "_span_generators", lambda *args: None)
         full = validate(data)
     return fast, full
 
@@ -272,14 +275,14 @@ def test_validate_generator_path_matches_full_loop(monkeypatch):
     # Associativity and the dimension equation checked on a generating set
     # must report exactly what the full loops report, witnesses included.
     calls = []
-    real = spinmtc.fusion._associativity_witness
+    real = spinmtc.axioms._associativity_witness
 
     def spy(labels, rules, pos, left=None):
         witness = real(labels, rules, pos, left)
         calls.append((left is not None, witness is None))
         return witness
 
-    monkeypatch.setattr(spinmtc.fusion, "_associativity_witness", spy)
+    monkeypatch.setattr(spinmtc.axioms, "_associativity_witness", spy)
     products = [_product("dirac", "dirac", "dirac"), _product("dirac", "fermion", "fermion"),
                 _product("fibonacci", "fermion", "fermion")]
     cases = [builtin(key) for key in BUILTIN_KEYS] + products
@@ -306,7 +309,7 @@ def test_validate_broken_unit_runs_the_full_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("generator path taken with a broken unit axiom")
 
-    monkeypatch.setattr(spinmtc.fusion, "_span_generators", refuse)
+    monkeypatch.setattr(spinmtc.axioms, "_span_generators", refuse)
     vs = validate(data)
     assert [v.check for v in vs] == ["unit_axiom", "commutativity", "associativity", "dimension_equation"]
     assert vs[2].witness == _first_associativity_failure(data) == ("1", "1", "x", "y")
@@ -318,7 +321,7 @@ def test_validate_dimension_witness_when_the_span_differs_mod_p(monkeypatch):
     # b, so b is skipped, yet b is not in the span of 1, a, a a over Q.  With
     # d = (1, 0, P, -1), a passes the dimension equation and b and c fail;
     # the least witness is (b, b), not the first generator failure (c, b).
-    big = spinmtc.fusion._SPAN_PRIME
+    big = spinmtc.axioms._SPAN_PRIME
     labels = ("1", "a", "b", "c")
     fusion = {("1", x, x): 1 for x in labels} | {(x, "1", x): 1 for x in labels}
     fusion |= {("a", "a", "b"): 1, ("a", "a", "c"): big}
@@ -331,7 +334,7 @@ def test_validate_dimension_witness_when_the_span_differs_mod_p(monkeypatch):
         twist={x: Fraction(0) for x in labels},
         qdim=dict(zip(labels, map(Cyclotomic.from_rational, (1, 0, big, -1)))),
     )
-    assert spinmtc.fusion._span_generators(labels, data._rules, "1") == ["a", "c"]
+    assert spinmtc.axioms._span_generators(labels, data._rules, "1") == ["a", "c"]
     fast, full = _validate_both_ways(data, monkeypatch)
     assert fast == full
     assert [v.check for v in fast] == ["duality", "dimension_equation"]
@@ -402,13 +405,13 @@ def test_witnesses_match_the_cyclotomic_and_summing_references():
         moved = replace(data, fusion={**data.fusion, key: data.fusion[key] + 1})
         for ring in (data, moved):
             rules, pos = ring._rules, ring._index
-            gens = spinmtc.fusion._span_generators(ring.labels, rules, ring.unit)
+            gens = spinmtc.axioms._span_generators(ring.labels, rules, ring.unit)
             for left in (None, gens):
-                got = spinmtc.fusion._associativity_witness(ring.labels, rules, pos, left)
+                got = spinmtc.axioms._associativity_witness(ring.labels, rules, pos, left)
                 assert got == _associativity_witness_reference(ring.labels, rules, pos, left), ring.name
                 verdicts.add(("associativity", got is None))
                 for qdim in (data.qdim, *broken):
-                    got = spinmtc.fusion._dimension_witness(qdim, ring.labels, rules, left)
+                    got = spinmtc.axioms._dimension_witness(qdim, ring.labels, rules, left)
                     assert got == _dimension_witness_reference(qdim, ring.labels, rules, left), ring.name
                     verdicts.add(("dimension_equation", got is None))
     assert len(verdicts) == 4
@@ -419,7 +422,7 @@ def test_span_generators_are_small_on_products():
     for keys, size in [(("dirac",) * 3, 3), (("dirac", "fermion", "fermion"), 5),
                        (("fibonacci", "fermion", "fermion"), 5), (("fermion",), 2)]:
         data = _product(*keys)
-        gens = spinmtc.fusion._span_generators(data.labels, data._rules, data.unit)
+        gens = spinmtc.axioms._span_generators(data.labels, data._rules, data.unit)
         assert len(gens) == size, keys
 
 
